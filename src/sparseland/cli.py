@@ -19,13 +19,18 @@ import numpy as np
 
 from . import __version__
 from .core import PenaltySpec, WeightSequence
-from .errors import AlignmentError, ContractViolationError, ParameterError
+from .errors import (
+    AlignmentError,
+    ContractViolationError,
+    DescentViolationError,
+    ParameterError,
+)
 from .experiment import CaseSpec, DEFAULT_CASES, ExperimentConfig, run_experiment
 from .gridio import read_grid, write_grid, write_trace_csv
 from .operators import (
+    Convolution2DOperator,
     DenseOperator,
     DiagonalOperator,
-    convolution_operator,
     renormalize,
 )
 from .regularization import (
@@ -237,7 +242,7 @@ def _cmd_solve(args) -> int:
         if data.ndim != 2:
             raise ParameterError("convolution operator needs 2-d data")
         pad = opt["pad"] or 2 * max(data.shape)
-        K = convolution_operator(data.shape, (pad, pad), opt["radius_fraction"])
+        K = Convolution2DOperator(data.shape, (pad, pad), opt["radius_fraction"])
 
     mu = opt["mu"]
     scale = 1.0
@@ -382,7 +387,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, AlignmentError, ContractViolationError, OSError) as exc:
+    except (ParameterError, AlignmentError, ContractViolationError,
+            DescentViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def check_exponent(p) -> float:
+    """Return p as a float, or raise ParameterError unless 1 <= p <= 2."""
+    p = float(p)
+    if not (1.0 <= p <= 2.0):
+        raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
+    return p
+
+
 def _validated_values(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind in "iub":
@@ -164,9 +172,7 @@ class PenaltySpec:
     asymmetric: Optional[Tuple[WeightSequence, WeightSequence]] = None
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (1.0 <= p <= 2.0):
-            raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
+        p = check_exponent(self.p)
         mu = float(self.mu)
         if not np.isfinite(mu) or mu <= 0.0:
             raise ParameterError(f"penalty multiplier mu must be positive, got {mu}")
@@ -232,15 +238,23 @@ def penalty_value(f, spec: PenaltySpec) -> float:
     """
     fv = as_coefficients(f)
     _check_alignment(len(fv), spec)
-    v = fv.values
+    if spec.asymmetric is not None and fv.is_complex:
+        raise ParameterError("asymmetric penalty is defined for real coefficients only")
+    return penalty_sum(fv.values, spec)
+
+
+def penalty_sum(values: np.ndarray, spec: PenaltySpec) -> float:
+    """:func:`penalty_value` of a raw array, without validation.
+
+    The caller guarantees a length matching ``spec`` and real values
+    whenever the weights are asymmetric.
+    """
     if spec.asymmetric is not None:
-        if fv.is_complex:
-            raise ParameterError("asymmetric penalty is defined for real coefficients only")
         wp, wm = spec.asymmetric
-        pos = np.maximum(v, 0.0)
-        neg = np.maximum(-v, 0.0)
+        pos = np.maximum(values, 0.0)
+        neg = np.maximum(-values, 0.0)
         return float(spec.mu * (np.sum(wp.w * pos**spec.p) + np.sum(wm.w * neg**spec.p)))
-    return float(spec.mu * np.sum(spec.weights.w * np.abs(v) ** spec.p))
+    return float(spec.mu * np.sum(spec.weights.w * np.abs(values) ** spec.p))
 
 
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:

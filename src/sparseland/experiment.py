@@ -26,7 +26,7 @@ from . import __version__
 from .core import PenaltySpec
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
-from .operators import Convolution2DOperator, convolution_operator
+from .operators import Convolution2DOperator
 from .solver import SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -260,7 +260,7 @@ def _write_profile_csv(path: Path, columns: Dict[str, np.ndarray], comment: str)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline; write files only if output_dir is set."""
     phantom = make_phantom(config)
-    K = convolution_operator(config.grid, config.pad, config.radius_fraction)
+    K = Convolution2DOperator(config.grid, config.pad, config.radius_fraction)
     clean = np.maximum(K.apply(phantom.ravel()).reshape(config.grid), 0.0)
     noisy = add_poisson_noise(clean, config.total_photons, config.seed)
     reference = phantom / clean.sum()

@@ -115,8 +115,13 @@ def write_grid(path, array, metadata: Optional[dict] = None):
 def _grid_header(data: bytes) -> Tuple[int, int]:
     if len(data) < 16 or data[:8] != GRID_MAGIC:
         raise ParameterError("not a SLWFGRID file")
-    rows, cols = np.frombuffer(data, dtype="<u4", count=2, offset=8)
-    return int(rows), int(cols)
+    rows, cols = map(int, np.frombuffer(data, dtype="<u4", count=2, offset=8))
+    if len(data) < 16 + 8 * rows * cols:
+        raise ParameterError(
+            f"SLWFGRID payload holds {len(data) - 16} bytes, header "
+            f"{rows}x{cols} needs {8 * rows * cols}"
+        )
+    return rows, cols
 
 
 def read_grid(path) -> np.ndarray:

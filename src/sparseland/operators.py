@@ -26,8 +26,6 @@ __all__ = [
     "Convolution2DOperator",
     "FrameSynthesisOperator",
     "ScaledOperator",
-    "convolution_operator",
-    "frame_synthesis_operator",
     "estimate_norm",
     "renormalize",
     "RenormalizedProblem",
@@ -278,17 +276,6 @@ class FrameSynthesisOperator(LinearOperatorHandle):
 
     def adjoint(self, v):
         return self.matrix.conj().T @ self._check_image(v)
-
-
-def convolution_operator(grid, pad, radius_fraction: float = 0.1,
-                         peak_response: float = 0.999) -> Convolution2DOperator:
-    """Build the padded-FFT low-pass convolution operator on a 2-d grid."""
-    return Convolution2DOperator(grid, pad, radius_fraction, peak_response)
-
-
-def frame_synthesis_operator(frame_vectors, renormalize: bool = True) -> FrameSynthesisOperator:
-    """Build a synthesis operator from explicit frame vectors."""
-    return FrameSynthesisOperator(frame_vectors, renormalize=renormalize)
 
 
 def estimate_norm(K: LinearOperatorHandle, iterations: int = 100, seed: int = 0) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import WeightSequence
+from .core import WeightSequence, check_exponent
 from .errors import AlignmentError, ParameterError
 
 __all__ = [
@@ -97,16 +97,9 @@ class MuScheduleReport:
     notes: Tuple[str, ...] = field(default=())
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (1.0 <= p <= 2.0):
-        raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
-    return p
-
-
 def mu_schedule(noise: NoisePrior, p: float) -> float:
     """Balanced multiplier mu = epsilon^2 / rho^p."""
-    p = _check_p(p)
+    p = check_exponent(p)
     return noise.epsilon**2 / noise.rho**p
 
 
@@ -175,7 +168,7 @@ def primed_radii(noise: NoisePrior, mu: float, p: float) -> Tuple[float, float]:
     the minimizer is again an (eps', rho')-admissible reconstruction, at
     radii only a constant factor worse.
     """
-    p = _check_p(p)
+    p = check_exponent(p)
     mu = float(mu)
     if not np.isfinite(mu) or mu <= 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
@@ -195,7 +188,7 @@ def modulus_bounds(env: SpectralEnvelope, weights: WeightSequence, p: float,
     penalty-controlled part and takes the best split among those induced
     by sorting the indices by their lower envelope b.
     """
-    p = _check_p(p)
+    p = check_exponent(p)
     if len(env) != len(weights):
         raise AlignmentError("spectral envelope and weights must have equal length")
     eps, rho = noise.epsilon, noise.rho
@@ -228,7 +221,7 @@ def empirical_diagonal_modulus(env: SpectralEnvelope, weights: WeightSequence,
     feasible point of the full constraint set, hence a certified lower
     probe of the true modulus.
     """
-    p = _check_p(p)
+    p = check_exponent(p)
     if len(env) != len(weights):
         raise AlignmentError("spectral envelope and weights must have equal length")
     if np.any(env.b != env.B):

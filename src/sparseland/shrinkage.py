@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CoefficientVector, PenaltySpec, as_coefficients
-from .errors import AlignmentError, ParameterError
+from .core import check_exponent
+from .errors import ParameterError
 
 __all__ = [
     "soft_threshold",
     "shrink_p",
     "shrink_complex",
     "shrink_asymmetric",
-    "shrink_vector",
 ]
 
 # exponents within this distance of an endpoint use the closed form
@@ -37,13 +36,6 @@ def _check_weight(w) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ParameterError("shrinkage weight w must be finite and strictly positive")
     return w
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (1.0 <= p <= 2.0):
-        raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
-    return p
 
 
 def _real_array(x) -> np.ndarray:
@@ -115,7 +107,7 @@ def shrink_p(x, w, p):
     elsewhere a monotone Newton solve. Scalars in, scalar out; arrays
     broadcast against w.
     """
-    p = _check_p(p)
+    p = check_exponent(p)
     if abs(p - 1.0) <= _P_SNAP:
         return soft_threshold(x, w)
     arr = _real_array(x)
@@ -134,7 +126,7 @@ def shrink_complex(z, w, p):
     arr = np.asarray(z)
     if arr.dtype.kind != "c":
         return shrink_p(arr, w, p)
-    p = _check_p(p)
+    p = check_exponent(p)
     w = _check_weight(w)
     moduli = np.abs(arr)
     if abs(p - 1.0) <= _P_SNAP:
@@ -159,43 +151,10 @@ def shrink_asymmetric(x, w_plus, w_minus, p):
     arr = _real_array(x)
     wp = _check_weight(w_plus)
     wm = _check_weight(w_minus)
-    p = _check_p(p)
+    p = check_exponent(p)
     wp = np.broadcast_to(wp, arr.shape) if arr.ndim else wp
     wm = np.broadcast_to(wm, arr.shape) if arr.ndim else wm
     pos = shrink_p(np.maximum(arr, 0.0), wp, p)
     neg = shrink_p(np.maximum(-arr, 0.0), wm, p)
     out = np.where(arr >= 0.0, pos, -np.asarray(neg))
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-
-
-def shrink_vector(h, spec: PenaltySpec, preconditioner=None) -> CoefficientVector:
-    """Apply the penalty's shrinkage componentwise with effective weights mu*w.
-
-    With a positive diagonal preconditioner d the effective weight of
-    component gamma becomes mu * w_gamma / d_gamma (the caller is expected
-    to have divided the Landweber update by d as well). Complex entries
-    shrink in modulus; asymmetric weights require real entries.
-    """
-    hv = as_coefficients(h)
-    if len(hv) != len(spec):
-        raise AlignmentError(
-            f"vector has {len(hv)} entries, penalty spec has {len(spec)}"
-        )
-    scale = spec.mu
-    if preconditioner is not None:
-        d = np.asarray(preconditioner, dtype=np.float64)
-        if d.shape != (len(hv),):
-            raise AlignmentError("preconditioner must be a diagonal matching the vector")
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise ParameterError("preconditioner entries must be positive and finite")
-        scale = spec.mu / d
-    if spec.asymmetric is not None:
-        if hv.is_complex:
-            raise ParameterError("asymmetric shrinkage is defined for real vectors only")
-        wp, wm = spec.asymmetric
-        values = shrink_asymmetric(hv.values, scale * wp.w, scale * wm.w, spec.p)
-    elif hv.is_complex:
-        values = shrink_complex(hv.values, scale * spec.weights.w, spec.p)
-    else:
-        values = shrink_p(hv.values, scale * spec.weights.w, spec.p)
-    return CoefficientVector(values=np.atleast_1d(values), dims=hv.dims)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import CoefficientVector, WeightSequence, as_coefficients
+from .core import CoefficientVector, WeightSequence, as_coefficients, check_exponent
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -29,7 +29,6 @@ __all__ = [
     "BesovWeightSpec",
     "besov_weights",
     "conjugated_operator",
-    "WaveletConjugatedOperator",
 ]
 
 _ORTHONORMALITY_TOL = 1e-12
@@ -302,9 +301,7 @@ class BesovWeightSpec:
     d: int = 1
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (1.0 <= p <= 2.0):
-            raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
+        p = check_exponent(self.p)
         if int(self.d) < 1:
             raise ParameterError("dimension d must be >= 1")
         object.__setattr__(self, "p", p)

@@ -180,6 +180,14 @@ class TestSolve:
                      "--mu", "0.1", "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "--operator-file" in capsys.readouterr().err
+        # a .grid file cut short of its header's rows x cols is reported too
+        truncated = tmp_path / "short.grid"
+        write_grid(truncated, np.ones((8, 8)))
+        truncated.write_bytes(truncated.read_bytes()[:-8])
+        code = main(["solve", "--operator", "convolution", "--data", str(truncated),
+                     "--mu", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "payload" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -17,7 +17,7 @@ from sparseland.experiment import (
     run_experiment,
 )
 from sparseland.gridio import read_grid_metadata
-from sparseland.operators import convolution_operator
+from sparseland.operators import Convolution2DOperator
 
 
 class TestConfig:
@@ -142,7 +142,7 @@ class TestBlurredExpectation:
     def test_blur_merges_pair_but_phantom_resolves_it(self):
         cfg = ExperimentConfig()
         phantom = make_phantom(cfg)
-        K = convolution_operator(cfg.grid, cfg.pad, cfg.radius_fraction)
+        K = Convolution2DOperator(cfg.grid, cfg.pad, cfg.radius_fraction)
         clean = np.maximum(K.apply(phantom.ravel()).reshape(cfg.grid), 0.0)
         row = cfg.diagnostic_row
         window = (96, 123)
@@ -154,7 +154,7 @@ class TestBlurredExpectation:
     def test_default_photon_budget_peaks_in_the_low_twenties(self):
         cfg = ExperimentConfig()
         phantom = make_phantom(cfg)
-        K = convolution_operator(cfg.grid, cfg.pad, cfg.radius_fraction)
+        K = Convolution2DOperator(cfg.grid, cfg.pad, cfg.radius_fraction)
         clean = np.maximum(K.apply(phantom.ravel()).reshape(cfg.grid), 0.0)
         noisy = add_poisson_noise(clean, cfg.total_photons, cfg.seed)
         assert 15.0 <= noisy.max_expected_count <= 35.0

@@ -107,6 +107,15 @@ class TestGridFormat:
         with pytest.raises(ParameterError):
             gridio.read_grid(short)
 
+    def test_rejects_truncated_payload(self, tmp_path):
+        path = tmp_path / "cut.slw"
+        gridio.write_grid(path, np.ones((3, 4)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ParameterError, match="payload"):
+            gridio.read_grid(path)
+        with pytest.raises(ParameterError, match="payload"):
+            gridio.read_grid_metadata(path)
+
 
 class TestTraceCsv:
     def _fake_trace(self):

@@ -12,9 +12,7 @@ from sparseland.operators import (
     FrameSynthesisOperator,
     ScaledOperator,
     SvdModel,
-    convolution_operator,
     estimate_norm,
-    frame_synthesis_operator,
     renormalize,
     thresholded_svd_solve,
     validate_operator,
@@ -81,7 +79,7 @@ class TestConvolution2D:
     def test_matches_kernel_matrix(self):
         # entry oracle: cropping a padded circular convolution gives
         # K[(r,c),(r',c')] = kernel((r-r') mod P0, (c-c') mod P1)
-        K = convolution_operator((4, 5), (9, 11), radius_fraction=0.6)
+        K = Convolution2DOperator((4, 5), (9, 11), radius_fraction=0.6)
         kernel = np.fft.ifft2(K.filter).real
         n = 4 * 5
         dense = np.empty((n, n))
@@ -98,7 +96,7 @@ class TestConvolution2D:
         np.testing.assert_allclose(dense, expected, atol=1e-12)
 
     def test_self_adjoint(self):
-        K = convolution_operator((6, 6), (12, 12))
+        K = Convolution2DOperator((6, 6), (12, 12))
         rng = np.random.default_rng(0)
         f = rng.normal(size=36)
         g = rng.normal(size=36)
@@ -107,7 +105,7 @@ class TestConvolution2D:
         np.testing.assert_allclose(K.apply(f), K.adjoint(f), atol=1e-14)
 
     def test_norm_bound_certified(self):
-        K = convolution_operator((6, 6), (12, 12), radius_fraction=0.4)
+        K = Convolution2DOperator((6, 6), (12, 12), radius_fraction=0.4)
         n = 36
         dense = np.column_stack([
             K.apply(np.eye(n)[:, j]) for j in range(n)
@@ -118,7 +116,7 @@ class TestConvolution2D:
 
     def test_rotation_equivariance(self):
         # square grid, square pad, radially symmetric response
-        K = convolution_operator((8, 8), (16, 16))
+        K = Convolution2DOperator((8, 8), (16, 16))
         rng = np.random.default_rng(1)
         f = rng.normal(size=(8, 8))
         lhs = K.apply(np.rot90(f).ravel()).reshape(8, 8)
@@ -126,14 +124,14 @@ class TestConvolution2D:
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_preserves_nonnegativity(self):
-        K = convolution_operator((16, 16), (32, 32))
+        K = Convolution2DOperator((16, 16), (32, 32))
         rng = np.random.default_rng(2)
         f = rng.uniform(0.0, 1.0, size=256)
         out = K.apply(f)
         assert out.min() >= -1e-12 * out.max()
 
     def test_point_spread_function(self):
-        K = convolution_operator((8, 8), (20, 20))
+        K = Convolution2DOperator((8, 8), (20, 20))
         psf = K.point_spread_function()
         assert psf.shape == (20, 20)
         assert psf.min() >= -1e-15 * psf.max()
@@ -141,16 +139,16 @@ class TestConvolution2D:
 
     def test_shape_validation(self):
         with pytest.raises(ParameterError):
-            convolution_operator((4, 4), (3, 4))
+            Convolution2DOperator((4, 4), (3, 4))
         with pytest.raises(ParameterError):
-            convolution_operator((4, 4), (8, 8), radius_fraction=0.0)
+            Convolution2DOperator((4, 4), (8, 8), radius_fraction=0.0)
         with pytest.raises(ParameterError):
-            convolution_operator((4, 4), (8, 8), radius_fraction=1.5)
+            Convolution2DOperator((4, 4), (8, 8), radius_fraction=1.5)
         with pytest.raises(ParameterError):
             Convolution2DOperator((4, 4), (8, 8), peak_response=0.0)
 
     def test_domain_dims(self):
-        K = convolution_operator((4, 6), (8, 12))
+        K = Convolution2DOperator((4, 6), (8, 12))
         assert K.domain_dims == (4, 6)
         assert K.domain_len == 24
 
@@ -158,7 +156,7 @@ class TestConvolution2D:
 class TestFrameSynthesis:
     def test_orthonormal_basis_is_isometry(self):
         Q = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))[0]
-        F = frame_synthesis_operator(Q.T, renormalize=False)
+        F = FrameSynthesisOperator(Q.T, renormalize=False)
         v = np.random.default_rng(4).normal(size=5)
         np.testing.assert_allclose(F.apply(F.adjoint(v)), v, atol=1e-12)
         assert F.norm_bound == pytest.approx(1.0, abs=1e-10)
@@ -167,14 +165,14 @@ class TestFrameSynthesis:
         rng = np.random.default_rng(5)
         Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         frame = np.vstack([np.eye(4), Q.T])  # 8 vectors in R^4
-        F = frame_synthesis_operator(frame, renormalize=False)
+        F = FrameSynthesisOperator(frame, renormalize=False)
         v = rng.normal(size=4)
         np.testing.assert_allclose(F.apply(F.adjoint(v)), 2.0 * v, atol=1e-12)
         assert F.norm_bound == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
     def test_renormalize_brings_bound_below_one(self):
         frame = np.vstack([np.eye(3), np.eye(3)])
-        F = frame_synthesis_operator(frame)  # raw norm sqrt(2)
+        F = FrameSynthesisOperator(frame)  # raw norm sqrt(2)
         assert F.norm_bound < 1.0
         assert F.scale == pytest.approx(np.sqrt(2.0) / 0.999, rel=1e-12)
 
@@ -182,7 +180,7 @@ class TestFrameSynthesis:
         # 7 vectors spanning R^4: synthesis has a 3-dimensional null space
         rng = np.random.default_rng(6)
         frame = rng.normal(size=(7, 4))
-        F = frame_synthesis_operator(frame, renormalize=False)
+        F = FrameSynthesisOperator(frame, renormalize=False)
         gram = np.array([
             F.adjoint(F.apply(np.eye(7)[:, j])) for j in range(7)
         ]).T
@@ -191,7 +189,7 @@ class TestFrameSynthesis:
 
     def test_rejects_zero_frame(self):
         with pytest.raises(ParameterError):
-            frame_synthesis_operator(np.zeros((3, 2)))
+            FrameSynthesisOperator(np.zeros((3, 2)))
 
 
 class TestEstimateNorm:

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from sparseland.core import CoefficientVector, PenaltySpec, WeightSequence
 from sparseland.errors import ParameterError
+from sparseland.operators import DiagonalOperator
 from sparseland.shrinkage import (
     shrink_asymmetric,
     shrink_complex,
     shrink_p,
-    shrink_vector,
     soft_threshold,
 )
+from sparseland.solver import SolverConfig, iterate_step
 
 
 def forward_map(y, w, p):
@@ -228,23 +229,38 @@ class TestShrinkAsymmetric:
             shrink_asymmetric(np.array([1.0 + 1.0j]), 1.0, 1.0, 1.0)
 
 
+def step_shrink(h, spec, preconditioner=None):
+    """Vector shrinkage as one solver step applies it.
+
+    From f = 0 with K = 0.5 * identity and data 2 h (2 h d with a
+    preconditioner d), the step's input is exactly h.
+    """
+    h = CoefficientVector(np.asarray(h))
+    K = DiagonalOperator(np.full(len(h), 0.5))
+    g = 2.0 * h.values
+    if preconditioner is not None:
+        g = g * preconditioner
+    f0 = CoefficientVector(np.zeros(len(h)), dims=h.dims)
+    return iterate_step(f0, g, K, spec, SolverConfig(preconditioner=preconditioner))
+
+
 class TestShrinkVector:
     def test_effective_weight_is_mu_w(self):
         spec = PenaltySpec(p=1.0, weights=WeightSequence(np.array([1.0, 4.0])), mu=0.5)
-        out = shrink_vector(np.array([2.0, 2.0]), spec)
+        out = step_shrink(np.array([2.0, 2.0]), spec)
         # thresholds mu*w/2 = 0.25 and 1.0
         np.testing.assert_allclose(out.values, [1.75, 1.0])
 
     def test_preconditioner_divides_weight(self):
         spec = PenaltySpec.uniform(p=1.0, mu=1.0, n=2)
-        out = shrink_vector(np.array([2.0, 2.0]), spec,
-                            preconditioner=np.array([1.0, 4.0]))
+        out = step_shrink(np.array([2.0, 2.0]), spec,
+                          preconditioner=np.array([1.0, 4.0]))
         # effective weights 1 and 1/4 -> thresholds 0.5 and 0.125
         np.testing.assert_allclose(out.values, [1.5, 1.875])
 
     def test_complex_entries(self):
         spec = PenaltySpec.uniform(p=1.0, mu=2.0, n=1)
-        out = shrink_vector(np.array([1.0 + 1.0j]), spec)
+        out = step_shrink(np.array([1.0 + 1.0j]), spec)
         assert out.is_complex
         assert out.values[0] == pytest.approx(0.29289321881345254 * (1 + 1j), rel=1e-12)
 
@@ -252,10 +268,10 @@ class TestShrinkVector:
         w = WeightSequence.uniform(1)
         spec = PenaltySpec(p=1.0, weights=w, mu=1.0,
                            asymmetric=(np.array([4.0]), np.array([8.0])))
-        assert shrink_vector(np.array([3.0]), spec).values[0] == pytest.approx(1.0)
-        assert shrink_vector(np.array([-5.0]), spec).values[0] == pytest.approx(-1.0)
+        assert step_shrink(np.array([3.0]), spec).values[0] == pytest.approx(1.0)
+        assert step_shrink(np.array([-5.0]), spec).values[0] == pytest.approx(-1.0)
 
     def test_preserves_dims(self):
         spec = PenaltySpec.uniform(p=1.0, mu=1.0, n=4)
-        out = shrink_vector(CoefficientVector.from_grid(np.ones((2, 2))), spec)
+        out = step_shrink(np.ones((2, 2)), spec)
         assert out.dims == (2, 2)

@@ -10,7 +10,7 @@ from sparseland.errors import (
     DescentViolationError,
     ParameterError,
 )
-from sparseland.operators import DenseOperator, DiagonalOperator
+from sparseland.operators import Convolution2DOperator, DenseOperator, DiagonalOperator
 from sparseland.solver import (
     SolverConfig,
     fixed_point_residual,
@@ -24,6 +24,23 @@ def random_contraction(rng, n, norm=0.9):
     M = rng.normal(size=(n, n))
     M *= norm / np.linalg.norm(M, 2)
     return DenseOperator(M, norm_bound=norm)
+
+
+class CountingDiagonal(DiagonalOperator):
+    """Diagonal operator that counts its apply and adjoint calls."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.applies = 0
+        self.adjoints = 0
+
+    def apply(self, f):
+        self.applies += 1
+        return super().apply(f)
+
+    def adjoint(self, g):
+        self.adjoints += 1
+        return super().adjoint(g)
 
 
 class TestSteps:
@@ -63,6 +80,17 @@ class TestSteps:
         spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=1)
         with pytest.raises(ContractViolationError):
             iterate_step(np.array([0.0]), np.array([1.0]), K, spec)
+
+    def test_one_apply_and_adjoint_per_iteration(self):
+        # the initial residual costs one apply; the final fixed-point
+        # residual reuses the last residual and costs one adjoint
+        K = CountingDiagonal(np.array([0.5, 0.25, 0.8]))
+        spec = PenaltySpec.uniform(p=1.5, mu=0.1, n=3)
+        n = 7
+        res = solve(np.ones(3), K, spec,
+                    SolverConfig(max_iterations=n, step_tolerance=0.0))
+        assert res.iterations == n
+        assert (K.applies, K.adjoints) == (n + 1, n + 1)
 
     def test_nonexpansive_iteration_map(self):
         # two runs started apart never move further apart
@@ -359,9 +387,7 @@ class TestTraceAndConfig:
             SolverConfig(step_tolerance=-1.0)
 
     def test_grid_dims_flow_to_minimizer(self):
-        from sparseland.operators import convolution_operator
-
-        K = convolution_operator((4, 4), (8, 8))
+        K = Convolution2DOperator((4, 4), (8, 8))
         spec = PenaltySpec.uniform(p=1.0, mu=0.01, n=16)
         res = solve(np.ones(16), K, spec,
                     SolverConfig(max_iterations=5, step_tolerance=0.0))

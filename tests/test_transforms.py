@@ -5,7 +5,7 @@ import pytest
 
 from sparseland.core import PenaltySpec, triple_norm
 from sparseland.errors import AlignmentError, ParameterError
-from sparseland.operators import DiagonalOperator, convolution_operator, estimate_norm
+from sparseland.operators import Convolution2DOperator, DiagonalOperator, estimate_norm
 from sparseland.transforms import (
     BesovWeightSpec,
     WaveletSpec,
@@ -216,7 +216,7 @@ class TestConjugatedOperator:
         assert estimate_norm(C) == pytest.approx(estimate_norm(K), rel=0.01)
 
     def test_adjoint_pairing(self):
-        K = convolution_operator((8, 8), (16, 16))
+        K = Convolution2DOperator((8, 8), (16, 16))
         C = conjugated_operator(K, WaveletSpec("db2", 2))
         rng = np.random.default_rng(7)
         z = rng.normal(size=64)
@@ -225,13 +225,13 @@ class TestConjugatedOperator:
             np.vdot(C.adjoint(v), z), rel=1e-12)
 
     def test_scales_align_with_domain(self):
-        K = convolution_operator((8, 8), (16, 16))
+        K = Convolution2DOperator((8, 8), (16, 16))
         C = conjugated_operator(K, WaveletSpec("haar", 2))
         assert C.scales.size == C.domain_len == 64
         assert C.shape == (8, 8)
 
     def test_indivisible_grid_rejected(self):
-        K = convolution_operator((6, 6), (12, 12))
+        K = Convolution2DOperator((6, 6), (12, 12))
         with pytest.raises(AlignmentError):
             conjugated_operator(K, WaveletSpec("haar", 2))
 
