@@ -216,6 +216,9 @@ class Convolution2DOperator(LinearOperatorHandle):
                          domain_dims=grid)
 
     def _convolve(self, f: np.ndarray) -> np.ndarray:
+        if f.dtype.kind == "c":
+            # the response is real, so it filters both parts separately
+            return self._convolve(f.real) + 1j * self._convolve(f.imag)
         padded = np.zeros(self.pad, dtype=np.float64)
         padded[: self.grid[0], : self.grid[1]] = f.reshape(self.grid)
         spectrum = scipy.fft.rfft2(padded)
@@ -224,12 +227,12 @@ class Convolution2DOperator(LinearOperatorHandle):
         return out[: self.grid[0], : self.grid[1]].ravel()
 
     def apply(self, f):
-        return self._convolve(self._check_domain(f).astype(np.float64, copy=False))
+        return self._convolve(self._check_domain(f))
 
     def adjoint(self, g):
         # the frequency response is real and even, so the operator is
         # self-adjoint
-        return self._convolve(self._check_image(g).astype(np.float64, copy=False))
+        return self._convolve(self._check_image(g))
 
     def point_spread_function(self) -> np.ndarray:
         """Spatial response to a unit impulse, centered on the padded grid."""

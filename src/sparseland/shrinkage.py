@@ -126,15 +126,8 @@ def shrink_complex(z, w, p):
     arr = np.asarray(z)
     if arr.dtype.kind != "c":
         return shrink_p(arr, w, p)
-    p = check_exponent(p)
-    w = _check_weight(w)
     moduli = np.abs(arr)
-    if abs(p - 1.0) <= _P_SNAP:
-        shrunk = np.maximum(moduli - 0.5 * w, 0.0)
-    elif abs(p - 2.0) <= _P_SNAP:
-        shrunk = moduli / (1.0 + w)
-    else:
-        shrunk = _invert_fp(moduli, 0.5 * w * p, p)
+    shrunk = shrink_p(moduli, w, p)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(moduli > 0.0, shrunk / np.where(moduli > 0.0, moduli, 1.0), 0.0)
     out = arr * scale
@@ -149,12 +142,5 @@ def shrink_asymmetric(x, w_plus, w_minus, p):
     shrink_p when both weights agree.
     """
     arr = _real_array(x)
-    wp = _check_weight(w_plus)
-    wm = _check_weight(w_minus)
-    p = check_exponent(p)
-    wp = np.broadcast_to(wp, arr.shape) if arr.ndim else wp
-    wm = np.broadcast_to(wm, arr.shape) if arr.ndim else wm
-    pos = shrink_p(np.maximum(arr, 0.0), wp, p)
-    neg = shrink_p(np.maximum(-arr, 0.0), wm, p)
-    out = np.where(arr >= 0.0, pos, -np.asarray(neg))
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    w = np.where(arr >= 0.0, _check_weight(w_plus), _check_weight(w_minus))
+    return shrink_p(arr, w, p)

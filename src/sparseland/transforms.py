@@ -1,23 +1,32 @@
 """Orthonormal discrete wavelet transforms and smoothness weights.
 
 Periodized filter-bank transforms in 1-d and 2-d (separable, square
-decomposition) built from compactly supported orthonormal filters. Every
-coefficient carries a scale label |lambda|, with the coarsest scaling
-coefficients at |lambda| = 0 and the finest details at levels - 1; the
-smoothness weights 2^(sigma * p * |lambda|) built on those labels turn
-the penalty into an equivalent smoothness-space norm. Conjugating a
-pixel-domain operator with the transform lets the same iteration shrink
-wavelet coefficients instead of pixels.
+decomposition) built from compactly supported orthonormal filters. Each
+level splits the last axis into lowpass (l) and highpass (h) halves,
+then the first; synthesis is the adjoint of that split. The flat band
+order is the coarsest scaling band, then the detail bands of each level
+from coarsest to finest: one band per level in 1-d, and lh, hl, hh in
+2-d, the first letter naming the filter along axis 1 and the second the
+filter along axis 0. With H and G the periodic lowpass and highpass
+analysis matrices, one 2-d level of X gives H X H^T, G X H^T, H X G^T,
+G X G^T in that order. Every coefficient carries a scale label |lambda|,
+with the scaling band and the coarsest details at |lambda| = 0 and the
+finest details at levels - 1; the smoothness weights
+2^(sigma * p * |lambda|) built on those labels turn the penalty into an
+equivalent smoothness-space norm. Conjugating a pixel-domain operator
+with the transform lets the same iteration shrink wavelet coefficients
+instead of pixels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from math import prod
+from typing import Tuple
 
 import numpy as np
 
-from .core import CoefficientVector, WeightSequence, as_coefficients, check_exponent
+from .core import CoefficientVector, WeightSequence, check_exponent
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -111,46 +120,34 @@ class WaveletSpec:
         object.__setattr__(self, "highpass", g)
 
 
-def _analyze_axis(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Split the last axis (even length, periodic) into approx/detail."""
+def _analyze(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+    """Split one axis (even length, periodic) into approximation/detail."""
+    x = np.moveaxis(x, axis, -1)
     n = x.shape[-1]
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
     windows = x[..., idx]
-    return windows @ h, windows @ g
+    return np.moveaxis(windows @ h, -1, axis), np.moveaxis(windows @ g, -1, axis)
 
 
-def _synthesize_axis(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Inverse of _analyze_axis along the last axis."""
-    half = a.shape[-1]
-    n = 2 * half
-    idx = (2 * np.arange(half)[:, None] + np.arange(h.size)[None, :]) % n
-    contrib = a[..., :, None] * h + d[..., :, None] * g
-    lead = a.shape[:-1]
-    flat = contrib.reshape(-1, half, h.size)
-    out = np.zeros((flat.shape[0], n))
-    np.add.at(out, (np.arange(flat.shape[0])[:, None, None], idx[None, :, :]), flat)
-    return out.reshape(lead + (n,))
+def _synthesize(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray,
+                axis: int) -> np.ndarray:
+    """Adjoint of _analyze along one axis, hence its inverse.
 
-
-def _analyze_2d(x, h, g):
-    a, dc = _analyze_axis(x, h, g)
-    ll, lh = _analyze_axis(a.swapaxes(0, 1), h, g)
-    hl, hh = _analyze_axis(dc.swapaxes(0, 1), h, g)
-    return (
-        ll.swapaxes(0, 1),
-        lh.swapaxes(0, 1),
-        hl.swapaxes(0, 1),
-        hh.swapaxes(0, 1),
-    )
-
-
-def _synthesize_2d(ll, lh, hl, hh, h, g):
-    a = _synthesize_axis(ll.swapaxes(0, 1), lh.swapaxes(0, 1), h, g).swapaxes(0, 1)
-    dc = _synthesize_axis(hl.swapaxes(0, 1), hh.swapaxes(0, 1), h, g).swapaxes(0, 1)
-    return _synthesize_axis(a, dc, h, g)
+    Analysis reads x[2k + j] into band entry k; the adjoint sends tap
+    j = 2q + r back onto the outputs of parity r, shifted by q.
+    """
+    a = np.moveaxis(a, axis, -1)
+    d = np.moveaxis(d, axis, -1)
+    out = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    for j in range(h.size):
+        q, r = divmod(j, 2)
+        out[..., r::2] += np.roll(h[j] * a + g[j] * d, q, axis=-1)
+    return np.moveaxis(out, -1, axis)
 
 
 def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
+    if len(shape) not in (1, 2):
+        raise ParameterError("transform supports 1-d signals and 2-d grids only")
     divisor = 2**spec.levels
     for n in shape:
         if n % divisor != 0 or n < divisor:
@@ -159,14 +156,16 @@ def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
             )
 
 
+def _real_input(x) -> np.ndarray:
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise ParameterError("wavelet transform expects real input")
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass
 class WaveletCoefficients:
-    """Flat coefficient storage plus per-coefficient scale labels.
-
-    Band order is coarse to fine: the scaling band first (scale 0), then
-    for each level the detail band(s), the coarsest detail also at scale
-    0 and the finest at levels - 1.
-    """
+    """Flat coefficients in band order plus per-coefficient scale labels."""
 
     values: np.ndarray
     scales: np.ndarray
@@ -182,83 +181,54 @@ class WaveletCoefficients:
 
 def _scale_labels(shape: Tuple[int, ...], spec: WaveletSpec) -> np.ndarray:
     J = spec.levels
-    labels: List[np.ndarray] = []
-    if len(shape) == 1:
-        coarse = shape[0] >> J
-        labels.append(np.zeros(coarse, dtype=np.int64))
-        for level in range(J, 0, -1):
-            labels.append(np.full(shape[0] >> level, J - level, dtype=np.int64))
-    else:
-        coarse = (shape[0] >> J) * (shape[1] >> J)
-        labels.append(np.zeros(coarse, dtype=np.int64))
-        for level in range(J, 0, -1):
-            size = (shape[0] >> level) * (shape[1] >> level)
-            labels.append(np.full(3 * size, J - level, dtype=np.int64))
+    details = 2 ** len(shape) - 1
+    labels = [np.zeros(prod(n >> J for n in shape), dtype=np.int64)]
+    for level in range(J, 0, -1):
+        size = prod(n >> level for n in shape)
+        labels.append(np.full(details * size, J - level, dtype=np.int64))
     return np.concatenate(labels)
 
 
 def dwt_array(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Forward transform of a 1-d or 2-d array into flat band order."""
     h, g = spec.lowpass, spec.highpass
-    x = np.asarray(x, dtype=np.float64)
-    _check_shape(x.shape, spec)
-    if x.ndim == 1:
-        details = []
-        a = x
-        for _ in range(spec.levels):
-            a, d = _analyze_axis(a, h, g)
-            details.append(d)
-        bands = [a] + details[::-1]
-        return np.concatenate([b.ravel() for b in bands])
-    if x.ndim == 2:
-        details2 = []
-        a = x
-        for _ in range(spec.levels):
-            a, lh, hl, hh = _analyze_2d(a, h, g)
-            details2.append((lh, hl, hh))
-        pieces = [a.ravel()]
-        for lh, hl, hh in details2[::-1]:
-            pieces.extend([lh.ravel(), hl.ravel(), hh.ravel()])
-        return np.concatenate(pieces)
-    raise ParameterError("transform supports 1-d signals and 2-d grids only")
+    a = _real_input(x)
+    _check_shape(a.shape, spec)
+    details = []
+    for _ in range(spec.levels):
+        bands = [a]
+        for axis in reversed(range(a.ndim)):
+            bands = [b for band in bands for b in _analyze(band, h, g, axis)]
+        a = bands[0]
+        details.append(bands[1:])
+    pieces = [a] + [b for level in reversed(details) for b in level]
+    return np.concatenate([b.ravel() for b in pieces])
 
 
 def idwt_array(values: np.ndarray, spec: WaveletSpec,
                shape: Tuple[int, ...]) -> np.ndarray:
-    """Inverse of dwt_array for the given original shape."""
+    """Inverse (and adjoint) of dwt_array for the given original shape."""
     h, g = spec.lowpass, spec.highpass
-    values = np.asarray(values, dtype=np.float64)
+    values = _real_input(values)
+    shape = tuple(shape)
     _check_shape(shape, spec)
+    if values.size != prod(shape):
+        raise AlignmentError(f"expected {prod(shape)} coefficients, got {values.size}")
     J = spec.levels
-    if len(shape) == 1:
-        n = shape[0]
-        if values.size != n:
-            raise AlignmentError(f"expected {n} coefficients, got {values.size}")
-        pos = n >> J
-        a = values[:pos].copy()
-        for level in range(J, 0, -1):
-            size = n >> level
-            d = values[pos : pos + size]
-            pos += size
-            a = _synthesize_axis(a, d, h, g)
-        return a
-    if len(shape) == 2:
-        total = shape[0] * shape[1]
-        if values.size != total:
-            raise AlignmentError(f"expected {total} coefficients, got {values.size}")
-        rows, cols = shape[0] >> J, shape[1] >> J
-        pos = rows * cols
-        a = values[:pos].reshape(rows, cols).copy()
-        for level in range(J, 0, -1):
-            rows, cols = shape[0] >> level, shape[1] >> level
-            size = rows * cols
-            lh = values[pos : pos + size].reshape(rows, cols)
-            hl = values[pos + size : pos + 2 * size].reshape(rows, cols)
-            hh = values[pos + 2 * size : pos + 3 * size].reshape(rows, cols)
-            pos += 3 * size
-            a = _synthesize_2d(a, lh, hl, hh, h, g)
-        return a
-    raise ParameterError("transform supports 1-d signals and 2-d grids only")
+    details = 2 ** len(shape) - 1
+    sub = tuple(n >> J for n in shape)
+    pos = prod(sub)
+    a = values[:pos].reshape(sub)
+    for level in range(J, 0, -1):
+        sub = tuple(n >> level for n in shape)
+        size = details * prod(sub)
+        bands = [a, *values[pos : pos + size].reshape((details,) + sub)]
+        pos += size
+        for axis in range(len(shape)):
+            bands = [_synthesize(bands[k], bands[k + 1], h, g, axis)
+                     for k in range(0, len(bands), 2)]
+        a = bands[0]
+    return a
 
 
 def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
@@ -271,8 +241,6 @@ def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
         arr = signal.as_grid() if signal.dims is not None else signal.values
     else:
         arr = np.asarray(signal)
-    if arr.dtype.kind == "c":
-        raise ParameterError("wavelet transform expects real input")
     values = dwt_array(arr, spec)
     return WaveletCoefficients(
         values=values,

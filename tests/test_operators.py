@@ -152,6 +152,30 @@ class TestConvolution2D:
         assert K.domain_dims == (4, 6)
         assert K.domain_len == 24
 
+    def test_complex_input_filters_both_parts(self):
+        K = Convolution2DOperator((6, 6), (12, 12))
+        rng = np.random.default_rng(3)
+        re, im = rng.normal(size=36), rng.normal(size=36)
+        np.testing.assert_array_equal(K.apply(re + 1j * im),
+                                      K.apply(re) + 1j * K.apply(im))
+        np.testing.assert_array_equal(K.adjoint(re + 1j * im),
+                                      K.adjoint(re) + 1j * K.adjoint(im))
+
+    def test_complex_solve_keeps_imaginary_part(self):
+        # at p = 2 every step is linear in the data, so the complex solve
+        # splits into the solves of the real and the imaginary data
+        K = Convolution2DOperator((6, 6), (12, 12), radius_fraction=0.5)
+        rng = np.random.default_rng(4)
+        re, im = rng.normal(size=36), rng.normal(size=36)
+        spec = PenaltySpec.uniform(p=2.0, mu=0.1, n=36)
+        cfg = SolverConfig(max_iterations=50, step_tolerance=0.0)
+        z = solve(re + 1j * im, K, spec, cfg).minimizer.values
+        assert np.abs(z.imag).max() > 0.1
+        np.testing.assert_allclose(z.real, solve(re, K, spec, cfg).minimizer.values,
+                                   atol=1e-12)
+        np.testing.assert_allclose(z.imag, solve(im, K, spec, cfg).minimizer.values,
+                                   atol=1e-12)
+
 
 class TestFrameSynthesis:
     def test_orthonormal_basis_is_isometry(self):

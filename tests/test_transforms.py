@@ -100,6 +100,8 @@ class TestTransform1D:
     def test_complex_rejected(self):
         with pytest.raises(ParameterError):
             dwt(np.array([1.0 + 1j, 0, 0, 0]), WaveletSpec("haar", 1))
+        with pytest.raises(ParameterError):
+            idwt_array(np.array([1.0 + 1j, 0, 0, 0]), WaveletSpec("haar", 1), (4,))
 
     def test_idwt_array_length_check(self):
         with pytest.raises(AlignmentError):
@@ -139,6 +141,51 @@ class TestTransform2D:
         grid = np.random.default_rng(4).normal(size=(8, 8))
         c = dwt(CoefficientVector.from_grid(grid), WaveletSpec("db2", 1))
         np.testing.assert_allclose(idwt(c), grid, atol=1e-12)
+
+
+def _analysis_matrices(h, g, n):
+    """One-level periodic analysis rows: band entry k reads x[2k + j]."""
+    H = np.zeros((n // 2, n))
+    G = np.zeros((n // 2, n))
+    for k in range(n // 2):
+        for j in range(h.size):
+            H[k, (2 * k + j) % n] += h[j]
+            G[k, (2 * k + j) % n] += g[j]
+    return H, G
+
+
+class TestBandLayout:
+    def test_1d_one_level_is_lowpass_then_highpass(self):
+        rng = np.random.default_rng(10)
+        for family in FAMILIES:
+            spec = WaveletSpec(family, 1)
+            for n in (8, 16):
+                H, G = _analysis_matrices(spec.lowpass, spec.highpass, n)
+                x = rng.normal(size=n)
+                np.testing.assert_allclose(dwt_array(x, spec), np.vstack([H, G]) @ x,
+                                           rtol=0, atol=1e-14)
+
+    def test_2d_one_level_band_order(self):
+        rng = np.random.default_rng(11)
+        rows, cols = 8, 16
+        for family in FAMILIES:
+            spec = WaveletSpec(family, 1)
+            Hr, Gr = _analysis_matrices(spec.lowpass, spec.highpass, rows)
+            Hc, Gc = _analysis_matrices(spec.lowpass, spec.highpass, cols)
+            X = rng.normal(size=(rows, cols))
+            bands = [Hr @ X @ Hc.T, Gr @ X @ Hc.T, Hr @ X @ Gc.T, Gr @ X @ Gc.T]
+            expected = np.concatenate([b.ravel() for b in bands])
+            np.testing.assert_allclose(dwt_array(X, spec), expected, rtol=0, atol=1e-13)
+
+    def test_synthesis_is_adjoint_of_analysis(self):
+        rng = np.random.default_rng(12)
+        for family in FAMILIES:
+            spec = WaveletSpec(family, 2)
+            for shape in ((16,), (8, 16)):
+                x = rng.normal(size=shape)
+                c = rng.normal(size=x.size)
+                assert np.dot(dwt_array(x, spec), c) == pytest.approx(
+                    np.vdot(x, idwt_array(c, spec, shape)), rel=1e-12)
 
 
 class TestBesovWeights:
@@ -229,6 +276,15 @@ class TestConjugatedOperator:
         C = conjugated_operator(K, WaveletSpec("haar", 2))
         assert C.scales.size == C.domain_len == 64
         assert C.shape == (8, 8)
+
+    def test_complex_input_rejected(self):
+        C = conjugated_operator(Convolution2DOperator((8, 8), (16, 16)),
+                                WaveletSpec("db2", 2))
+        z = np.random.default_rng(9).normal(size=64) * (1.0 + 1.0j)
+        with pytest.raises(ParameterError):
+            C.apply(z)
+        with pytest.raises(ParameterError):
+            C.adjoint(z)
 
     def test_indivisible_grid_rejected(self):
         K = Convolution2DOperator((6, 6), (12, 12))
