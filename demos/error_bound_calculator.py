@@ -15,7 +15,6 @@ from sparseland import (
     SpectralEnvelope,
     WeightSequence,
     check_mu_requirements,
-    empirical_diagonal_modulus,
     modulus_bounds,
     mu_schedule,
     primed_radii,
@@ -44,10 +43,9 @@ j = np.arange(10, dtype=float)
 env = SpectralEnvelope(4.0**-j, 4.0**-j)
 weights = WeightSequence(2.0 ** (j * p))
 print()
-print("eps      lower     probe     upper     upper/sqrt(eps)")
+print("eps      lower     upper     upper/sqrt(eps)")
 for eps in (0.4, 0.1, 0.025, 0.00625):
     pr = NoisePrior(eps, 1.0)
     lower, upper = modulus_bounds(env, weights, p, pr)
-    probe = empirical_diagonal_modulus(env, weights, p, pr)
-    print(f"{eps:7.5f}  {lower:.5f}   {probe:.5f}   {upper:.5f}   "
+    print(f"{eps:7.5f}  {lower:.5f}   {upper:.5f}   "
           f"{upper / np.sqrt(eps):.4f}")

@@ -87,7 +87,11 @@ def _merge(args: argparse.Namespace, schema: dict) -> dict:
         if cli_value is not None:
             merged[key] = cli_value
         elif key in config_values:
-            merged[key] = convert(config_values[key])
+            try:
+                merged[key] = convert(config_values[key])
+            except ValueError as exc:
+                raise ParameterError(
+                    f"{args.config}: config key {key!r}: {exc}") from None
         else:
             merged[key] = default
     return merged
@@ -104,10 +108,17 @@ def _parse_wavelet(text: str):
     return WaveletSpec(family=family, levels=levels)
 
 
+def _load_text(path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, dtype=np.float64)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: not a whitespace table of numbers ({exc})") from None
+
+
 def _load_array(path: str) -> np.ndarray:
     if str(path).endswith(".grid"):
         return read_grid(path)
-    return np.loadtxt(path, dtype=np.float64)
+    return _load_text(path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mu", type=float, help="penalty multiplier")
     ps.add_argument("--iterations", type=int, help="iteration cap")
     ps.add_argument("--step-tolerance", dest="step_tolerance", type=float)
-    ps.add_argument("--seed", type=int, help="seed for norm estimation probes")
     ps.add_argument("--project-nonnegative", dest="project_nonnegative",
                     action="store_const", const=True,
                     help="clip each iterate at zero")
@@ -182,7 +192,6 @@ _SOLVE_SCHEMA = {
     "mu": (float, None),
     "iterations": (int, 10000),
     "step_tolerance": (float, 1e-8),
-    "seed": (int, 0),
     "project_nonnegative": (_parse_bool, False),
     "wavelet": (str, None),
     "besov_s": (float, None),
@@ -247,7 +256,7 @@ def _cmd_solve(args) -> int:
     mu = opt["mu"]
     scale = 1.0
     if not (K.norm_bound < 1.0):
-        renormalized = renormalize(K, g, seed=opt["seed"])
+        renormalized = renormalize(K, g)
         K, g, scale = renormalized.operator, renormalized.data, renormalized.scale
         mu = mu * renormalized.mu_scale
 
@@ -354,7 +363,7 @@ def _cmd_bounds(args) -> int:
         f"rho_primed={rho_primed:.12g}",
     ]
     if opt["envelope_file"]:
-        table = np.atleast_2d(np.loadtxt(opt["envelope_file"], dtype=np.float64))
+        table = np.atleast_2d(_load_text(opt["envelope_file"]))
         if table.shape[1] != 3:
             raise ParameterError("envelope file needs three columns: b B w")
         env = SpectralEnvelope(b=table[:, 0], B=table[:, 1])

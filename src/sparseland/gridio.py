@@ -85,11 +85,24 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise ParameterError(
+                f"PGM header field {len(fields) + 1} of 3 is {token!r}, "
+                "not a nonnegative integer"
+            )
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ParameterError(f"PGM dimensions must be positive, got {width}x{height}")
     if maxval != _PGM_MAXVAL:
         raise ParameterError(f"expected maxval {_PGM_MAXVAL}, got {maxval}")
+    if len(data) - pos < 2 * width * height:
+        raise ParameterError(
+            f"PGM payload holds {max(len(data) - pos, 0)} bytes, header "
+            f"{width}x{height} needs {2 * width * height}"
+        )
     samples = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
     return samples.reshape(height, width).astype(np.uint16)
 

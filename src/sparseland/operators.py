@@ -1,10 +1,13 @@
 """Bounded linear operators with certified norm bounds.
 
-Every operator used by the iteration carries a certified upper bound on
-its spectral norm; the iteration theory needs that bound below 1, and
-:func:`renormalize` rescales an arbitrary problem so it is. The concrete
-kinds are diagonal maps, dense matrices, zero-padded FFT convolutions on
-2-d grids, and frame synthesis maps.
+Every operator carries a certified upper bound on its spectral norm,
+fixed at construction: the largest modulus of a diagonal, the spectral
+norm of a dense matrix, the peak frequency response of a convolution.
+The iteration theory needs that bound below 1, and :func:`renormalize`
+rescales an arbitrary problem by the bound so it is. The concrete kinds
+are diagonal maps, dense matrices and zero-padded FFT convolutions on
+2-d grids. Frame synthesis, z -> sum_n z_n psi_n, is the dense operator
+on the stacked frame vectors, ``DenseOperator(vectors.T)``.
 """
 
 from __future__ import annotations
@@ -24,20 +27,13 @@ __all__ = [
     "DiagonalOperator",
     "DenseOperator",
     "Convolution2DOperator",
-    "FrameSynthesisOperator",
     "ScaledOperator",
-    "estimate_norm",
     "renormalize",
     "RenormalizedProblem",
     "validate_operator",
     "SvdModel",
     "thresholded_svd_solve",
 ]
-
-# safety factor applied to power-method estimates before they are used
-# as certified upper bounds
-_NORM_SAFETY = 1.01
-
 
 class LinearOperatorHandle:
     """Base class: a linear map with apply, adjoint, and a norm bound.
@@ -239,77 +235,6 @@ class Convolution2DOperator(LinearOperatorHandle):
         return np.fft.fftshift(np.fft.ifft2(self.filter).real)
 
 
-class FrameSynthesisOperator(LinearOperatorHandle):
-    """Map a coefficient sequence to the weighted sum of frame vectors.
-
-    apply(z) = sum_n z_n psi_n; the adjoint returns the analysis
-    coefficients (<v, psi_n>)_n. The exact spectral norm is computed from
-    the stacked vectors; with ``renormalize=True`` (default) the vectors
-    are scaled so the certified bound stays below 1 and the applied scale
-    is recorded.
-    """
-
-    kind = "frame"
-
-    def __init__(self, frame_vectors, renormalize: bool = True, target: float = 0.999):
-        vectors = np.asarray(frame_vectors)
-        if vectors.ndim != 2 or vectors.size == 0:
-            raise ParameterError(
-                "frame vectors must form a nonempty 2-d array (n_vectors, dim)"
-            )
-        if not np.all(np.isfinite(vectors)):
-            raise ParameterError("frame vectors must be finite")
-        matrix = vectors.T.copy()  # (dim, n_vectors)
-        exact = float(np.linalg.norm(matrix, 2))
-        if exact == 0.0:
-            raise ParameterError("frame of zero vectors has no usable normalization")
-        scale = 1.0
-        if renormalize and exact >= target:
-            scale = exact / target
-            matrix = matrix / scale
-            exact = target
-        self.matrix = matrix
-        self.scale = scale
-        dtype = np.complex128 if matrix.dtype.kind == "c" else np.float64
-        super().__init__(matrix.shape[1], matrix.shape[0],
-                         exact * (1.0 + 1e-12), domain_dtype=dtype)
-
-    def apply(self, z):
-        return self.matrix @ self._check_domain(z)
-
-    def adjoint(self, v):
-        return self.matrix.conj().T @ self._check_image(v)
-
-
-def estimate_norm(K: LinearOperatorHandle, iterations: int = 100, seed: int = 0) -> float:
-    """Power-method estimate of ||K|| times a 1.01 safety margin.
-
-    Deterministic for a fixed seed. The raw power estimate approaches the
-    true norm from below; the margin turns it into a practical upper
-    bound witness.
-    """
-    if iterations < 1:
-        raise ParameterError("power method needs at least one iteration")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(K.domain_len)
-    if np.dtype(K.domain_dtype).kind == "c":
-        v = v + 1j * rng.standard_normal(K.domain_len)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(K.domain_len)
-        nv = np.linalg.norm(v)
-    v = v / nv
-    estimate = 0.0
-    for _ in range(iterations):
-        w = K.adjoint(K.apply(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        estimate = nw
-        v = w / nw
-    return float(np.sqrt(estimate)) * _NORM_SAFETY
-
-
 class RenormalizedProblem(NamedTuple):
     """Rescaled operator/data pair; divide mu by scale**2 to match."""
 
@@ -322,23 +247,22 @@ class RenormalizedProblem(NamedTuple):
         return 1.0 / self.scale**2
 
 
-def renormalize(K: LinearOperatorHandle, g, target: float = 0.999,
-                iterations: int = 100, seed: int = 0) -> RenormalizedProblem:
+def renormalize(K: LinearOperatorHandle, g, target: float = 0.999) -> RenormalizedProblem:
     """Rescale (K, g) so the certified norm bound is at most ``target``.
 
-    Minimizing ||K'f - g'||^2 + (mu/scale^2) * penalty(f) over the
-    returned pair reproduces the minimizer of the original problem. An
-    operator already certified below target passes through unchanged.
+    The scale is ``K.norm_bound / target``, so the returned bound is
+    certified whenever the operator's own bound is. Minimizing
+    ||K'f - g'||^2 + (mu/scale^2) * penalty(f) over the returned pair
+    reproduces the minimizer of the original problem. An operator
+    already bounded by target (the zero operator included) passes
+    through unchanged.
     """
     if not (0.0 < target < 1.0):
         raise ParameterError("renormalization target must lie in (0, 1)")
     g = np.asarray(g)
-    estimate = estimate_norm(K, iterations=iterations, seed=seed)
-    if estimate == 0.0:
-        raise ParameterError("cannot renormalize an operator that annihilates probes")
-    if estimate <= target:
+    if K.norm_bound <= target:
         return RenormalizedProblem(K, g, 1.0)
-    scale = estimate / target
+    scale = K.norm_bound / target
     scaled = ScaledOperator(K, 1.0 / scale, norm_bound=target)
     return RenormalizedProblem(scaled, g / scale, scale)
 

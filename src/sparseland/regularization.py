@@ -27,7 +27,6 @@ __all__ = [
     "check_mu_requirements",
     "primed_radii",
     "modulus_bounds",
-    "empirical_diagonal_modulus",
     "besov_modulus_rate",
 ]
 
@@ -210,25 +209,6 @@ def modulus_bounds(env: SpectralEnvelope, weights: WeightSequence, p: float,
         best = min(best, term_data + term_prior)
     upper = float(np.sqrt(best))
     return lower, upper
-
-
-def empirical_diagonal_modulus(env: SpectralEnvelope, weights: WeightSequence,
-                               p: float, noise: NoisePrior) -> float:
-    """Exact best single-component vector for a diagonal operator (b = B).
-
-    Maximizing |h_gamma| under sqrt(b_gamma) |h_gamma| <= eps and
-    w_gamma^(1/p) |h_gamma| <= rho separately per component gives a
-    feasible point of the full constraint set, hence a certified lower
-    probe of the true modulus.
-    """
-    p = check_exponent(p)
-    if len(env) != len(weights):
-        raise AlignmentError("spectral envelope and weights must have equal length")
-    if np.any(env.b != env.B):
-        raise ParameterError("empirical probe expects a diagonal envelope (b == B)")
-    amp = np.minimum(noise.rho * weights.w ** (-1.0 / p),
-                     noise.epsilon / np.sqrt(env.b))
-    return float(np.max(amp))
 
 
 def besov_modulus_rate(alpha: float, sigma: float, A_lower: float, A_upper: float,

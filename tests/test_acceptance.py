@@ -10,8 +10,9 @@ and the same lines are echoed in the terminal summary. Criteria:
 5. every solve descends, has bounded step energy, small final residual;
 6. p=2 step norms contract at least as fast as 1/(1+mu);
 7. wavelet perfect reconstruction and energy preservation;
-8. balanced-multiplier sweep improves with the noise level, and the
-   worst-case error bounds sandwich the empirical diagonal modulus;
+8. balanced-multiplier sweep improves with the noise level, the lower
+   error bound is attained by a feasible point, and no feasible point
+   exceeds the upper bound;
 9. the default imaging experiment resolves the close pair under the
    sparsity penalty within the time budget.
 """
@@ -35,7 +36,6 @@ from sparseland.operators import (
 from sparseland.regularization import (
     NoisePrior,
     SpectralEnvelope,
-    empirical_diagonal_modulus,
     modulus_bounds,
 )
 from sparseland.shrinkage import shrink_p
@@ -320,8 +320,17 @@ def test_criterion_8_multiplier_sweep_and_modulus():
     monotone = all(errors[i + 1] <= errors[i] * (1.0 + 1e-9)
                    for i in range(len(errors) - 1))
 
-    worst_low = 0.0
+    # feasible means ||diag(sqrt(b)) h|| <= eps and (sum w |h|^p)^(1/p) <= rho
+    # (b == B: a diagonal operator); these ratios are the two left sides
+    # over their radii, one row of H per candidate vector
+    def constraint_ratios(H, b, w, p, noise):
+        data = np.linalg.norm(np.sqrt(b) * H, axis=1) / noise.epsilon
+        prior = np.sum(w * np.abs(H) ** p, axis=1) ** (1.0 / p) / noise.rho
+        return data, prior
+
+    witnessed = True
     worst_high = 0.0
+    n_points = 0
     for seed in range(50):
         erng = np.random.default_rng(3000 + seed)
         m = int(erng.integers(2, 12))
@@ -332,14 +341,29 @@ def test_criterion_8_multiplier_sweep_and_modulus():
         noise = NoisePrior(float(erng.uniform(0.01, 0.5)),
                            float(erng.uniform(0.5, 3.0)))
         lower, upper = modulus_bounds(env, w, p, noise)
-        probe = empirical_diagonal_modulus(env, w, p, noise)
-        worst_low = max(worst_low, lower - probe * (1.0 + 1e-9))
-        worst_high = max(worst_high, probe - upper * (1.0 + 1e-9))
-    sandwich = worst_low <= 0.0 and worst_high <= 0.0
-    ok = monotone and sandwich
+        # the lower bound claims a feasible single-component vector of
+        # norm `lower`: some lower * e_gamma must meet both constraints
+        data, prior = constraint_ratios(lower * np.eye(m), b, w.w, p, noise)
+        witnessed = witnessed and bool(np.any((data <= 1.0 + 1e-9)
+                                              & (prior <= 1.0 + 1e-9)))
+        # the upper bound must dominate every feasible point: unit vectors,
+        # random dense vectors and random two-component vectors, each
+        # scaled onto the tighter of the two constraints
+        rows = np.arange(200)
+        pairs = np.zeros((200, m))
+        pairs[rows, erng.integers(0, m, 200)] = erng.normal(size=200)
+        pairs[rows, erng.integers(0, m, 200)] += erng.normal(size=200)
+        V = np.vstack([np.eye(m), erng.normal(size=(200, m)), pairs])
+        data, prior = constraint_ratios(V, b, w.w, p, noise)
+        feasible = np.linalg.norm(V, axis=1) / np.maximum(data, prior)
+        worst_high = max(worst_high, float(feasible.max()) - upper * (1.0 + 1e-9))
+        n_points += V.shape[0]
+    dominated = worst_high <= 0.0
+    ok = monotone and witnessed and dominated
     _report(8, ok, "errors " + " -> ".join(f"{e:.3f}" for e in errors)
-                   + f" nonincreasing: {monotone}; 50 envelopes sandwich "
-                   f"lower<=probe<=upper: {sandwich}")
+                   + f" nonincreasing: {monotone}; 50 envelopes: lower bound "
+                   f"attained by a feasible point: {witnessed}; {n_points} "
+                   f"feasible points <= upper: {dominated}")
     assert ok
 
 

@@ -32,6 +32,13 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_malformed_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon=0.1\nrho=1.0\nmu=abc\n")
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'mu'" in err and str(cfg) in err
+
     def test_flag_beats_config_beats_default(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon=0.25\nrho=1.0\n")
@@ -67,6 +74,14 @@ class TestBounds:
         assert "modulus_lower=0.2" in out
         assert "modulus_upper=0.2" in out
         assert "rate_lower=" in out and "rate_upper=" in out
+
+    def test_unparseable_envelope_file(self, capsys, tmp_path):
+        env = tmp_path / "env.txt"
+        env.write_text("0.25 0.25 1.0\n0.5 oops 1.0\n")
+        code = main(["bounds", "--epsilon", "0.1", "--rho", "2.0",
+                     "--envelope-file", str(env)])
+        assert code == 2
+        assert str(env) in capsys.readouterr().err
 
     def test_partial_rate_options_rejected(self, capsys):
         code = main(["bounds", "--epsilon", "0.1", "--rho", "1.0",
@@ -117,7 +132,8 @@ class TestSolve:
                      "--output-dir", str(out)])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["renormalization_scale"] > 1.0
+        # the scale is the certified bound over the 0.999 target
+        assert summary["renormalization_scale"] == 1.5 / 0.999
         # rescaling double-adjusts the multiplier, so the minimizer is the
         # one for the original problem
         solution = read_grid(out / "solution.grid")[0]
@@ -164,6 +180,20 @@ class TestSolve:
                      "--iterations", "50", "--output-dir", str(out)])
         assert code == 0
         assert read_grid(out / "solution.grid").shape == (8, 8)
+
+    @pytest.mark.parametrize("bad", ["operator", "data", "weights"])
+    def test_malformed_text_file(self, tmp_path, capsys, bad):
+        op, data = self._write_inputs(tmp_path)
+        weights = tmp_path / "w.txt"
+        weights.write_text("1.0 1.0\n")
+        files = {"operator": op, "data": data, "weights": weights}
+        files[bad].write_text("abc def\n")
+        code = main(["solve", "--operator", "diagonal",
+                     "--operator-file", str(op), "--data", str(data),
+                     "--weights", str(weights), "--mu", "0.1",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert str(files[bad]) in capsys.readouterr().err
 
     def test_bad_wavelet_spec(self, tmp_path, capsys):
         op, data = self._write_inputs(tmp_path)

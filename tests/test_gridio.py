@@ -57,6 +57,26 @@ class TestPgm:
         with pytest.raises(ParameterError):
             gridio.read_pgm(bad)
 
+    def test_rejects_truncated_payload(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        gridio.write_pgm(path, np.ones((3, 4)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ParameterError, match="payload"):
+            gridio.read_pgm(path)
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n4 x\n65535\n" + b"\x00" * 24,  # non-integer field
+        b"P5\n4 3\n# maxval missing\n",  # missing field
+        b"P5\n4 -3\n65535\n" + b"\x00" * 24,  # negative dimension
+        b"P5\n0 3\n65535\n",  # empty grid
+        b"P5\n4 0\n65535\n",
+    ])
+    def test_rejects_bad_header(self, tmp_path, content):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError):
+            gridio.read_pgm(path)
+
 
 class TestGridFormat:
     def test_round_trip_exact(self, tmp_path):

@@ -11,7 +11,6 @@ from sparseland.regularization import (
     SpectralEnvelope,
     besov_modulus_rate,
     check_mu_requirements,
-    empirical_diagonal_modulus,
     modulus_bounds,
     mu_schedule,
     primed_radii,
@@ -145,16 +144,6 @@ class TestModulusBounds:
             assert cur[0] >= prev[0] and cur[1] >= prev[1]
             prev = cur
 
-    def test_diagonal_probe_equals_lower_bound(self):
-        rng = np.random.default_rng(2)
-        b = rng.uniform(0.05, 1.0, size=8)
-        env = SpectralEnvelope(b, b)
-        w = WeightSequence(rng.uniform(0.2, 5.0, size=8))
-        noise = NoisePrior(0.3, 1.2)
-        lo, _ = modulus_bounds(env, w, 1.0, noise)
-        probe = empirical_diagonal_modulus(env, w, 1.0, noise)
-        assert probe == pytest.approx(lo, rel=1e-14)
-
     def test_p2_linear_program_inside_bounds(self):
         # at p=2 the exact diagonal modulus is a small LP in h^2; it must
         # land between the certified bounds
@@ -174,12 +163,6 @@ class TestModulusBounds:
             exact = np.sqrt(-res.fun)
             assert lo <= exact * (1.0 + 1e-9)
             assert exact <= hi * (1.0 + 1e-9)
-
-    def test_probe_requires_diagonal(self):
-        env = SpectralEnvelope(np.array([0.1]), np.array([0.2]))
-        with pytest.raises(ParameterError):
-            empirical_diagonal_modulus(env, WeightSequence(np.ones(1)), 1.0,
-                                       NoisePrior(0.1, 1.0))
 
     def test_alignment(self):
         env = SpectralEnvelope(np.ones(2), np.ones(2))
