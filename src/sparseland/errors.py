@@ -10,7 +10,8 @@ class ParameterError(ValueError):
 
 
 class ContractViolationError(RuntimeError):
-    """A certified operator property (norm bound, adjoint pairing) fails."""
+    """A certified property fails: an operator's norm bound or adjoint
+    pairing, or the convergence of the shrinkage root finder."""
 
 
 class DescentViolationError(RuntimeError):

@@ -123,16 +123,15 @@ class DenseOperator(LinearOperatorHandle):
 
     kind = "dense"
 
-    def __init__(self, matrix, norm_bound: Optional[float] = None):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.size == 0:
             raise ParameterError("dense operator needs a nonempty 2-d matrix")
         if not np.all(np.isfinite(matrix)):
             raise ParameterError("matrix entries must be finite")
         self.matrix = matrix
-        if norm_bound is None:
-            # exact up to roundoff; tiny inflation keeps it an upper bound
-            norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
+        # exact up to roundoff; tiny inflation keeps it an upper bound
+        norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
         dtype = np.complex128 if matrix.dtype.kind == "c" else np.float64
         super().__init__(matrix.shape[1], matrix.shape[0], norm_bound,
                          domain_dtype=dtype)
@@ -173,6 +172,18 @@ class Convolution2DOperator(LinearOperatorHandle):
     padding and cropping are partial isometries around a multiplication
     operator in an orthogonal basis.
 
+    The response is band-limited. If the disk reaches ``m`` columns from
+    frequency zero, its autocorrelation vanishes in exact arithmetic
+    beyond ``2 m`` (circularly), so of the ``pad[1] // 2 + 1`` rfft
+    columns only the first ``band = min(2 m, pad[1] // 2) + 1`` carry
+    response; the rest of ``filter`` is FFT roundoff. A product is
+    therefore computed with separable, pruned transforms: rfft of the
+    ``grid[0]`` data rows (padding to ``pad[1]`` implicitly), column
+    FFTs of the band only, the ``pad[0] x band`` response, and the
+    inverse transforms keeping just the ``grid[0]`` rows and ``grid[1]``
+    columns that survive the crop. Dropping exact zeros leaves the peak,
+    and hence the norm bound, unchanged.
+
     Input and output are flat vectors of length grid[0]*grid[1]; the
     point spread function is nonnegative (an intensity pattern), so the
     map preserves nonnegativity up to roundoff.
@@ -206,8 +217,12 @@ class Convolution2DOperator(LinearOperatorHandle):
         spectrum = np.abs(np.fft.fft2(disk.astype(np.float64))) ** 2
         autocorr = np.fft.ifft2(spectrum).real
         self.filter = peak_response * autocorr / autocorr.max()
-        # real input path: keep only the non-redundant half spectrum
-        self._rfilter = self.filter[:, : pad[1] // 2 + 1].copy()
+        # |integer frequency| of each column; the disk's widest column
+        # bounds the support of its autocorrelation
+        cols = np.arange(pad[1])
+        reach = int(np.minimum(cols, pad[1] - cols)[disk.any(axis=0)].max())
+        self.band = min(2 * reach, pad[1] // 2) + 1
+        self._rfilter = self.filter[:, : self.band].copy()
         super().__init__(grid[0] * grid[1], grid[0] * grid[1], self.peak_response,
                          domain_dims=grid)
 
@@ -215,12 +230,12 @@ class Convolution2DOperator(LinearOperatorHandle):
         if f.dtype.kind == "c":
             # the response is real, so it filters both parts separately
             return self._convolve(f.real) + 1j * self._convolve(f.imag)
-        padded = np.zeros(self.pad, dtype=np.float64)
-        padded[: self.grid[0], : self.grid[1]] = f.reshape(self.grid)
-        spectrum = scipy.fft.rfft2(padded)
+        rows = scipy.fft.rfft(f.reshape(self.grid), n=self.pad[1], axis=1)
+        spectrum = scipy.fft.fft(rows[:, : self.band], n=self.pad[0], axis=0)
         spectrum *= self._rfilter
-        out = scipy.fft.irfft2(spectrum, s=self.pad)
-        return out[: self.grid[0], : self.grid[1]].ravel()
+        rows = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[: self.grid[0]]
+        out = scipy.fft.irfft(rows, n=self.pad[1], axis=1)
+        return out[:, : self.grid[1]].ravel()
 
     def apply(self, f):
         return self._convolve(self._check_domain(f))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import check_exponent
-from .errors import ParameterError
+from .errors import ContractViolationError, ParameterError
 
 __all__ = [
     "soft_threshold",
@@ -95,7 +95,7 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
         u = np.where(active, u_next, u)
     else:
         if np.any(active):
-            raise RuntimeError("shrinkage root finder failed to converge")
+            raise ContractViolationError("shrinkage root finder failed to converge")
     with np.errstate(over="ignore"):
         return np.exp(u)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sparseland import __version__
+from sparseland import __version__, shrinkage
 from sparseland.cli import main, parse_config_file
 from sparseland.errors import ParameterError
 from sparseland.gridio import read_grid, read_trace_csv, write_grid
@@ -194,6 +194,16 @@ class TestSolve:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert str(files[bad]) in capsys.readouterr().err
+
+    def test_root_finder_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shrinkage, "_MAX_ROOT_ITERATIONS", 1)
+        op, data = self._write_inputs(tmp_path)
+        code = main(["solve", "--operator", "diagonal",
+                     "--operator-file", str(op), "--data", str(data),
+                     "--p", "1.5", "--mu", "0.1",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "root finder" in capsys.readouterr().err
 
     def test_bad_wavelet_spec(self, tmp_path, capsys):
         op, data = self._write_inputs(tmp_path)

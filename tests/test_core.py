@@ -232,7 +232,7 @@ class TestSurrogate:
         n = rng.integers(1, 6)
         M = rng.normal(size=(n, n))
         M *= 0.9 / np.linalg.norm(M, 2)
-        K = DenseOperator(M, norm_bound=0.9)
+        K = DenseOperator(M)
         spec = PenaltySpec.uniform(p=float(rng.uniform(1, 2)),
                                    mu=float(rng.uniform(0.1, 2)), n=int(n))
         f = rng.normal(size=n)

@@ -59,10 +59,6 @@ class TestDenseOperator:
         g = np.array([1.0, 2.0])
         np.testing.assert_allclose(K.adjoint(g), M.T @ g)
 
-    def test_explicit_bound_kept(self):
-        K = DenseOperator(np.eye(2), norm_bound=0.7)
-        assert K.norm_bound == 0.7
-
 
 class TestScaledOperator:
     def test_scales_both_directions(self):
@@ -144,6 +140,33 @@ class TestConvolution2D:
             Convolution2DOperator((4, 4), (8, 8), radius_fraction=1.5)
         with pytest.raises(ParameterError):
             Convolution2DOperator((4, 4), (8, 8), peak_response=0.0)
+
+    @pytest.mark.parametrize("grid, pad, radius, band", [
+        ((4, 5), (9, 11), 0.3, 3),       # odd pads
+        ((6, 6), (12, 12), 0.4, 5),      # even pads
+        ((7, 9), (7, 9), 0.3, 3),        # pad == grid, odd
+        ((8, 8), (8, 8), 0.5, 5),        # pad == grid, even
+        ((5, 12), (10, 17), 0.35, 5),    # non-square grid and pad
+        ((6, 7), (10, 13), 1.0, 7),      # every rfft column
+        ((6, 6), (16, 16), 0.1, 1),      # the zero-frequency column only
+    ])
+    def test_band_limited_path(self, grid, pad, radius, band):
+        K = Convolution2DOperator(grid, pad, radius_fraction=radius)
+        # (a) the response outside the kept columns and their mirror
+        # images is roundoff, which certifies the band
+        outside = K.filter[:, K.band: pad[1] - K.band + 1]
+        assert np.all(np.abs(outside) <= 1e-15 * K.peak_response)
+        # (b) full padded-grid FFT reference
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=grid)
+        padded = np.zeros(pad)
+        padded[: grid[0], : grid[1]] = f
+        ref = np.fft.ifft2(np.fft.fft2(padded) * K.filter).real[: grid[0], : grid[1]]
+        out = K.apply(f.ravel()).reshape(grid)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+        # (c) adjoint pairing and norm bound
+        validate_operator(K)
+        assert K.band == band
 
     def test_domain_dims(self):
         K = Convolution2DOperator((4, 6), (8, 12))
@@ -305,9 +328,13 @@ class TestValidateOperator:
             validate_operator(Liar(np.array([1.0, 2.0])))
 
     def test_catches_understated_norm_bound(self):
-        K = DenseOperator(np.eye(3) * 2.0, norm_bound=0.9)
+        class Understated(DenseOperator):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                self.norm_bound = 0.9
+
         with pytest.raises(ContractViolationError):
-            validate_operator(K)
+            validate_operator(Understated(np.eye(3) * 2.0))
 
     def test_complex_pairing(self):
         report = validate_operator(DiagonalOperator(np.array([1.0j, 0.5 - 0.5j])))

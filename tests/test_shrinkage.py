@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseland.core import CoefficientVector, PenaltySpec, WeightSequence
-from sparseland.errors import ParameterError
+from sparseland import shrinkage
+from sparseland.errors import ContractViolationError, ParameterError
 from sparseland.operators import DiagonalOperator
 from sparseland.shrinkage import (
     shrink_asymmetric,
@@ -114,6 +115,11 @@ class TestShrinkP:
         a = 0.5 * w * p
         # residual in the monotone substitution y + a y^(p-1) = x
         assert y + a * y ** (p - 1.0) == pytest.approx(x, rel=1e-12)
+
+    def test_root_finder_failure_is_a_library_error(self, monkeypatch):
+        monkeypatch.setattr(shrinkage, "_MAX_ROOT_ITERATIONS", 1)
+        with pytest.raises(ContractViolationError, match="root finder"):
+            shrink_p(np.array([0.7, 3.0]), 1.0, p=1.5)
 
     def test_huge_argument(self):
         x = 1e308
