@@ -12,6 +12,7 @@ iteration that minimizes Phi lives in :mod:`sparseland.solver`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -38,6 +39,20 @@ def check_exponent(p) -> float:
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
     return p
+
+
+def check_count(n, name: str) -> int:
+    """Return n as an int, or raise ParameterError unless it is an integer >= 1.
+
+    Floats are rejected rather than truncated, so 2.5 never runs as 2.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ParameterError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 def _validated_values(values) -> np.ndarray:

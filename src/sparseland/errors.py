@@ -18,7 +18,7 @@ class DescentViolationError(RuntimeError):
     """The objective increased along the iteration.
 
     The iteration is guaranteed to decrease the objective whenever the
-    certified norm bound (or the preconditioner domination condition)
-    actually holds, so an increase means the operator lied about its
-    contract and continuing would produce garbage.
+    certified norm bound actually holds, so an increase means the
+    operator lied about its contract and continuing would produce
+    garbage.
     """

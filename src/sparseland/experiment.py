@@ -23,7 +23,7 @@ import numpy as np
 import scipy.ndimage
 
 from . import __version__
-from .core import PenaltySpec
+from .core import PenaltySpec, check_count
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator
@@ -101,14 +101,12 @@ class ExperimentConfig:
             raise ParameterError("padded shape must dominate the grid")
         if float(self.total_photons) <= 0.0:
             raise ParameterError("total photon budget must be positive")
-        if int(self.iterations) < 1:
-            raise ParameterError("iteration count must be >= 1")
         if not self.cases:
             raise ParameterError("at least one case is required")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pad", pad)
         object.__setattr__(self, "total_photons", float(self.total_photons))
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", check_count(self.iterations, "iterations"))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "smoothing_sigma", float(self.smoothing_sigma))
         object.__setattr__(self, "cases", tuple(self.cases))

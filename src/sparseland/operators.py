@@ -46,8 +46,8 @@ class LinearOperatorHandle:
         Lengths of flat input and output vectors.
     norm_bound : float
         Certified upper bound on the spectral norm. May be >= 1 at
-        construction; the solver refuses such operators unless a
-        dominating preconditioner is supplied.
+        construction; the solver refuses such operators, and
+        :func:`renormalize` rescales them below 1.
     domain_dims : tuple or None
         Grid shape of the domain for image-valued operators.
     """

@@ -82,13 +82,15 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
             G = eu + ev - t
             Gp = eu + (p - 1.0) * ev
             step = G / Gp
-        active &= np.abs(G) > tol
-        # Gp underflowing to zero means the root is below the smallest
-        # representable positive float; settle those components at zero
-        dead = active & ((Gp == 0.0) | ~np.isfinite(step))
-        u = np.where(dead, -np.inf, u)
-        active &= ~dead
-        u_next = u - step
+            active &= np.abs(G) > tol
+            # Gp underflowing to zero means the root is below the smallest
+            # representable positive float; settle those components at zero
+            dead = active & ((Gp == 0.0) | ~np.isfinite(step))
+            u = np.where(dead, -np.inf, u)
+            active &= ~dead
+            # a settled component can give -inf - (-inf); it is inactive,
+            # so the invalid value is discarded below
+            u_next = u - step
         # a step below the resolution of u means the residual is pure
         # roundoff of exp(u); nothing more can be gained
         active &= u_next != u

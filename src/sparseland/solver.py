@@ -6,15 +6,16 @@ One step from the current iterate f is
 
 where S is the componentwise shrinkage with effective weights mu * w.
 Each step minimizes the decoupled surrogate anchored at f, so the
-objective never increases as long as the certified norm bound < 1 (or a
-dominating diagonal preconditioner) actually holds; the solver treats an
-observed increase as a broken contract and aborts. The iterates converge
+objective never increases as long as the certified norm bound < 1
+actually holds; the solver treats an observed increase as a broken
+contract and aborts. The iterates converge
 to a minimizer of the objective, and a point is a minimizer exactly when
 it is a fixed point of the step map.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +26,7 @@ from .core import (
     CoefficientVector,
     PenaltySpec,
     as_coefficients,
+    check_count,
     penalty_sum,
 )
 from .errors import (
@@ -40,7 +42,6 @@ __all__ = [
     "SolverConfig",
     "SolveTrace",
     "SolveResult",
-    "landweber_step",
     "iterate_step",
     "solve",
     "fixed_point_residual",
@@ -51,49 +52,33 @@ __all__ = [
 _DESCENT_SLACK = 1e-12
 
 STATUS_STEP = "converged_step"
-STATUS_OBJECTIVE = "converged_objective"
 STATUS_MAX = "max_iterations"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rules and step options.
+    """Stopping rules and the optional projection.
 
-    step_tolerance is relative: the iteration stops when the step norm
-    falls below step_tolerance * (||f0|| + 1). objective_tolerance, when
-    positive, stops the run once the per-iteration objective decrease
-    drops below it. max_iterations always caps the run, so at least one
-    stopping rule is active. With record_trace=False the returned trace
-    keeps only the initial and final objective values (step norms,
-    surrogates, and timings come back empty); descent is still checked
-    every iteration either way.
+    The run stops with status "converged_step" once a step's norm falls
+    below step_tolerance * (||f0|| + 1), and with "max_iterations" after
+    max_iterations steps otherwise; max_iterations is an integer >= 1.
+    projection="nonnegative" clips every iterate at zero and needs real
+    iterates.
     """
 
     max_iterations: int = 10000
     step_tolerance: float = 1e-8
-    objective_tolerance: float = 0.0
-    preconditioner: Optional[np.ndarray] = None
     projection: Optional[str] = None
-    record_trace: bool = True
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1:
-            raise ParameterError("max_iterations must be >= 1")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        for name in ("step_tolerance", "objective_tolerance"):
-            val = float(getattr(self, name))
-            if not np.isfinite(val) or val < 0.0:
-                raise ParameterError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, val)
+        object.__setattr__(self, "max_iterations",
+                           check_count(self.max_iterations, "max_iterations"))
+        tol = float(self.step_tolerance)
+        if not np.isfinite(tol) or tol < 0.0:
+            raise ParameterError("step_tolerance must be finite and >= 0")
+        object.__setattr__(self, "step_tolerance", tol)
         if self.projection not in (None, "nonnegative"):
             raise ParameterError("projection must be None or 'nonnegative'")
-        if self.preconditioner is not None:
-            d = np.asarray(self.preconditioner, dtype=np.float64)
-            if d.ndim != 1 or d.size == 0:
-                raise ParameterError("preconditioner must be a 1-d diagonal")
-            if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-                raise ParameterError("preconditioner entries must be positive and finite")
-            object.__setattr__(self, "preconditioner", d)
 
 
 @dataclass
@@ -102,8 +87,10 @@ class SolveTrace:
 
     objectives/discrepancies/penalties have length n_iterations + 1 and
     start at the initial point; step_norms, surrogates, and wall_times
-    have length n_iterations. surrogates[k] is the surrogate value of
-    iterate k+1 anchored at iterate k, so descent shows up as
+    have length n_iterations. step_norms[k] is sqrt(<d, d>) for the step
+    d = f_{k+1} - f_k (for complex iterates this may differ from
+    np.linalg.norm(d) at roundoff). surrogates[k] is the surrogate value
+    of iterate k+1 anchored at iterate k, so descent shows up as
     objectives[k+1] <= surrogates[k] <= objectives[k].
     """
 
@@ -131,11 +118,10 @@ class SolveResult:
 
 
 class _Step:
-    """The step map f -> P(S(f + K*(g - K f) / d)) of one problem.
+    """The step map f -> P(S(f + K*(g - K f))) of one problem.
 
     Built once per problem. It holds the effective shrinkage weights
-    scale * w, with scale = mu, or mu / d under a diagonal preconditioner
-    d (a (plus, minus) pair for asymmetric weights), and the optional
+    mu * w (a (plus, minus) pair for asymmetric weights) and the optional
     nonnegativity projection P. Calls take the residual g - K f, so a
     caller that already has it pays only the adjoint.
     """
@@ -143,18 +129,15 @@ class _Step:
     def __init__(self, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig):
         self.K = K
         self.p = spec.p
-        self.d = d = config.preconditioner
         self.nonnegative = config.projection == "nonnegative"
-        scale = spec.mu if d is None else spec.mu / d
         if spec.asymmetric is not None:
             wp, wm = spec.asymmetric
-            self.weights = (scale * wp.w, scale * wm.w)
+            self.weights = (spec.mu * wp.w, spec.mu * wm.w)
         else:
-            self.weights = scale * spec.weights.w
+            self.weights = spec.mu * spec.weights.w
 
     def __call__(self, f: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        update = self.K.adjoint(residual)
-        h = f + update if self.d is None else f + update / self.d
+        h = f + self.K.adjoint(residual)
         # the dispatch calls shrink_* through this module's names, so a
         # wrapper installed on this module sees every shrink of a solve
         if isinstance(self.weights, tuple):
@@ -169,39 +152,34 @@ class _Step:
         return out
 
 
-def landweber_step(f, g, K: LinearOperatorHandle) -> CoefficientVector:
-    """Plain gradient step f + K*(g - K f) for the discrepancy term."""
+def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
+                  config: SolverConfig):
+    """Validate one problem and take one step from f; return (f, step)."""
     fv = as_coefficients(f)
     gv = as_coefficients(g)
-    out = fv.values + K.adjoint(gv.values - K.apply(fv.values))
-    return CoefficientVector(values=out, dims=fv.dims)
+    dtype = np.result_type(fv.values.dtype, gv.values.dtype, np.dtype(K.domain_dtype))
+    _validate_problem(gv.values, K, spec, config, dtype.kind == "c")
+    step = _Step(K, spec, config)
+    return fv, step(fv.values, gv.values - K.apply(fv.values))
 
 
 def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
                  config: Optional[SolverConfig] = None) -> CoefficientVector:
     """One shrinkage-thresholded Landweber step.
 
-    Honors the config's preconditioner (componentwise division of both
-    the update and the shrinkage weight by d) and nonnegativity
-    projection. With a tiny mu the result approaches the plain
-    landweber_step output.
+    Honors the config's nonnegativity projection. With a tiny mu the
+    result approaches the plain Landweber step f + K*(g - K f).
     """
-    config = config or SolverConfig()
-    fv = as_coefficients(f)
-    gv = as_coefficients(g)
-    _validate_problem(gv.values, K, spec, config,
-                      fv.values.dtype.kind == "c")
-    step = _Step(K, spec, config)
-    out = step(fv.values, gv.values - K.apply(fv.values))
+    fv, out = _checked_step(f, g, K, spec, config or SolverConfig())
     return CoefficientVector(values=out, dims=fv.dims)
 
 
 def fixed_point_residual(f, g, K: LinearOperatorHandle, spec: PenaltySpec) -> float:
-    """Distance ||f - S(f + K*(g - K f))||; zero exactly at minimizers."""
-    fv = as_coefficients(f)
-    gv = as_coefficients(g)
-    step = _Step(K, spec, SolverConfig())
-    stepped = step(fv.values, gv.values - K.apply(fv.values))
+    """Distance ||f - S(f + K*(g - K f))||; zero exactly at minimizers.
+
+    Validates the problem as iterate_step does.
+    """
+    fv, stepped = _checked_step(f, g, K, spec, SolverConfig())
     return float(np.linalg.norm(fv.values - stepped))
 
 
@@ -215,23 +193,16 @@ def _validate_problem(g: np.ndarray, K: LinearOperatorHandle, spec: PenaltySpec,
         raise AlignmentError(
             f"data length {g.size} does not match operator image {K.image_len}"
         )
-    d = config.preconditioner
-    if d is None:
-        if not (K.norm_bound < 1.0):
-            raise ContractViolationError(
-                f"iteration requires a certified norm bound < 1 "
-                f"(got {K.norm_bound}); renormalize the problem first"
-            )
-    else:
-        if d.size != K.domain_len:
-            raise AlignmentError("preconditioner length does not match operator domain")
-        if not (float(d.min()) > K.norm_bound**2):
-            raise ContractViolationError(
-                "preconditioner must dominate the normal operator: "
-                f"min(d)={d.min()} <= norm_bound^2={K.norm_bound**2}"
-            )
-    if config.projection == "nonnegative" and complex_iterates:
-        raise ParameterError("nonnegativity projection requires real iterates")
+    if not (K.norm_bound < 1.0):
+        raise ContractViolationError(
+            f"iteration requires a certified norm bound < 1 "
+            f"(got {K.norm_bound}); renormalize the problem first"
+        )
+    if complex_iterates:
+        if config.projection == "nonnegative":
+            raise ParameterError("nonnegativity projection requires real iterates")
+        if spec.asymmetric is not None:
+            raise ParameterError("asymmetric weights require real iterates")
 
 
 def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
@@ -239,9 +210,8 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     """Run the iteration from f0 (default 0) until a stopping rule fires.
 
     Returns the final iterate, the full trace, the stopping status
-    ("converged_step", "converged_objective", or "max_iterations"), and
-    the fixed-point residual ||f - T(f)|| of the returned point under the
-    configured step map. That residual reuses the final g - K f the loop
+    ("converged_step" or "max_iterations"), and the fixed-point residual
+    ||f - T(f)|| of the returned point under the configured step map. That residual reuses the final g - K f the loop
     already holds, so it costs one adjoint and no extra apply.
     """
     config = config or SolverConfig()
@@ -262,79 +232,57 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     f = start.astype(dtype, copy=True)
     _validate_problem(gvals, K, spec, config, dtype.kind == "c")
 
-    d = config.preconditioner
     step = _Step(K, spec, config)
     step_threshold = config.step_tolerance * (float(np.linalg.norm(start)) + 1.0)
-
-    objectives = []
-    discrepancies = []
-    penalties = []
-    step_norms = []
-    surrogates = []
-    wall_times = []
 
     Kf = K.apply(f)
     residual = gvals - Kf
     disc = float(np.real(np.vdot(residual, residual)))
     pen = penalty_sum(f, spec)
     obj = disc + pen
-    objectives.append(obj)
-    discrepancies.append(disc)
-    penalties.append(pen)
+    objectives = [obj]
+    discrepancies = [disc]
+    penalties = [pen]
+    step_norms = []
+    surrogates = []
+    wall_times = []
 
     status = STATUS_MAX
-    iterations_run = 0
     for _ in range(config.max_iterations):
         t0 = time.perf_counter()
         f_new = step(f, residual)
         diff = f_new - f
-        step_norm = float(np.linalg.norm(diff))
+        quad = float(np.real(np.vdot(diff, diff)))
+        step_norm = math.sqrt(quad)
 
         Kf_new = K.apply(f_new)
         residual = gvals - Kf_new
         disc = float(np.real(np.vdot(residual, residual)))
         pen = penalty_sum(f_new, spec)
         obj_new = disc + pen
-
         kdiff = Kf_new - Kf
-        if d is None:
-            quad = float(np.real(np.vdot(diff, diff)))
-        else:
-            quad = float(np.real(np.vdot(diff, d * diff)))
         surrogate = obj_new + quad - float(np.real(np.vdot(kdiff, kdiff)))
 
-        iterations_run += 1
-        if config.record_trace:
-            wall_times.append(time.perf_counter() - t0)
-            objectives.append(obj_new)
-            discrepancies.append(disc)
-            penalties.append(pen)
-            step_norms.append(step_norm)
-            surrogates.append(surrogate)
+        wall_times.append(time.perf_counter() - t0)
+        objectives.append(obj_new)
+        discrepancies.append(disc)
+        penalties.append(pen)
+        step_norms.append(step_norm)
+        surrogates.append(surrogate)
 
         if obj_new > obj + _DESCENT_SLACK * (1.0 + abs(obj)):
             raise DescentViolationError(
                 f"objective increased from {obj!r} to {obj_new!r} at iteration "
-                f"{iterations_run}; the certified norm bound "
-                f"{K.norm_bound} (or the preconditioner domination) is false"
+                f"{len(step_norms)}; the certified norm bound "
+                f"{K.norm_bound} is false"
             )
 
-        decrease = obj - obj_new
         f, Kf, obj = f_new, Kf_new, obj_new
-
         if step_norm <= step_threshold:
             status = STATUS_STEP
             break
-        if config.objective_tolerance > 0.0 and decrease <= config.objective_tolerance:
-            status = STATUS_OBJECTIVE
-            break
 
     fp_residual = float(np.linalg.norm(f - step(f, residual)))
-
-    if not config.record_trace and iterations_run > 0:
-        objectives.append(obj)
-        discrepancies.append(disc)
-        penalties.append(pen)
     trace = SolveTrace(
         objectives=np.asarray(objectives),
         discrepancies=np.asarray(discrepancies),
@@ -348,6 +296,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
         minimizer=minimizer,
         trace=trace,
         status=status,
-        iterations=iterations_run,
+        iterations=len(step_norms),
         fixed_point_residual=fp_residual,
     )

@@ -37,6 +37,8 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(iterations=0)
         with pytest.raises(ParameterError):
+            ExperimentConfig(iterations=2.5)
+        with pytest.raises(ParameterError):
             ExperimentConfig(cases=())
 
     def test_ellipse_table_scales_with_grid(self):
