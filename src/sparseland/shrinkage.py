@@ -6,9 +6,10 @@ inverse of the strictly increasing map
     F_{w,p}(y) = y + (w p / 2) * sign(y) * |y|^(p-1).
 
 At p = 1 this is plain soft thresholding with dead zone [-w/2, w/2]; at
-p = 2 it is the linear damping x / (1 + w). In between no closed form
-exists and the inverse is computed by a monotone Newton iteration on
-the logarithm of the unknown. All variants are non-expansive, odd, and
+p = 2 it is the linear damping x / (1 + w); at p = 3/2 the equation is
+a quadratic in sqrt(y) and is solved by its stable root. At every other
+p the inverse is computed by a monotone Newton iteration on the
+logarithm of the unknown. All variants are non-expansive, odd, and
 move a point by at most (w p / 2) |x|^(p-1).
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import check_exponent
-from .errors import ContractViolationError, ParameterError
+from .errors import AlignmentError, ContractViolationError, ParameterError
 
 __all__ = [
     "soft_threshold",
@@ -26,31 +27,62 @@ __all__ = [
     "shrink_asymmetric",
 ]
 
-# exponents within this distance of an endpoint use the closed form
+# exponents within this distance of 1, 3/2 or 2 use the closed form
 _P_SNAP = 1e-12
 _MAX_ROOT_ITERATIONS = 400
 
 
-def _check_weight(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+def _real_array(x, name="input") -> np.ndarray:
+    """x as float64; integer and float dtypes only."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        hint = ": use shrink_complex" if arr.dtype.kind == "c" else ""
+        raise ParameterError(
+            f"shrinkage {name} must be real numbers, got dtype {arr.dtype}{hint}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _check_weight(w, shape) -> np.ndarray:
+    """w as float64, finite, positive and broadcastable to the input's shape."""
+    w = _real_array(w, "weight")
+    if w.ndim and w.shape != shape:
+        try:
+            np.broadcast_to(w, shape)
+        except ValueError:
+            raise AlignmentError(f"shrinkage weight of shape {w.shape} does not "
+                                 f"broadcast to the input's shape {shape}") from None
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ParameterError("shrinkage weight w must be finite and strictly positive")
     return w
 
 
-def _real_array(x) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.dtype.kind == "c":
-        raise ParameterError("complex input: use shrink_complex")
-    return arr.astype(np.float64, copy=False)
-
-
 def soft_threshold(x, w):
     """Soft thresholding: shrink |x| by w/2, dead zone where |x| < w/2."""
     arr = _real_array(x)
-    w = _check_weight(w)
+    w = _check_weight(w, arr.shape)
     out = np.sign(arr) * np.maximum(np.abs(arr) - 0.5 * w, 0.0)
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+
+def _root_three_halves(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Solve y + (3w/4) sqrt(y) = t elementwise for y >= 0 (p = 3/2).
+
+    In s = sqrt(y) this is s^2 + 2h s - t = 0 with h = 3w/8, whose
+    nonnegative root s = t / (h + sqrt(h^2 + t)) has no cancellation.
+    """
+    h = 0.375 * w
+    r = np.sqrt(t)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(h * h + t)
+    if np.isinf(root).any():
+        # h^2 + t overflowed for a huge weight (or t = inf): take the same
+        # square root without forming h^2
+        root = np.hypot(h, r)
+    # s < sqrt(t) in exact arithmetic; the bound also sends t = inf,
+    # where the quotient is inf/inf, to inf
+    with np.errstate(invalid="ignore"):
+        s = np.fmin(t / (h + root), r)
+    return s * s
 
 
 def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
@@ -68,8 +100,9 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     active = t > 0.0
     tol = 1e-14 * (1.0 + t)
     # start at min(log t, log((t/a)^(1/(p-1)))): both are upper bounds for
-    # the root, so G(u0) >= 0 and neither exponential can overflow
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the root, so G(u0) >= 0 and neither exponential can overflow; t/a
+    # overflowing for a tiny weight gives log = inf, which loses the min
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         safe_t = np.where(active, t, 1.0)
         u = np.minimum(np.log(safe_t), np.log(safe_t / a) / (p - 1.0))
     u = np.where(active, u, -np.inf)
@@ -105,20 +138,24 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
 def shrink_p(x, w, p):
     """Generalized shrinkage S_{w,p}(x), the inverse of F_{w,p}.
 
-    Closed forms at p = 1 (soft threshold) and p = 2 (x / (1 + w));
-    elsewhere a monotone Newton solve. Scalars in, scalar out; arrays
-    broadcast against w.
+    Closed forms at p = 1 (soft threshold), p = 3/2 (a quadratic root)
+    and p = 2 (x / (1 + w)), each taken for p within _P_SNAP of it;
+    elsewhere a monotone Newton solve. Scalars in, scalar out; w must
+    broadcast to the shape of x.
     """
     p = check_exponent(p)
     if abs(p - 1.0) <= _P_SNAP:
         return soft_threshold(x, w)
     arr = _real_array(x)
-    w = _check_weight(w)
+    w = _check_weight(w, arr.shape)
     if abs(p - 2.0) <= _P_SNAP:
         out = arr / (1.0 + w)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
     t = np.abs(arr)
-    y = _invert_fp(t, 0.5 * w * p, p)
+    if abs(p - 1.5) <= _P_SNAP:
+        y = _root_three_halves(t, w)
+    else:
+        y = _invert_fp(t, 0.5 * w * p, p)
     out = np.sign(arr) * y
     return out if out.ndim else float(out)
 
@@ -144,5 +181,6 @@ def shrink_asymmetric(x, w_plus, w_minus, p):
     shrink_p when both weights agree.
     """
     arr = _real_array(x)
-    w = np.where(arr >= 0.0, _check_weight(w_plus), _check_weight(w_minus))
+    w = np.where(arr >= 0.0, _check_weight(w_plus, arr.shape),
+                 _check_weight(w_minus, arr.shape))
     return shrink_p(arr, w, p)

@@ -200,7 +200,7 @@ class TestSolve:
         op, data = self._write_inputs(tmp_path)
         code = main(["solve", "--operator", "diagonal",
                      "--operator-file", str(op), "--data", str(data),
-                     "--p", "1.5", "--mu", "0.1",
+                     "--p", "1.3", "--mu", "0.1",
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "root finder" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Scalar and vector shrinkage operators.
 
 The central contract is that shrink_p inverts F(y) = y + (w p / 2)
-sign(y) |y|^(p-1) exactly in the closed-form cases and to solver
-accuracy in between.
+sign(y) |y|^(p-1) exactly in the closed-form cases (p = 1, 3/2, 2) and
+to solver accuracy in between.
 """
 
 import warnings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sparseland.core import CoefficientVector, PenaltySpec, WeightSequence
 from sparseland import shrinkage
-from sparseland.errors import ContractViolationError, ParameterError
+from sparseland.errors import AlignmentError, ContractViolationError, ParameterError
 from sparseland.operators import DiagonalOperator
 from sparseland.shrinkage import (
     shrink_asymmetric,
@@ -74,6 +74,8 @@ class TestShrinkP:
     def test_endpoint_snapping(self):
         assert shrink_p(3.0, 2.0, 1.0 + 5e-13) == shrink_p(3.0, 2.0, 1.0)
         assert shrink_p(3.0, 2.0, 2.0 - 5e-13) == shrink_p(3.0, 2.0, 2.0)
+        assert shrink_p(3.0, 2.0, 1.5 + 5e-13) == shrink_p(3.0, 2.0, 1.5)
+        assert shrink_p(3.0, 2.0, 1.5 - 5e-13) == shrink_p(3.0, 2.0, 1.5)
 
     def test_p_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -118,10 +120,40 @@ class TestShrinkP:
         # residual in the monotone substitution y + a y^(p-1) = x
         assert y + a * y ** (p - 1.0) == pytest.approx(x, rel=1e-12)
 
+    def test_three_halves_closed_form_matches_newton(self):
+        # p = 1.5 takes the quadratic root, p = 1.5 -+ 1e-9 the Newton
+        # solve; their mean cancels the first-order change in p, leaving
+        # Newton's own residual tolerance 1e-14 (1 + |x|)
+        rng = np.random.default_rng(12)
+        x = np.sign(rng.normal(size=20000)) * 10.0 ** rng.uniform(-15, 15, 20000)
+        w = 10.0 ** rng.uniform(-8, 8, 20000)
+        closed = shrink_p(x, w, 1.5)
+        newton = 0.5 * (shrink_p(x, w, 1.5 - 1e-9) + shrink_p(x, w, 1.5 + 1e-9))
+        bound = 1e-10 * np.abs(closed) + 2e-14 * (1.0 + np.abs(x))
+        assert np.all(np.abs(closed - newton) <= bound)
+
+    def test_three_halves_huge_weight(self):
+        # h^2 = (3w/8)^2 overflows; the root must not collapse to zero
+        x = np.array([1e308, -1e308, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (1e160, 1e300, 1.7e308):
+                y = shrink_p(x, w, 1.5)
+                for xi, yi in zip(x, y):
+                    assert yi == pytest.approx(forward_inverse_check(xi, w, 1.5),
+                                               rel=1e-10)
+            assert shrink_p(x, 1e300, 1.5)[0] == pytest.approx(16.0 / 9.0 * 1e16)
+
+    def test_three_halves_infinite_argument(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = shrink_p(np.array([np.inf, -np.inf]), 1.0, 1.5)
+        np.testing.assert_array_equal(y, [np.inf, -np.inf])
+
     def test_root_finder_failure_is_a_library_error(self, monkeypatch):
         monkeypatch.setattr(shrinkage, "_MAX_ROOT_ITERATIONS", 1)
         with pytest.raises(ContractViolationError, match="root finder"):
-            shrink_p(np.array([0.7, 3.0]), 1.0, p=1.5)
+            shrink_p(np.array([0.7, 3.0]), 1.0, p=1.3)
 
     def test_root_below_smallest_denormal_does_not_warn(self):
         # the root lies below the smallest denormal, so the component
@@ -144,7 +176,7 @@ class TestShrinkP:
     @given(
         x=st.floats(-1e6, 1e6, allow_nan=False),
         w=st.floats(1e-3, 1e3),
-        p=st.floats(1.0, 2.0),
+        p=st.one_of(st.sampled_from((1.0, 1.5, 2.0)), st.floats(1.0, 2.0)),
     )
     @settings(max_examples=300, deadline=None)
     def test_identity_property(self, x, w, p):
@@ -159,7 +191,7 @@ class TestShrinkP:
         x=st.floats(-100, 100, allow_nan=False),
         d=st.floats(0, 10),
         w=st.floats(1e-2, 1e2),
-        p=st.floats(1.0, 2.0),
+        p=st.one_of(st.sampled_from((1.0, 1.5, 2.0)), st.floats(1.0, 2.0)),
     )
     @settings(max_examples=300, deadline=None)
     def test_nonexpansive_pairs(self, x, d, w, p):
@@ -167,6 +199,44 @@ class TestShrinkP:
         a = shrink_p(x, w, p)
         b = shrink_p(x + d, w, p)
         assert abs(a - b) <= d + 1e-12 * (1.0 + d)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_weight_that_does_not_broadcast(self, p):
+        for w in (np.ones(2), np.ones((2, 3))):
+            with pytest.raises(AlignmentError, match="broadcast"):
+                shrink_p(np.ones(3), w, p)
+            with pytest.raises(AlignmentError, match="broadcast"):
+                shrink_complex(np.ones(3) + 1j, w, p)
+            with pytest.raises(AlignmentError, match="broadcast"):
+                shrink_asymmetric(np.ones(3), w, 1.0, p)
+            with pytest.raises(AlignmentError, match="broadcast"):
+                shrink_asymmetric(np.ones(3), 1.0, w, p)
+        with pytest.raises(AlignmentError):
+            shrink_p(1.0, np.ones(2), p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_broadcasting_weights_still_accepted(self, p):
+        x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+        for w in (0.7, np.full(3, 0.7), np.full((1, 3), 0.7), np.full((2, 3), 0.7)):
+            np.testing.assert_array_equal(shrink_p(x, w, p), shrink_p(x, 0.7, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    @pytest.mark.parametrize("bad", [
+        np.array(["1.0", "2.0"]),
+        np.array([1.0, 2.0], dtype=object),
+        np.array([True, False]),
+    ], ids=["str", "object", "bool"])
+    def test_non_numeric_input(self, p, bad):
+        with pytest.raises(ParameterError, match="real numbers"):
+            shrink_p(bad, 1.0, p)
+        with pytest.raises(ParameterError, match="real numbers"):
+            shrink_complex(bad, 1.0, p)
+        with pytest.raises(ParameterError, match="real numbers"):
+            shrink_asymmetric(bad, 1.0, 1.0, p)
+        with pytest.raises(ParameterError, match="real numbers"):
+            shrink_p(np.ones(2), bad, p)
 
 
 def forward_inverse_check(x, w, p):
