@@ -51,7 +51,8 @@ def _check_weight(w, shape) -> np.ndarray:
         except ValueError:
             raise AlignmentError(f"shrinkage weight of shape {w.shape} does not "
                                  f"broadcast to the input's shape {shape}") from None
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+    # one min and one max pass; NaN fails both comparisons
+    if w.size and not (w.min() > 0.0 and w.max() < np.inf):
         raise ParameterError("shrinkage weight w must be finite and strictly positive")
     return w
 
@@ -124,9 +125,10 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
             # a settled component can give -inf - (-inf); it is inactive,
             # so the invalid value is discarded below
             u_next = u - step
-        # a step below the resolution of u means the residual is pure
-        # roundoff of exp(u); nothing more can be gained
-        active &= u_next != u
+            # a step within a few ulps of u means the residual is roundoff
+            # of exp(u): for large |u| one ulp moves G by more than tol,
+            # and Newton would cycle between adjacent floats
+            active &= np.abs(u_next - u) > 4.0 * np.spacing(np.abs(u))
         u = np.where(active, u_next, u)
     else:
         if np.any(active):

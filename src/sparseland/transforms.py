@@ -9,13 +9,22 @@ from coarsest to finest: one band per level in 1-d, and lh, hl, hh in
 2-d, the first letter naming the filter along axis 1 and the second the
 filter along axis 0. With H and G the periodic lowpass and highpass
 analysis matrices, one 2-d level of X gives H X H^T, G X H^T, H X G^T,
-G X G^T in that order. Every coefficient carries a scale label |lambda|,
-with the scaling band and the coarsest details at |lambda| = 0 and the
-finest details at levels - 1; the smoothness weights
-2^(sigma * p * |lambda|) built on those labels turn the penalty into an
-equivalent smoothness-space norm. Conjugating a pixel-domain operator
-with the transform lets the same iteration shrink wavelet coefficients
-instead of pixels.
+G X G^T in that order.
+
+Both directions run in polyphase form along the axis itself: analysis
+extends the axis periodically and sums strided slices of its even and
+odd phases, one per filter tap; synthesis accumulates the two output
+phases out[0::2] and out[1::2] from shifted slices of the periodically
+extended bands. The extensions index modulo the axis length because at
+coarse levels a db3 or db4 filter is longer than the axis it splits,
+so a single wrap would not cover it.
+
+Every coefficient carries a scale label |lambda|, with the scaling band
+and the coarsest details at |lambda| = 0 and the finest details at
+levels - 1; the smoothness weights 2^(sigma * p * |lambda|) built on
+those labels turn the penalty into an equivalent smoothness-space norm.
+Conjugating a pixel-domain operator with the transform lets the same
+iteration shrink wavelet coefficients instead of pixels.
 """
 
 from __future__ import annotations
@@ -120,29 +129,52 @@ class WaveletSpec:
         object.__setattr__(self, "highpass", g)
 
 
+def _along(axis: int, index: slice) -> tuple:
+    """Index tuple that applies `index` along a nonnegative axis."""
+    return (slice(None),) * axis + (index,)
+
+
 def _analyze(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """Split one axis (even length, periodic) into approximation/detail."""
-    x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    windows = x[..., idx]
-    return np.moveaxis(windows @ h, -1, axis), np.moveaxis(windows @ g, -1, axis)
+    """Split one axis (even length n, periodic) into approximation/detail.
+
+    Band entry k is sum_j h[j] x[(2k + j) mod n]. On the periodic
+    extension xe of x, tap j reads the strided slice xe[j : j + n : 2]:
+    the even (j = 2q) or odd (j = 2q + 1) phase shifted by q.
+    """
+    n = x.shape[axis]
+    xe = np.take(x, np.arange(n + h.size - 2) % n, axis=axis)
+    window = xe[_along(axis, slice(0, n, 2))]
+    a, d = h[0] * window, g[0] * window
+    for j in range(1, h.size):
+        window = xe[_along(axis, slice(j, j + n, 2))]
+        a += h[j] * window
+        d += g[j] * window
+    return a, d
 
 
 def _synthesize(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray,
                 axis: int) -> np.ndarray:
     """Adjoint of _analyze along one axis, hence its inverse.
 
-    Analysis reads x[2k + j] into band entry k; the adjoint sends tap
-    j = 2q + r back onto the outputs of parity r, shifted by q.
+    Polyphase form: analysis reads x[2k + j] into band entry k, so the
+    adjoint sends tap j = 2q + r back onto output phase r (out[r::2]),
+    with the bands shifted by q. Each band is first extended periodically
+    by L/2 - 1 entries in front (L the filter length); the extension is
+    modular because at coarse levels the band can be shorter than that.
     """
-    a = np.moveaxis(a, axis, -1)
-    d = np.moveaxis(d, axis, -1)
-    out = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
-    for j in range(h.size):
-        q, r = divmod(j, 2)
-        out[..., r::2] += np.roll(h[j] * a + g[j] * d, q, axis=-1)
-    return np.moveaxis(out, -1, axis)
+    m = a.shape[axis]
+    lag = h.size // 2 - 1
+    wrap = (np.arange(m + lag) - lag) % m
+    ae, de = np.take(a, wrap, axis=axis), np.take(d, wrap, axis=axis)
+    out = np.empty(a.shape[:axis] + (2 * m,) + a.shape[axis + 1:])
+    for r in (0, 1):
+        band = _along(axis, slice(lag, lag + m))
+        phase = h[r] * ae[band] + g[r] * de[band]
+        for q in range(1, h.size // 2):
+            band = _along(axis, slice(lag - q, lag - q + m))
+            phase += h[2 * q + r] * ae[band] + g[2 * q + r] * de[band]
+        out[_along(axis, slice(r, None, 2))] = phase
+    return out
 
 
 def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
@@ -157,9 +189,11 @@ def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
 
 
 def _real_input(x) -> np.ndarray:
+    """x as float64; integer and float dtypes only."""
     arr = np.asarray(x)
-    if arr.dtype.kind == "c":
-        raise ParameterError("wavelet transform expects real input")
+    if arr.dtype.kind not in "iuf":
+        raise ParameterError(
+            f"wavelet transform expects real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
 
 
@@ -210,6 +244,9 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
     """Inverse (and adjoint) of dwt_array for the given original shape."""
     h, g = spec.lowpass, spec.highpass
     values = _real_input(values)
+    if values.ndim != 1:
+        raise AlignmentError(
+            f"coefficients must be a flat 1-d array, got shape {values.shape}")
     shape = tuple(shape)
     _check_shape(shape, spec)
     if values.size != prod(shape):

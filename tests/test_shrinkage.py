@@ -46,10 +46,10 @@ class TestSoftThreshold:
             [0.5, 0.0])
 
     def test_rejects_bad_weight(self):
-        with pytest.raises(ParameterError):
-            soft_threshold(1.0, 0.0)
-        with pytest.raises(ParameterError):
-            soft_threshold(1.0, -1.0)
+        for w in (0.0, -1.0, np.nan, np.inf, -np.inf,
+                  np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
+            with pytest.raises(ParameterError, match="finite and strictly positive"):
+                soft_threshold(np.ones(2), w)
 
     def test_rejects_complex(self):
         with pytest.raises(ParameterError):
@@ -162,6 +162,19 @@ class TestShrinkP:
             warnings.simplefilter("error")
             assert shrink_p(np.array([5e-324]), 10.0, 1.000001)[0] == 0.0
 
+    def test_large_log_root_settles(self):
+        # at large |u| = |log y| one ulp of u moves the residual by more
+        # than its tolerance; Newton must settle instead of alternating
+        # between adjacent floats until the iteration cap
+        assert shrink_p(1e10, 1e130, 1.3) == 0.0  # the root is below 5e-324
+        x, w = np.meshgrid(10.0 ** np.arange(10, 306, 5),
+                           10.0 ** np.arange(-300, 301, 10))
+        y = shrink_p(x, w, 1.3)
+        ref = np.array([forward_inverse_check(float(xi), float(wi), 1.3)
+                        for xi, wi in zip(x.ravel(), w.ravel())]).reshape(x.shape)
+        np.testing.assert_array_equal(y == 0.0, ref == 0.0)
+        np.testing.assert_allclose(y, ref, rtol=1e-10, atol=0)
+
     def test_huge_argument(self):
         x = 1e308
         y = shrink_p(x, 1.0, 1.5)
@@ -221,6 +234,7 @@ class TestInputErrors:
         x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
         for w in (0.7, np.full(3, 0.7), np.full((1, 3), 0.7), np.full((2, 3), 0.7)):
             np.testing.assert_array_equal(shrink_p(x, w, p), shrink_p(x, 0.7, p))
+        assert shrink_p(np.ones((0, 3)), np.full(3, 0.7), p).shape == (0, 3)
 
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
     @pytest.mark.parametrize("bad", [

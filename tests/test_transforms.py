@@ -103,9 +103,25 @@ class TestTransform1D:
         with pytest.raises(ParameterError):
             idwt_array(np.array([1.0 + 1j, 0, 0, 0]), WaveletSpec("haar", 1), (4,))
 
+    @pytest.mark.parametrize("bad", [
+        np.array([True, False, True, False]),
+        np.array(["1.0", "2.0", "3.0", "4.0"]),
+        np.array([1.0, 2.0, 3.0, 4.0], dtype=object),
+    ], ids=["bool", "str", "object"])
+    def test_non_numeric_rejected(self, bad):
+        spec = WaveletSpec("haar", 1)
+        with pytest.raises(ParameterError, match="real numbers"):
+            dwt_array(bad, spec)
+        with pytest.raises(ParameterError, match="real numbers"):
+            idwt_array(bad, spec, (4,))
+
     def test_idwt_array_length_check(self):
         with pytest.raises(AlignmentError):
             idwt_array(np.zeros(5), WaveletSpec("haar", 1), (4,))
+
+    def test_idwt_array_needs_flat_values(self):
+        with pytest.raises(AlignmentError, match="1-d"):
+            idwt_array(np.zeros((2, 2)), WaveletSpec("haar", 1), (2, 2))
 
     def test_3d_rejected(self):
         with pytest.raises(ParameterError):
@@ -154,6 +170,23 @@ def _analysis_matrices(h, g, n):
     return H, G
 
 
+def _analysis_matrix(spec, shape):
+    """Explicit multi-level analysis matrix in flat band order."""
+    h, g = spec.lowpass, spec.highpass
+    approx = np.eye(int(np.prod(shape)))
+    details = []
+    for level in range(spec.levels):
+        pairs = [_analysis_matrices(h, g, n >> level) for n in shape]
+        if len(shape) == 1:
+            bands = list(pairs[0])
+        else:
+            (Hr, Gr), (Hc, Gc) = pairs
+            bands = [np.kron(Hr, Hc), np.kron(Gr, Hc), np.kron(Hr, Gc), np.kron(Gr, Gc)]
+        details.append([b @ approx for b in bands[1:]])
+        approx = bands[0] @ approx
+    return np.vstack([approx] + [b for level in reversed(details) for b in level])
+
+
 class TestBandLayout:
     def test_1d_one_level_is_lowpass_then_highpass(self):
         rng = np.random.default_rng(10)
@@ -186,6 +219,24 @@ class TestBandLayout:
                 c = rng.normal(size=x.size)
                 assert np.dot(dwt_array(x, spec), c) == pytest.approx(
                     np.vdot(x, idwt_array(c, spec, shape)), rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["db3", "db4"])
+    @pytest.mark.parametrize("shape, levels", [((8,), 3), ((8, 16), 2)])
+    def test_filter_longer_than_band(self, family, shape, levels):
+        # at the coarsest split the filter is longer than the band it
+        # splits, so the periodic extension can wrap around more than once
+        spec = WaveletSpec(family, levels)
+        assert min(shape) >> (levels - 1) < spec.lowpass.size
+        W = _analysis_matrix(spec, shape)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=shape)
+        c = rng.normal(size=x.size)
+        np.testing.assert_allclose(dwt_array(x, spec), W @ x.ravel(),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(idwt_array(c, spec, shape).ravel(), W.T @ c,
+                                   rtol=0, atol=1e-13)
+        assert np.dot(dwt_array(x, spec), c) == pytest.approx(
+            np.vdot(x, idwt_array(c, spec, shape)), rel=1e-12)
 
 
 class TestBesovWeights:
