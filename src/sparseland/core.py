@@ -41,8 +41,8 @@ def check_exponent(p) -> float:
     return p
 
 
-def check_count(n, name: str) -> int:
-    """Return n as an int, or raise ParameterError unless it is an integer >= 1.
+def check_count(n, name: str, minimum: int = 1) -> int:
+    """Return n as an int, or raise ParameterError unless it is an integer >= minimum.
 
     Floats are rejected rather than truncated, so 2.5 never runs as 2.
     """
@@ -50,9 +50,20 @@ def check_count(n, name: str) -> int:
         n = operator.index(n)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ParameterError(f"{name} must be >= 1, got {n}")
+    if n < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def check_shape(shape, name: str) -> Tuple[int, int]:
+    """Return a 2-d shape as two ints >= 1, or raise ParameterError."""
+    try:
+        dims = tuple(shape)
+    except TypeError:
+        raise ParameterError(f"{name} must be a pair of integers, got {shape!r}") from None
+    if len(dims) != 2:
+        raise ParameterError(f"{name} must be a pair of integers, got {shape!r}")
+    return check_count(dims[0], name), check_count(dims[1], name)
 
 
 def _validated_values(values) -> np.ndarray:

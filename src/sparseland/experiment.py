@@ -23,7 +23,7 @@ import numpy as np
 import scipy.ndimage
 
 from . import __version__
-from .core import PenaltySpec, check_count
+from .core import PenaltySpec, check_count, check_shape
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator
@@ -93,8 +93,8 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        grid = (int(self.grid[0]), int(self.grid[1]))
-        pad = (int(self.pad[0]), int(self.pad[1]))
+        grid = check_shape(self.grid, "grid")
+        pad = check_shape(self.pad, "pad")
         if grid[0] < 64 or grid[1] < 64:
             raise ParameterError("experiment grid must be at least 64x64")
         if pad[0] < grid[0] or pad[1] < grid[1]:
@@ -107,7 +107,7 @@ class ExperimentConfig:
         object.__setattr__(self, "pad", pad)
         object.__setattr__(self, "total_photons", float(self.total_photons))
         object.__setattr__(self, "iterations", check_count(self.iterations, "iterations"))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", minimum=0))
         object.__setattr__(self, "smoothing_sigma", float(self.smoothing_sigma))
         object.__setattr__(self, "cases", tuple(self.cases))
 
@@ -239,8 +239,16 @@ class ExperimentResult:
         return lo, hi
 
 
+def _config_record(config: ExperimentConfig) -> dict:
+    """The config fields that determine the outputs: all but ``output_dir``,
+    so one experiment written to two directories gives identical files."""
+    record = asdict(config)
+    del record["output_dir"]
+    return record
+
+
 def _config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
+    payload = json.dumps(_config_record(config), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -301,7 +309,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "format": "sparseland-experiment",
         "version": __version__,
         "config_hash": chash,
-        "config": asdict(config),
+        "config": _config_record(config),
         "ellipses": config.ellipse_table(),
         "diagnostic_row": row,
         "diagnostic_col": col,

@@ -41,6 +41,24 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(cases=())
 
+    @pytest.mark.parametrize("kwargs", [
+        {"grid": (64.9, 64)},      # would truncate to 64
+        {"pad": (128.5, 128)},
+        {"grid": (64, 64, 1)},
+        {"seed": 7.9},
+        {"seed": "7"},
+        {"seed": -1},
+    ])
+    def test_shapes_and_seed_are_integers(self, kwargs):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**{"grid": (64, 64), "pad": (128, 128), **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(grid=np.array([64, 64]), pad=(np.int32(128), 128),
+                               seed=np.uint8(0))
+        assert cfg.grid == (64, 64) and cfg.pad == (128, 128) and cfg.seed == 0
+        assert type(cfg.seed) is int
+
     def test_ellipse_table_scales_with_grid(self):
         ref = ExperimentConfig().ellipse_table()
         small = ExperimentConfig(grid=(64, 64), pad=(128, 128)).ellipse_table()
@@ -217,6 +235,14 @@ class TestPipeline:
         run_experiment(cfg)
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert before == after
+
+    def test_output_dir_leaves_files_unchanged(self, tmp_path):
+        run_experiment(self._config(str(tmp_path / "a")))
+        run_experiment(self._config(str(tmp_path / "b")))
+        a = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        b = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+        assert sorted(a) == json.loads(a["manifest.json"])["files"]
+        assert a == b
 
     def test_config_hash_tracks_config(self, tmp_path):
         a = run_experiment(self._config()).manifest["config_hash"]

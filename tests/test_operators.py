@@ -5,6 +5,7 @@ import pytest
 
 from sparseland.core import PenaltySpec
 from sparseland.errors import AlignmentError, ContractViolationError, ParameterError
+from sparseland.experiment import ExperimentConfig
 from sparseland.operators import (
     Convolution2DOperator,
     DenseOperator,
@@ -42,6 +43,16 @@ class TestDiagonalOperator:
         with pytest.raises(ParameterError):
             DiagonalOperator(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("entries", [
+        ["a", "b"], np.array([1.0, None], dtype=object), [True, False],
+    ])
+    def test_rejects_non_numeric_entries(self, entries):
+        with pytest.raises(ParameterError, match="must be numbers"):
+            DiagonalOperator(entries)
+
+    def test_accepts_integer_entries(self):
+        assert DiagonalOperator(np.array([2, -3], dtype=np.int32)).norm_bound == 3.0
+
 
 class TestDenseOperator:
     def test_norm_bound_from_spectral_norm(self):
@@ -58,6 +69,17 @@ class TestDenseOperator:
         np.testing.assert_allclose(K.apply(f), M @ f)
         g = np.array([1.0, 2.0])
         np.testing.assert_allclose(K.adjoint(g), M.T @ g)
+
+    @pytest.mark.parametrize("matrix", [
+        [["a", "b"]], np.array([[1.0, None]], dtype=object), np.eye(2, dtype=bool),
+    ])
+    def test_rejects_non_numeric_entries(self, matrix):
+        with pytest.raises(ParameterError, match="must be numbers"):
+            DenseOperator(matrix)
+
+    def test_accepts_unsigned_entries(self):
+        K = DenseOperator(np.array([[3, 0], [4, 0]], dtype=np.uint8))
+        assert K.norm_bound == pytest.approx(5.0, rel=1e-11)
 
 
 class TestScaledOperator:
@@ -141,6 +163,23 @@ class TestConvolution2D:
         with pytest.raises(ParameterError):
             Convolution2DOperator((4, 4), (8, 8), peak_response=0.0)
 
+    @pytest.mark.parametrize("grid, pad", [
+        ((4.7, 4), (8, 8)),      # would truncate to 4
+        ((4, 4), (8.9, 8)),
+        ((4, 4), (8, np.float64(8.0))),
+        ((0, 4), (8, 8)),
+        ((4, 4, 1), (8, 8)),
+        (4, (8, 8)),
+    ])
+    def test_shapes_are_integer_pairs(self, grid, pad):
+        with pytest.raises(ParameterError):
+            Convolution2DOperator(grid, pad)
+
+    def test_numpy_integer_shapes_accepted(self):
+        K = Convolution2DOperator(np.array([4, 5]), (np.int64(8), 10))
+        assert K.grid == (4, 5) and K.pad == (8, 10)
+        assert all(type(n) is int for n in K.grid + K.pad)
+
     @pytest.mark.parametrize("grid, pad, radius, band", [
         ((4, 5), (9, 11), 0.3, 3),       # odd pads
         ((6, 6), (12, 12), 0.4, 5),      # even pads
@@ -167,6 +206,51 @@ class TestConvolution2D:
         # (c) adjoint pairing and norm bound
         validate_operator(K)
         assert K.band == band
+
+    @pytest.mark.parametrize("grid, pad, radius, bands, matrix", [
+        ((5, 12), (10, 17), 0.35, (3, 5), True),      # non-square, band_y != band
+        ((30, 40), (70, 90), 0.15, (11, 13), True),   # non-square, band_y != band
+        ((64, 64), (64, 64), 0.1, (7, 7), True),      # pad == grid, narrow band
+        ((8, 8), (16, 16), 0.3, (5, 5), True),        # 4 (band - 1) == pad
+        ((8, 8), (15, 15), 0.3, (5, 5), False),       # 4 (band - 1) == pad + 1
+        ((8, 9), (15, 16), 0.3, (5, 5), False),       # only the rows too wide
+        ((9, 8), (16, 15), 0.3, (5, 5), False),       # only the columns too wide
+        ((12, 10), (24, 20), 0.45, (11, 9), False),   # wide band
+        ((7, 9), (7, 9), 0.3, (3, 3), False),         # pad == grid, odd
+    ])
+    def test_matrix_form(self, grid, pad, radius, bands, matrix):
+        K = Convolution2DOperator(grid, pad, radius_fraction=radius)
+        assert (K.band_y, K.band) == bands
+        assert K.matrix_form is matrix
+        # the response outside the kept rows and their mirror images is
+        # roundoff, which certifies band_y
+        outside = K.filter[K.band_y: pad[0] - K.band_y + 1, :]
+        assert np.all(np.abs(outside) <= 1e-15 * K.peak_response)
+        rng = np.random.default_rng(12)
+        f = rng.normal(size=grid) + 1j * rng.normal(size=grid)
+        padded = np.zeros(pad, dtype=complex)
+        padded[: grid[0], : grid[1]] = f
+        ref = np.fft.ifft2(np.fft.fft2(padded) * K.filter)[: grid[0], : grid[1]]
+        scale = np.abs(ref).max()
+        # against a full complex-FFT reference, on complex and real input
+        out = K.apply(f.ravel()).reshape(grid)
+        assert np.abs(out - ref).max() <= 1e-14 * scale
+        out = K.adjoint(f.real.ravel()).reshape(grid)
+        assert np.abs(out - ref.real).max() <= 1e-14 * scale
+        # against the pruned FFT form
+        fft = K._convolve_fft(f.real)
+        assert np.abs(out - fft).max() <= 1e-14 * scale
+        validate_operator(K, tol=1e-13)
+
+    def test_form_of_imaging_and_wavelet_shapes(self):
+        cfg = ExperimentConfig()
+        imaging = Convolution2DOperator(cfg.grid, cfg.pad, cfg.radius_fraction)
+        assert (imaging.band_y, imaging.band) == (51, 51)
+        assert imaging.matrix_form
+        wavelet = Convolution2DOperator((256, 256), (256, 256), 0.3)
+        assert (wavelet.band_y, wavelet.band) == (77, 77)
+        assert not wavelet.matrix_form
+        assert not hasattr(wavelet, "_hhat")
 
     def test_domain_dims(self):
         K = Convolution2DOperator((4, 6), (8, 12))
