@@ -12,6 +12,8 @@ iteration that minimizes Phi lives in :mod:`sparseland.solver`.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
@@ -53,6 +55,20 @@ def check_count(n, name: str, minimum: int = 1) -> int:
     if n < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def check_real(x, name: str) -> float:
+    """Return x as a float, or raise ParameterError unless it is a finite real number.
+
+    Strings, bools and other non-numbers are rejected rather than
+    converted, so '1e4' never runs as 1e4.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {x!r}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ParameterError(f"{name} must be finite, got {x}")
+    return x
 
 
 def check_shape(shape, name: str) -> Tuple[int, int]:
@@ -279,8 +295,10 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec) -> float:
         wp, wm = spec.asymmetric
         pos = np.maximum(values, 0.0)
         neg = np.maximum(-values, 0.0)
-        return float(spec.mu * (np.sum(wp.w * pos**spec.p) + np.sum(wm.w * neg**spec.p)))
-    return float(spec.mu * np.sum(spec.weights.w * np.abs(values) ** spec.p))
+        return float(spec.mu * (np.add.reduce(wp.w * pos**spec.p)
+                                + np.add.reduce(wm.w * neg**spec.p)))
+    # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
+    return float(spec.mu * np.add.reduce(spec.weights.w * np.abs(values) ** spec.p))
 
 
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.ndimage
 
 from . import __version__
-from .core import PenaltySpec, check_count, check_shape
+from .core import PenaltySpec, check_count, check_real, check_shape
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator
@@ -99,16 +99,24 @@ class ExperimentConfig:
             raise ParameterError("experiment grid must be at least 64x64")
         if pad[0] < grid[0] or pad[1] < grid[1]:
             raise ParameterError("padded shape must dominate the grid")
-        if float(self.total_photons) <= 0.0:
+        radius_fraction = check_real(self.radius_fraction, "radius_fraction")
+        if not (0.0 < radius_fraction <= 1.0):
+            raise ParameterError("radius_fraction must lie in (0, 1]")
+        total_photons = check_real(self.total_photons, "total_photons")
+        if total_photons <= 0.0:
             raise ParameterError("total photon budget must be positive")
+        smoothing_sigma = check_real(self.smoothing_sigma, "smoothing_sigma")
+        if smoothing_sigma < 0.0:
+            raise ParameterError("smoothing_sigma must be >= 0")
         if not self.cases:
             raise ParameterError("at least one case is required")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pad", pad)
-        object.__setattr__(self, "total_photons", float(self.total_photons))
+        object.__setattr__(self, "radius_fraction", radius_fraction)
+        object.__setattr__(self, "total_photons", total_photons)
         object.__setattr__(self, "iterations", check_count(self.iterations, "iterations"))
         object.__setattr__(self, "seed", check_count(self.seed, "seed", minimum=0))
-        object.__setattr__(self, "smoothing_sigma", float(self.smoothing_sigma))
+        object.__setattr__(self, "smoothing_sigma", smoothing_sigma)
         object.__setattr__(self, "cases", tuple(self.cases))
 
     def ellipse_table(self):

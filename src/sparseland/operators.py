@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.fft
 
-from .core import CoefficientVector, check_shape
+from .core import CoefficientVector, check_real, check_shape
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
@@ -116,6 +116,7 @@ class DiagonalOperator(LinearOperatorHandle):
         if not np.all(np.isfinite(entries)):
             raise ParameterError("diagonal entries must be finite")
         self.entries = entries
+        self._conj_entries = np.conj(entries)
         dtype = np.complex128 if entries.dtype.kind == "c" else np.float64
         super().__init__(entries.size, entries.size,
                          float(np.max(np.abs(entries))), domain_dtype=dtype)
@@ -124,7 +125,7 @@ class DiagonalOperator(LinearOperatorHandle):
         return self.entries * self._check_domain(f)
 
     def adjoint(self, g):
-        return np.conj(self.entries) * self._check_image(g)
+        return self._conj_entries * self._check_image(g)
 
 
 class DenseOperator(LinearOperatorHandle):
@@ -139,6 +140,7 @@ class DenseOperator(LinearOperatorHandle):
         if not np.all(np.isfinite(matrix)):
             raise ParameterError("matrix entries must be finite")
         self.matrix = matrix
+        self._adjoint = matrix.conj().T
         # exact up to roundoff; tiny inflation keeps it an upper bound
         norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
         dtype = np.complex128 if matrix.dtype.kind == "c" else np.float64
@@ -149,7 +151,7 @@ class DenseOperator(LinearOperatorHandle):
         return self.matrix @ self._check_domain(f)
 
     def adjoint(self, g):
-        return self.matrix.conj().T @ self._check_image(g)
+        return self._adjoint @ self._check_image(g)
 
 
 class ScaledOperator(LinearOperatorHandle):
@@ -227,14 +229,16 @@ class Convolution2DOperator(LinearOperatorHandle):
         pad = check_shape(pad, "pad")
         if pad[0] < grid[0] or pad[1] < grid[1]:
             raise ParameterError("padded shape must dominate the grid shape")
+        radius_fraction = check_real(radius_fraction, "radius_fraction")
         if not (0.0 < radius_fraction <= 1.0):
             raise ParameterError("radius_fraction must lie in (0, 1]")
+        peak_response = check_real(peak_response, "peak_response")
         if not (0.0 < peak_response):
             raise ParameterError("peak_response must be positive")
         self.grid = grid
         self.pad = pad
-        self.radius_fraction = float(radius_fraction)
-        self.peak_response = float(peak_response)
+        self.radius_fraction = radius_fraction
+        self.peak_response = peak_response
 
         fy = np.fft.fftfreq(pad[0])
         fx = np.fft.fftfreq(pad[1])

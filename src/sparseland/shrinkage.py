@@ -15,6 +15,8 @@ move a point by at most (w p / 2) |x|^(p-1).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import check_exponent
@@ -42,17 +44,27 @@ def _real_array(x, name="input") -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _check_weight(w, shape) -> np.ndarray:
-    """w as float64, finite, positive and broadcastable to the input's shape."""
-    w = _real_array(w, "weight")
-    if w.ndim and w.shape != shape:
-        try:
-            np.broadcast_to(w, shape)
-        except ValueError:
-            raise AlignmentError(f"shrinkage weight of shape {w.shape} does not "
-                                 f"broadcast to the input's shape {shape}") from None
-    # one min and one max pass; NaN fails both comparisons
-    if w.size and not (w.min() > 0.0 and w.max() < np.inf):
+def _check_weight(w, shape):
+    """w as float64, finite, positive and broadcastable to the input's shape.
+
+    A 0-d weight (a Python or numpy float included) comes back as one
+    Python float, checked by a single comparison chain; an array weight
+    is checked by one min and one max pass. NaN fails both checks.
+    """
+    if not isinstance(w, float):
+        w = _real_array(w, "weight")
+        if w.ndim:
+            if w.shape != shape:
+                try:
+                    np.broadcast_to(w, shape)
+                except ValueError:
+                    raise AlignmentError(f"shrinkage weight of shape {w.shape} does not "
+                                         f"broadcast to the input's shape {shape}") from None
+            if w.size and not (w.min() > 0.0 and w.max() < np.inf):
+                raise ParameterError("shrinkage weight w must be finite and strictly positive")
+            return w
+    w = float(w)
+    if not 0.0 < w < math.inf:
         raise ParameterError("shrinkage weight w must be finite and strictly positive")
     return w
 
@@ -73,15 +85,15 @@ def _root_three_halves(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     h = 0.375 * w
     r = np.sqrt(t)
-    with np.errstate(over="ignore"):
+    # one errstate for both: h^2 + t may overflow, and t = inf gives inf/inf
+    with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(h * h + t)
-    if np.isinf(root).any():
-        # h^2 + t overflowed for a huge weight (or t = inf): take the same
-        # square root without forming h^2
-        root = np.hypot(h, r)
-    # s < sqrt(t) in exact arithmetic; the bound also sends t = inf,
-    # where the quotient is inf/inf, to inf
-    with np.errstate(invalid="ignore"):
+        if np.isinf(root).any():
+            # h^2 + t overflowed for a huge weight (or t = inf): take the
+            # same square root without forming h^2
+            root = np.hypot(h, r)
+        # s < sqrt(t) in exact arithmetic; the bound also sends t = inf,
+        # where the quotient is inf/inf, to inf
         s = np.fmin(t / (h + root), r)
     return s * s
 
@@ -100,17 +112,19 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     a = np.broadcast_to(np.asarray(a, dtype=np.float64), t.shape)
     active = t > 0.0
     tol = 1e-14 * (1.0 + t)
-    # start at min(log t, log((t/a)^(1/(p-1)))): both are upper bounds for
-    # the root, so G(u0) >= 0 and neither exponential can overflow; t/a
-    # overflowing for a tiny weight gives log = inf, which loses the min
+    # one errstate for the whole solve: the start, the Newton updates and
+    # the final exponential all meet inf, zero and settled components
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # start at min(log t, log((t/a)^(1/(p-1)))): both are upper bounds
+        # for the root, so G(u0) >= 0 and neither exponential can overflow;
+        # t/a overflowing for a tiny weight gives log = inf, which loses
+        # the min
         safe_t = np.where(active, t, 1.0)
         u = np.minimum(np.log(safe_t), np.log(safe_t / a) / (p - 1.0))
-    u = np.where(active, u, -np.inf)
-    for _ in range(_MAX_ROOT_ITERATIONS):
-        if not np.any(active):
-            break
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.where(active, u, -np.inf)
+        for _ in range(_MAX_ROOT_ITERATIONS):
+            if not np.any(active):
+                break
             eu = np.exp(u)
             ev = a * np.exp((p - 1.0) * u)
             G = eu + ev - t
@@ -129,11 +143,10 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
             # of exp(u): for large |u| one ulp moves G by more than tol,
             # and Newton would cycle between adjacent floats
             active &= np.abs(u_next - u) > 4.0 * np.spacing(np.abs(u))
-        u = np.where(active, u_next, u)
-    else:
-        if np.any(active):
-            raise ContractViolationError("shrinkage root finder failed to converge")
-    with np.errstate(over="ignore"):
+            u = np.where(active, u_next, u)
+        else:
+            if np.any(active):
+                raise ContractViolationError("shrinkage root finder failed to converge")
         return np.exp(u)
 
 
@@ -143,7 +156,10 @@ def shrink_p(x, w, p):
     Closed forms at p = 1 (soft threshold), p = 3/2 (a quadratic root)
     and p = 2 (x / (1 + w)), each taken for p within _P_SNAP of it;
     elsewhere a monotone Newton solve. Scalars in, scalar out; w must
-    broadcast to the shape of x.
+    broadcast to the shape of x. A uniform weight is best passed as one
+    float: it is checked by one comparison instead of a pass over an
+    array, and since it broadcasts to the same value in every element
+    the output is bit-for-bit that of the equivalent weight array.
     """
     p = check_exponent(p)
     if abs(p - 1.0) <= _P_SNAP:

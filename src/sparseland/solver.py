@@ -122,8 +122,15 @@ class _Step:
 
     Built once per problem. It holds the effective shrinkage weights
     mu * w (a (plus, minus) pair for asymmetric weights) and the optional
-    nonnegativity projection P. Calls take the residual g - K f, so a
-    caller that already has it pays only the adjoint.
+    nonnegativity projection P. Effective weights that are all one
+    finite positive number are held as that Python float, which the
+    shrink checks by one comparison per call instead of a pass over an
+    array; mu * w can leave that range although mu and w are valid, so
+    it is checked here, once, and weights that fail stay an array for
+    the shrink to reject. The float broadcasts to the same value in
+    every element, so outputs are bit-for-bit those of the array. Calls
+    take the residual g - K f, so a caller that already has it pays only
+    the adjoint.
     """
 
     def __init__(self, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig):
@@ -132,24 +139,36 @@ class _Step:
         self.nonnegative = config.projection == "nonnegative"
         if spec.asymmetric is not None:
             wp, wm = spec.asymmetric
-            self.weights = (spec.mu * wp.w, spec.mu * wm.w)
+            self.weights = (_effective_weights(spec.mu, wp.w),
+                            _effective_weights(spec.mu, wm.w))
         else:
-            self.weights = spec.mu * spec.weights.w
+            self.weights = _effective_weights(spec.mu, spec.weights.w)
 
     def __call__(self, f: np.ndarray, residual: np.ndarray) -> np.ndarray:
         h = f + self.K.adjoint(residual)
         # the dispatch calls shrink_* through this module's names, so a
-        # wrapper installed on this module sees every shrink of a solve
+        # wrapper installed on this module sees every shrink of a solve;
+        # the shrink of a 1-d array is a 1-d array
         if isinstance(self.weights, tuple):
             out = shrink_asymmetric(h, *self.weights, self.p)
         elif h.dtype.kind == "c":
             out = shrink_complex(h, self.weights, self.p)
         else:
             out = shrink_p(h, self.weights, self.p)
-        out = np.atleast_1d(np.asarray(out))
         if self.nonnegative:
             out = np.maximum(out, 0.0)
         return out
+
+
+def _effective_weights(mu: float, w: np.ndarray):
+    """mu * w, or one Python float when every entry is that finite positive value."""
+    # an overflow to inf fails the check below, and the shrink rejects it
+    with np.errstate(over="ignore"):
+        weights = mu * w
+    first = float(weights[0])
+    if 0.0 < first < math.inf and (weights == first).all():
+        return first
+    return weights
 
 
 def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
@@ -237,7 +256,7 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
 
     Kf = K.apply(f)
     residual = gvals - Kf
-    disc = float(np.real(np.vdot(residual, residual)))
+    disc = float(np.vdot(residual, residual).real)
     pen = penalty_sum(f, spec)
     obj = disc + pen
     objectives = [obj]
@@ -252,16 +271,16 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
         t0 = time.perf_counter()
         f_new = step(f, residual)
         diff = f_new - f
-        quad = float(np.real(np.vdot(diff, diff)))
+        quad = float(np.vdot(diff, diff).real)
         step_norm = math.sqrt(quad)
 
         Kf_new = K.apply(f_new)
         residual = gvals - Kf_new
-        disc = float(np.real(np.vdot(residual, residual)))
+        disc = float(np.vdot(residual, residual).real)
         pen = penalty_sum(f_new, spec)
         obj_new = disc + pen
         kdiff = Kf_new - Kf
-        surrogate = obj_new + quad - float(np.real(np.vdot(kdiff, kdiff)))
+        surrogate = obj_new + quad - float(np.vdot(kdiff, kdiff).real)
 
         wall_times.append(time.perf_counter() - t0)
         objectives.append(obj_new)

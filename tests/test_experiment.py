@@ -53,6 +53,30 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(**{"grid": (64, 64), "pad": (128, 128), **kwargs})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"total_photons": float("inf")},
+        {"total_photons": float("nan")},
+        {"total_photons": "1e4"},        # would be parsed by float()
+        {"total_photons": -1.0},
+        {"smoothing_sigma": -1.0},
+        {"smoothing_sigma": float("nan")},
+        {"smoothing_sigma": "1.0"},
+        {"smoothing_sigma": None},
+        {"radius_fraction": 0.0},
+        {"radius_fraction": 1.5},
+        {"radius_fraction": float("nan")},
+        {"radius_fraction": "0.1"},
+    ])
+    def test_numbers_checked_at_construction(self, kwargs):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**{"grid": (64, 64), "pad": (128, 128), **kwargs})
+
+    def test_numpy_reals_accepted(self):
+        cfg = ExperimentConfig(total_photons=np.float32(1e4), smoothing_sigma=np.int64(0),
+                               radius_fraction=np.float64(1.0))
+        assert (cfg.total_photons, cfg.smoothing_sigma, cfg.radius_fraction) == (1e4, 0.0, 1.0)
+        assert type(cfg.radius_fraction) is float
+
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(grid=np.array([64, 64]), pad=(np.int32(128), 128),
                                seed=np.uint8(0))

@@ -163,6 +163,20 @@ class TestConvolution2D:
         with pytest.raises(ParameterError):
             Convolution2DOperator((4, 4), (8, 8), peak_response=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"radius_fraction": "0.1"},
+        {"radius_fraction": float("nan")},
+        {"radius_fraction": float("inf")},
+        {"radius_fraction": None},
+        {"peak_response": "1"},
+        {"peak_response": float("nan")},
+        {"peak_response": float("inf")},
+        {"peak_response": True},
+    ])
+    def test_numbers_checked_before_comparing(self, kwargs):
+        with pytest.raises(ParameterError):
+            Convolution2DOperator((4, 4), (8, 8), **kwargs)
+
     @pytest.mark.parametrize("grid, pad", [
         ((4.7, 4), (8, 8)),      # would truncate to 4
         ((4, 4), (8.9, 8)),

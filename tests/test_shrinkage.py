@@ -253,6 +253,46 @@ class TestInputErrors:
             shrink_p(np.ones(2), bad, p)
 
 
+class TestScalarWeights:
+    """A uniform weight held as one float gives the bytes of its array."""
+
+    # signed zeros, the smallest denormal, infinities and ordinary values
+    X = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 0.3, -2.5, 1e6, 7e-9])
+
+    @staticmethod
+    def same_bytes(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    @pytest.mark.parametrize("c", [0.7, 3e5, 1e-300])
+    def test_same_bytes_as_full_array(self, p, c):
+        for x in (self.X, np.array([])):
+            full = np.full(x.size, c)
+            assert self.same_bytes(shrink_p(x, c, p), shrink_p(x, full, p))
+            assert self.same_bytes(shrink_p(x, np.float64(c), p), shrink_p(x, full, p))
+            assert self.same_bytes(shrink_asymmetric(x, c, 2.0 * c, p),
+                                   shrink_asymmetric(x, full, np.full(x.size, 2.0 * c), p))
+            z = x.astype(complex)
+            z.imag = x[::-1]
+            # an infinite modulus gives inf/inf in the phase factor, a NaN
+            # output (for some inputs with a warning) on either weight form
+            with np.errstate(invalid="ignore"):
+                assert self.same_bytes(shrink_complex(z, c, p), shrink_complex(z, full, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, np.float64(np.nan), -0.0])
+    def test_bad_scalar_weight_rejected(self, p, bad):
+        for call in (lambda: shrink_p(self.X, bad, p),
+                     lambda: shrink_p(np.array([]), bad, p),
+                     lambda: shrink_p(1.0, bad, p),
+                     lambda: shrink_complex(self.X + 1j, bad, p),
+                     lambda: shrink_asymmetric(self.X, bad, 1.0, p),
+                     lambda: shrink_asymmetric(self.X, 1.0, bad, p)):
+            with pytest.raises(ParameterError, match="strictly positive"):
+                call()
+
+
 def forward_inverse_check(x, w, p):
     """Reference inverse via high-count bisection in log space."""
     import math

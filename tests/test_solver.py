@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparseland import shrinkage, solver
 from sparseland.core import PenaltySpec, WeightSequence, objective, surrogate_objective
 from sparseland.errors import (
     AlignmentError,
@@ -83,6 +84,46 @@ class TestSteps:
                     SolverConfig(max_iterations=n, step_tolerance=0.0))
         assert res.iterations == n
         assert (K.applies, K.adjoints) == (n + 1, n + 1)
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_every_shrink_goes_through_the_module_name(self, monkeypatch, p):
+        # a wrapper on solver.shrink_p (as a tracer installs) must see
+        # every step's shrink and the fixed-point residual's
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return shrinkage.shrink_p(*args)
+
+        monkeypatch.setattr(solver, "shrink_p", counting)
+        K = random_contraction(np.random.default_rng(4), 6)
+        res = solve(np.ones(6), K, PenaltySpec.uniform(p=p, mu=0.1, n=6),
+                    SolverConfig(max_iterations=9, step_tolerance=0.0))
+        assert res.iterations == 9
+        assert len(calls) == res.iterations + 1
+
+    def test_two_level_weights_damp_each_coordinate(self):
+        # unequal weights stay an array: at p = 2 a step from zero is
+        # K* g / (1 + mu w), each coordinate by its own weight
+        d = np.linspace(0.3, 0.9, 6)
+        K = DiagonalOperator(d)
+        g = np.linspace(-1.0, 2.0, 6)
+        mu = 0.5
+        w = np.array([1.0, 1.0, 1.0, 4.0, 4.0, 4.0])
+        spec = PenaltySpec(p=2.0, weights=WeightSequence(w), mu=mu)
+        np.testing.assert_array_equal(iterate_step(np.zeros(6), g, K, spec).values,
+                                      (d * g) / (1.0 + mu * w))
+        res = solve(g, K, spec, SolverConfig(max_iterations=20000, step_tolerance=0.0))
+        np.testing.assert_allclose(res.minimizer.values, d * g / (d**2 + mu * w),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("mu, weight", [(1e300, 1e10), (1e-300, 1e-300)])
+    def test_effective_weight_out_of_range_rejected(self, mu, weight):
+        # mu and w are each valid, but mu * w overflows or underflows
+        spec = PenaltySpec.uniform(p=1.5, mu=mu, n=3, weight=weight)
+        K = DiagonalOperator(np.array([0.5, 0.25, 0.8]))
+        with pytest.raises(ParameterError, match="strictly positive"):
+            solve(np.ones(3), K, spec)
 
     def test_nonexpansive_iteration_map(self):
         # two runs started apart never move further apart
