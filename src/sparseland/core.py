@@ -37,7 +37,9 @@ __all__ = [
 
 def check_exponent(p) -> float:
     """Return p as a float, or raise ParameterError unless 1 <= p <= 2."""
-    p = float(p)
+    # an exact float skips the call (the shrink checks p on every iteration)
+    if type(p) is not float:
+        p = check_real(p, "exponent p")
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"exponent p must lie in [1, 2], got {p}")
     return p
@@ -46,9 +48,12 @@ def check_exponent(p) -> float:
 def check_count(n, name: str, minimum: int = 1) -> int:
     """Return n as an int, or raise ParameterError unless it is an integer >= minimum.
 
-    Floats are rejected rather than truncated, so 2.5 never runs as 2.
+    Floats and bools are rejected rather than truncated, so 2.5 never
+    runs as 2 and True never runs as 1.
     """
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {n!r}") from None
@@ -57,42 +62,57 @@ def check_count(n, name: str, minimum: int = 1) -> int:
     return n
 
 
-def check_real(x, name: str) -> float:
+def check_real(x, name: str, lower: Optional[str] = None) -> float:
     """Return x as a float, or raise ParameterError unless it is a finite real number.
 
     Strings, bools and other non-numbers are rejected rather than
-    converted, so '1e4' never runs as 1e4.
+    converted, so '1e4' never runs as 1e4. ``lower="positive"`` also
+    demands x > 0, ``lower="nonnegative"`` x >= 0.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ParameterError(f"{name} must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError(f"{name} must be finite, got {x}")
+    # an exact float skips the slower ABC check
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            x = math.inf
+    if lower is None:
+        ok, need = math.isfinite(x), "finite"
+    elif lower == "positive":
+        ok, need = 0.0 < x < math.inf, "finite and strictly positive"
+    elif lower == "nonnegative":
+        ok, need = 0.0 <= x < math.inf, "finite and nonnegative"
+    else:
+        raise ValueError(f"unknown lower bound {lower!r}")
+    if not ok:
+        raise ParameterError(f"{name} must be {need}, got {x}")
     return x
 
 
-def check_shape(shape, name: str) -> Tuple[int, int]:
-    """Return a 2-d shape as two ints >= 1, or raise ParameterError."""
+def check_array(values, name: str, complex_ok: bool = False) -> np.ndarray:
+    """values as an array of int, uint or float dtype, or complex if complex_ok.
+
+    Bool, string and object arrays raise ParameterError. The array is
+    not cast and not checked for finiteness: each caller keeps its own
+    cast and its own rule for inf and NaN.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        what = "numbers" if complex_ok else "real numbers"
+        raise ParameterError(f"{name} must be {what}, got dtype {arr.dtype}")
+    return arr
+
+
+def check_shape(shape, name: str, minimum: int = 1) -> Tuple[int, int]:
+    """Return a 2-d shape as two ints >= minimum, or raise ParameterError."""
     try:
         dims = tuple(shape)
     except TypeError:
         raise ParameterError(f"{name} must be a pair of integers, got {shape!r}") from None
     if len(dims) != 2:
         raise ParameterError(f"{name} must be a pair of integers, got {shape!r}")
-    return check_count(dims[0], name), check_count(dims[1], name)
-
-
-def _validated_values(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iub":
-        arr = arr.astype(np.float64)
-    if arr.dtype.kind not in "fc":
-        raise ParameterError(f"coefficient values must be numeric, got dtype {arr.dtype}")
-    if arr.size == 0:
-        raise ParameterError("coefficient vector must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("coefficient values must be finite")
-    return arr
+    return check_count(dims[0], name, minimum), check_count(dims[1], name, minimum)
 
 
 @dataclass(frozen=True)
@@ -113,14 +133,20 @@ class CoefficientVector:
     dims: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        arr = _validated_values(self.values)
+        arr = check_array(self.values, "coefficient values", complex_ok=True)
+        if arr.dtype.kind in "iu":
+            arr = arr.astype(np.float64)
+        if arr.size == 0:
+            raise ParameterError("coefficient vector must have at least one entry")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("coefficient values must be finite")
         dims = self.dims
         if arr.ndim > 1:
             if dims is None:
                 dims = arr.shape
             arr = arr.ravel()
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
+            dims = tuple(check_count(d, "dims") for d in dims)
             if int(np.prod(dims)) != arr.size:
                 raise AlignmentError(
                     f"dims {dims} imply {int(np.prod(dims))} entries, vector has {arr.size}"
@@ -167,32 +193,26 @@ class WeightSequence:
     c: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = check_array(self.w, "weights").astype(np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ParameterError("weights must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ParameterError("weights must be finite and strictly positive")
-        c = self.c
-        if c is None:
+        if self.c is None:
             c = float(w.min())
         else:
-            c = float(c)
-            if not np.isfinite(c) or c <= 0.0:
-                raise ParameterError("weight lower bound c must be positive")
+            c = check_real(self.c, "weight lower bound c", lower="positive")
             if c > w.min() * (1.0 + 1e-12):
                 raise ParameterError(
                     f"claimed lower bound c={c} exceeds min weight {w.min()}"
                 )
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", c)
 
     @classmethod
     def uniform(cls, n: int, value: float = 1.0) -> "WeightSequence":
-        if n < 1:
-            raise ParameterError("weight sequence length must be >= 1")
-        return cls(w=np.full(int(n), float(value)))
+        return cls(w=np.full(check_count(n, "weight sequence length"), value))
 
     def __len__(self) -> int:
         return self.w.size
@@ -214,18 +234,12 @@ class PenaltySpec:
     asymmetric: Optional[Tuple[WeightSequence, WeightSequence]] = None
 
     def __post_init__(self):
-        p = check_exponent(self.p)
-        mu = float(self.mu)
-        if not np.isfinite(mu) or mu <= 0.0:
-            raise ParameterError(f"penalty multiplier mu must be positive, got {mu}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "p", check_exponent(self.p))
+        object.__setattr__(self, "mu", check_real(self.mu, "penalty multiplier mu",
+                                                  lower="positive"))
         if self.asymmetric is not None:
-            wp, wm = self.asymmetric
-            if not isinstance(wp, WeightSequence):
-                wp = WeightSequence(np.asarray(wp))
-            if not isinstance(wm, WeightSequence):
-                wm = WeightSequence(np.asarray(wm))
+            wp, wm = (w if isinstance(w, WeightSequence) else WeightSequence(w)
+                      for w in self.asymmetric)
             if len(wp) != len(wm) or len(wp) != len(self.weights):
                 raise AlignmentError(
                     "asymmetric weight pair must match the symmetric weights in length"

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.ndimage
 
 from . import __version__
-from .core import PenaltySpec, check_count, check_real, check_shape
+from .core import (PenaltySpec, check_array, check_count, check_exponent, check_real,
+                   check_shape)
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator
@@ -44,10 +45,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CaseSpec:
+    """One reconstruction: a name, the penalty's p and mu, and whether
+    iterates are projected onto the nonnegative cone."""
+
     name: str
     p: float
     mu: float
     project: bool
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ParameterError(f"case name must be a nonempty string, got {self.name!r}")
+        if not isinstance(self.project, bool):
+            raise ParameterError(f"case project must be True or False, got {self.project!r}")
+        object.__setattr__(self, "p", check_exponent(self.p))
+        object.__setattr__(self, "mu", check_real(self.mu, "case mu", lower="positive"))
 
 
 DEFAULT_CASES: Tuple[CaseSpec, ...] = (
@@ -78,6 +90,8 @@ _REFERENCE_GRID = 256
 # the elongated source
 _ROW_FRACTION = 0.375
 _COL_FRACTION = 0.281
+# the largest rate numpy's Poisson sampler accepts
+_POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -93,31 +107,26 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        grid = check_shape(self.grid, "grid")
+        grid = check_shape(self.grid, "experiment grid", minimum=64)
         pad = check_shape(self.pad, "pad")
-        if grid[0] < 64 or grid[1] < 64:
-            raise ParameterError("experiment grid must be at least 64x64")
         if pad[0] < grid[0] or pad[1] < grid[1]:
             raise ParameterError("padded shape must dominate the grid")
         radius_fraction = check_real(self.radius_fraction, "radius_fraction")
         if not (0.0 < radius_fraction <= 1.0):
             raise ParameterError("radius_fraction must lie in (0, 1]")
-        total_photons = check_real(self.total_photons, "total_photons")
-        if total_photons <= 0.0:
-            raise ParameterError("total photon budget must be positive")
-        smoothing_sigma = check_real(self.smoothing_sigma, "smoothing_sigma")
-        if smoothing_sigma < 0.0:
-            raise ParameterError("smoothing_sigma must be >= 0")
-        if not self.cases:
-            raise ParameterError("at least one case is required")
+        cases = tuple(self.cases)
+        if not cases or not all(isinstance(case, CaseSpec) for case in cases):
+            raise ParameterError("cases must be a nonempty sequence of CaseSpec")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pad", pad)
         object.__setattr__(self, "radius_fraction", radius_fraction)
-        object.__setattr__(self, "total_photons", total_photons)
+        object.__setattr__(self, "total_photons",
+                           check_real(self.total_photons, "total_photons", lower="positive"))
         object.__setattr__(self, "iterations", check_count(self.iterations, "iterations"))
         object.__setattr__(self, "seed", check_count(self.seed, "seed", minimum=0))
-        object.__setattr__(self, "smoothing_sigma", smoothing_sigma)
-        object.__setattr__(self, "cases", tuple(self.cases))
+        object.__setattr__(self, "smoothing_sigma", check_real(
+            self.smoothing_sigma, "smoothing_sigma", lower="nonnegative"))
+        object.__setattr__(self, "cases", cases)
 
     def ellipse_table(self):
         """Ellipses in absolute pixels for this grid size."""
@@ -180,7 +189,7 @@ def add_poisson_noise(image, total_photons: float, seed: int) -> NoisyData:
     earlier convolution) are clamped to zero with a warning; genuinely
     negative intensities are an error.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = check_array(image, "image").astype(np.float64, copy=False)
     if np.any(image < 0.0):
         peak = float(np.abs(image).max())
         worst = float(image.min())
@@ -192,29 +201,31 @@ def add_poisson_noise(image, total_photons: float, seed: int) -> NoisyData:
             stacklevel=2,
         )
         image = np.maximum(image, 0.0)
-    total = float(image.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise ParameterError("image must have positive total intensity")
-    total_photons = float(total_photons)
-    if total_photons <= 0.0:
-        raise ParameterError("total photon budget must be positive")
+    total = check_real(image.sum(), "image total intensity", lower="positive")
+    total_photons = check_real(total_photons, "total_photons", lower="positive")
     count_scale = total_photons / total
+    # the largest entry of expected below, formed by the same product
+    max_expected = count_scale * float(image.max())
+    if not max_expected <= _POISSON_RATE_MAX:
+        raise ParameterError(
+            f"expected pixel count {max_expected:.3e} is too large for a Poisson draw")
     expected = image * count_scale
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_count(seed, "seed", minimum=0))
     counts = rng.poisson(expected).astype(np.float64)
     return NoisyData(
         data=counts / total_photons,
         counts=counts,
         count_scale=count_scale,
-        max_expected_count=float(expected.max()),
+        max_expected_count=max_expected,
     )
 
 
 def count_profile_peaks(profile, window: Optional[Tuple[int, int]] = None,
                         rel_height: float = 0.5) -> int:
     """Count strict local maxima above rel_height * window maximum."""
-    profile = np.asarray(profile, dtype=np.float64)
-    lo, hi = window if window is not None else (0, profile.size)
+    profile = check_array(profile, "profile").astype(np.float64, copy=False)
+    rel_height = check_real(rel_height, "rel_height")
+    lo, hi = (0, profile.size) if window is None else check_shape(window, "window", 0)
     segment = profile[lo:hi]
     if segment.size < 3:
         return 0

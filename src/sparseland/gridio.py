@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import check_array
 from .errors import ParameterError
 
 __all__ = [
@@ -47,7 +48,7 @@ def write_pgm(path, image, comments: Sequence[str] = ()) -> Tuple[float, float]:
     Returns the (lo, hi) window used; it is also recorded in a comment
     line so the scaling stays invertible.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = check_array(image, "PGM image").astype(np.float64, copy=False)
     if image.ndim != 2 or image.size == 0:
         raise ParameterError("PGM writer expects a nonempty 2-d grid")
     lo = float(image.min())
@@ -109,7 +110,7 @@ def read_pgm(path) -> np.ndarray:
 
 def write_grid(path, array, metadata: Optional[dict] = None):
     """Write a float64 grid in the raw SLWFGRID format."""
-    array = np.asarray(array, dtype=np.float64)
+    array = check_array(array, "grid").astype(np.float64, copy=False)
     if array.ndim == 1:
         array = array.reshape(1, -1)
     if array.ndim != 2 or array.size == 0:

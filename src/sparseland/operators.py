@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.fft
 
-from .core import CoefficientVector, check_real, check_shape
+from .core import CoefficientVector, check_array, check_count, check_real, check_shape
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
@@ -34,14 +34,6 @@ __all__ = [
     "SvdModel",
     "thresholded_svd_solve",
 ]
-
-
-def _numeric(values, what: str) -> np.ndarray:
-    """values as an array of integer, float or complex dtype."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iufc":
-        raise ParameterError(f"{what} must be numbers, got dtype {arr.dtype}")
-    return arr
 
 
 class LinearOperatorHandle:
@@ -66,15 +58,11 @@ class LinearOperatorHandle:
     def __init__(self, domain_len: int, image_len: int, norm_bound: float,
                  domain_dims: Optional[Tuple[int, ...]] = None,
                  domain_dtype=np.float64):
-        if domain_len < 1 or image_len < 1:
-            raise ParameterError("operator dimensions must be >= 1")
-        norm_bound = float(norm_bound)
-        if not np.isfinite(norm_bound) or norm_bound < 0.0:
-            raise ParameterError("norm bound must be finite and nonnegative")
-        self.domain_len = int(domain_len)
-        self.image_len = int(image_len)
-        self.norm_bound = norm_bound
-        self.domain_dims = domain_dims
+        self.domain_len = check_count(domain_len, "domain_len")
+        self.image_len = check_count(image_len, "image_len")
+        self.norm_bound = check_real(norm_bound, "norm bound", lower="nonnegative")
+        self.domain_dims = (None if domain_dims is None
+                            else tuple(check_count(d, "domain_dims") for d in domain_dims))
         self.domain_dtype = domain_dtype
 
     def _check_domain(self, f: np.ndarray) -> np.ndarray:
@@ -110,7 +98,7 @@ class DiagonalOperator(LinearOperatorHandle):
     kind = "diagonal"
 
     def __init__(self, entries):
-        entries = _numeric(entries, "diagonal entries")
+        entries = check_array(entries, "diagonal entries", complex_ok=True)
         if entries.ndim != 1 or entries.size == 0:
             raise ParameterError("diagonal entries must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(entries)):
@@ -134,7 +122,7 @@ class DenseOperator(LinearOperatorHandle):
     kind = "dense"
 
     def __init__(self, matrix):
-        matrix = _numeric(matrix, "matrix entries")
+        matrix = check_array(matrix, "matrix entries", complex_ok=True)
         if matrix.ndim != 2 or matrix.size == 0:
             raise ParameterError("dense operator needs a nonempty 2-d matrix")
         if not np.all(np.isfinite(matrix)):
@@ -161,7 +149,7 @@ class ScaledOperator(LinearOperatorHandle):
 
     def __init__(self, base: LinearOperatorHandle, factor: float, norm_bound: float):
         self.base = base
-        self.factor = float(factor)
+        self.factor = check_real(factor, "factor")
         super().__init__(base.domain_len, base.image_len, norm_bound,
                          domain_dims=base.domain_dims,
                          domain_dtype=base.domain_dtype)
@@ -232,9 +220,7 @@ class Convolution2DOperator(LinearOperatorHandle):
         radius_fraction = check_real(radius_fraction, "radius_fraction")
         if not (0.0 < radius_fraction <= 1.0):
             raise ParameterError("radius_fraction must lie in (0, 1]")
-        peak_response = check_real(peak_response, "peak_response")
-        if not (0.0 < peak_response):
-            raise ParameterError("peak_response must be positive")
+        peak_response = check_real(peak_response, "peak_response", lower="positive")
         self.grid = grid
         self.pad = pad
         self.radius_fraction = radius_fraction
@@ -350,9 +336,10 @@ def renormalize(K: LinearOperatorHandle, g, target: float = 0.999) -> Renormaliz
     already bounded by target (the zero operator included) passes
     through unchanged.
     """
-    if not (0.0 < target < 1.0):
+    target = check_real(target, "renormalization target", lower="positive")
+    if target >= 1.0:
         raise ParameterError("renormalization target must lie in (0, 1)")
-    g = np.asarray(g)
+    g = check_array(g, "data", complex_ok=True)
     if K.norm_bound <= target:
         return RenormalizedProblem(K, g, 1.0)
     scale = K.norm_bound / target
@@ -368,7 +355,9 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
     (relative) or ||Kf|| exceeds norm_bound * ||f|| beyond roundoff slack.
     Returns the worst observed defects for reporting.
     """
-    rng = np.random.default_rng(seed)
+    n_probes = check_count(n_probes, "n_probes")
+    tol = check_real(tol, "tol", lower="nonnegative")
+    rng = np.random.default_rng(check_count(seed, "seed", minimum=0))
     complex_domain = np.dtype(K.domain_dtype).kind == "c"
 
     def draw(n):
@@ -415,7 +404,7 @@ class SvdModel:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=np.float64)
+        s = check_array(self.singular_values, "singular values").astype(np.float64)
         if s.ndim != 1 or s.size == 0:
             raise ParameterError("singular values must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(s)) or np.any(s < 0.0):
@@ -424,7 +413,6 @@ class SvdModel:
             raise ParameterError("singular values must be nonincreasing")
         if s[0] >= 1.0:
             raise ParameterError("singular values must lie below 1; renormalize first")
-        s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "singular_values", s)
 
@@ -443,10 +431,8 @@ def thresholded_svd_solve(model: SvdModel, g, mu: float) -> CoefficientVector:
     the sparse analogue of the Tikhonov filter sigma/(sigma^2 + mu): a
     soft spectral cutoff instead of a smooth damping.
     """
-    mu = float(mu)
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    g = np.asarray(g, dtype=np.float64)
+    mu = check_real(mu, "mu", lower="positive")
+    g = check_array(g, "data coefficients").astype(np.float64, copy=False)
     s = model.singular_values
     if g.shape != s.shape:
         raise AlignmentError("data coefficients must align with the singular values")

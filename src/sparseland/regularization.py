@@ -11,12 +11,13 @@ operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import WeightSequence, check_exponent
+from .core import WeightSequence, check_array, check_exponent, check_real
 from .errors import AlignmentError, ParameterError
 
 __all__ = [
@@ -39,14 +40,10 @@ class NoisePrior:
     rho: float
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        rho = float(self.rho)
-        if not np.isfinite(eps) or eps < 0.0:
-            raise ParameterError(f"noise level epsilon must be >= 0, got {eps}")
-        if not np.isfinite(rho) or rho <= 0.0:
-            raise ParameterError(f"prior radius rho must be > 0, got {rho}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "noise level epsilon",
+                                                       lower="nonnegative"))
+        object.__setattr__(self, "rho", check_real(self.rho, "prior radius rho",
+                                                   lower="positive"))
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,8 @@ class SpectralEnvelope:
     B: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
-        B = np.asarray(self.B, dtype=np.float64)
+        b = check_array(self.b, "envelope bound b").astype(np.float64)
+        B = check_array(self.B, "envelope bound B").astype(np.float64)
         if b.ndim != 1 or b.size == 0 or b.shape != B.shape:
             raise AlignmentError("envelope bounds must be matching nonempty 1-d sequences")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(B))):
@@ -72,8 +69,6 @@ class SpectralEnvelope:
             raise ParameterError("envelope bounds must be strictly positive")
         if np.any(b > B * (1.0 + 1e-12)):
             raise ParameterError("lower envelope b must not exceed upper envelope B")
-        b = b.copy()
-        B = B.copy()
         b.flags.writeable = False
         B.flags.writeable = False
         object.__setattr__(self, "b", b)
@@ -97,9 +92,13 @@ class MuScheduleReport:
 
 
 def mu_schedule(noise: NoisePrior, p: float) -> float:
-    """Balanced multiplier mu = epsilon^2 / rho^p."""
+    """Balanced multiplier mu = epsilon^2 / rho^p; ParameterError if it is not a finite float."""
     p = check_exponent(p)
-    return noise.epsilon**2 / noise.rho**p
+    try:
+        mu = noise.epsilon**2 / noise.rho**p
+    except (OverflowError, ZeroDivisionError):  # epsilon^2 overflows, rho^p underflows
+        mu = math.inf
+    return check_real(mu, "balanced multiplier mu = epsilon^2 / rho^p")
 
 
 def check_mu_requirements(schedule: Union[Callable[[float], float], Sequence[float]],
@@ -112,7 +111,7 @@ def check_mu_requirements(schedule: Union[Callable[[float], float], Sequence[flo
     check and is flagged in the notes: convergence guarantees need mu to
     vanish slower than eps^2.
     """
-    eps = np.asarray(eps_grid, dtype=np.float64)
+    eps = check_array(eps_grid, "epsilon grid").astype(np.float64)
     if eps.ndim != 1 or eps.size < 2:
         raise ParameterError("epsilon grid needs at least two values")
     if np.any(eps <= 0.0) or not np.all(np.isfinite(eps)):
@@ -121,11 +120,10 @@ def check_mu_requirements(schedule: Union[Callable[[float], float], Sequence[flo
         raise ParameterError("epsilon grid must be strictly decreasing")
 
     if callable(schedule):
-        mu = np.array([float(schedule(e)) for e in eps])
-    else:
-        mu = np.asarray(schedule, dtype=np.float64)
-        if mu.shape != eps.shape:
-            raise AlignmentError("schedule values must align with the epsilon grid")
+        schedule = [schedule(e) for e in eps]
+    mu = check_array(schedule, "schedule values").astype(np.float64)
+    if mu.shape != eps.shape:
+        raise AlignmentError("schedule values must align with the epsilon grid")
     if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
         raise ParameterError("schedule values must be positive and finite")
 
@@ -165,15 +163,17 @@ def primed_radii(noise: NoisePrior, mu: float, p: float) -> Tuple[float, float]:
     eps' = sqrt(eps^2 + mu rho^p), rho' = (rho^p + eps^2/mu)^(1/p). At
     the balanced mu = eps^2/rho^p these are sqrt(2) eps and 2^(1/p) rho:
     the minimizer is again an (eps', rho')-admissible reconstruction, at
-    radii only a constant factor worse.
+    radii only a constant factor worse. ParameterError if either radius
+    is not a finite float.
     """
     p = check_exponent(p)
-    mu = float(mu)
-    if not np.isfinite(mu) or mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    eps_primed = float(np.sqrt(noise.epsilon**2 + mu * noise.rho**p))
-    rho_primed = float((noise.rho**p + noise.epsilon**2 / mu) ** (1.0 / p))
-    return eps_primed, rho_primed
+    mu = check_real(mu, "mu", lower="positive")
+    try:
+        eps_primed = float(np.sqrt(noise.epsilon**2 + mu * noise.rho**p))
+        rho_primed = (noise.rho**p + noise.epsilon**2 / mu) ** (1.0 / p)
+    except OverflowError:
+        eps_primed = rho_primed = math.inf
+    return check_real(eps_primed, "eps_primed"), check_real(rho_primed, "rho_primed")
 
 
 def modulus_bounds(env: SpectralEnvelope, weights: WeightSequence, p: float,
@@ -221,17 +221,13 @@ def besov_modulus_rate(alpha: float, sigma: float, A_lower: float, A_upper: floa
     Returned with unit leading constants: the pair brackets the rate, not
     the constant.
     """
-    alpha = float(alpha)
-    sigma = float(sigma)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ParameterError(f"smoothing order alpha must be > 0, got {alpha}")
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ParameterError(f"weight order sigma must be >= 0, got {sigma}")
-    A_lower = float(A_lower)
-    A_upper = float(A_upper)
-    if not (0.0 < A_lower <= A_upper) or not np.isfinite(A_upper):
+    alpha = check_real(alpha, "smoothing order alpha", lower="positive")
+    sigma = check_real(sigma, "weight order sigma", lower="nonnegative")
+    A_lower = check_real(A_lower, "A_lower", lower="positive")
+    A_upper = check_real(A_upper, "A_upper")
+    if A_upper < A_lower:
         raise ParameterError("envelope amplitudes must satisfy 0 < A_lower <= A_upper")
     theta = sigma / (sigma + alpha)
     lower = (noise.epsilon / A_upper) ** theta * noise.rho ** (1.0 - theta)
     upper = (noise.epsilon / A_lower) ** theta * noise.rho ** (1.0 - theta)
-    return float(lower), float(upper)
+    return check_real(lower, "rate lower bound"), check_real(upper, "rate upper bound")

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import check_exponent
+from .core import check_array, check_exponent
 from .errors import AlignmentError, ContractViolationError, ParameterError
 
 __all__ = [
@@ -36,12 +36,7 @@ _MAX_ROOT_ITERATIONS = 400
 
 def _real_array(x, name="input") -> np.ndarray:
     """x as float64; integer and float dtypes only."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        hint = ": use shrink_complex" if arr.dtype.kind == "c" else ""
-        raise ParameterError(
-            f"shrinkage {name} must be real numbers, got dtype {arr.dtype}{hint}")
-    return arr.astype(np.float64, copy=False)
+    return check_array(x, f"shrinkage {name}").astype(np.float64, copy=False)
 
 
 def _check_weight(w, shape):
@@ -179,15 +174,31 @@ def shrink_p(x, w, p):
 
 
 def shrink_complex(z, w, p):
-    """Shrink the modulus, keep the phase: S(r e^{i theta}) = S(r) e^{i theta}."""
+    """Shrink the modulus, keep the phase: S(r e^{i theta}) = S(r) e^{i theta}.
+
+    Where r overflows, S(r)/r is taken from r/4, since S_w(r) = 4 S_v(r/4)
+    with v = w 4^(p-2) (a half would overflow the root finder), or, for
+    r/4 = inf, as its limit: 1 for p < 2, 1/(1 + w) at p = 2.
+    """
     arr = np.asarray(z)
     if arr.dtype.kind != "c":
         return shrink_p(arr, w, p)
     moduli = np.abs(arr)
     shrunk = shrink_p(moduli, w, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # numpy's 0-d complex product may flag overflow for a finite result
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scale = np.where(moduli > 0.0, shrunk / np.where(moduli > 0.0, moduli, 1.0), 0.0)
-    out = arr * scale
+        out = arr * scale
+    big = np.isinf(moduli)
+    if big.any():
+        out, a = np.asarray(out), arr[big]
+        w = np.broadcast_to(_check_weight(w, arr.shape), arr.shape)[big]
+        r4 = np.hypot(0.25 * a.real, 0.25 * a.imag)
+        with np.errstate(invalid="ignore"):
+            s = np.minimum(shrink_p(r4, w * 4.0 ** (p - 2.0), p) / r4, 1.0)
+        s = np.where(np.isinf(r4), 1.0 / (1.0 + w) if abs(p - 2.0) <= _P_SNAP else 1.0, s)
+        # each part on its own: the complex product forms inf * 0
+        out.real[big], out.imag[big] = a.real * s, a.imag * s
     return out if out.ndim else complex(out)
 
 

@@ -27,6 +27,7 @@ from .core import (
     PenaltySpec,
     as_coefficients,
     check_count,
+    check_real,
     penalty_sum,
 )
 from .errors import (
@@ -73,10 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "max_iterations",
                            check_count(self.max_iterations, "max_iterations"))
-        tol = float(self.step_tolerance)
-        if not np.isfinite(tol) or tol < 0.0:
-            raise ParameterError("step_tolerance must be finite and >= 0")
-        object.__setattr__(self, "step_tolerance", tol)
+        object.__setattr__(self, "step_tolerance",
+                           check_real(self.step_tolerance, "step_tolerance", lower="nonnegative"))
         if self.projection not in (None, "nonnegative"):
             raise ParameterError("projection must be None or 'nonnegative'")
 

@@ -35,7 +35,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import CoefficientVector, WeightSequence, check_exponent
+from .core import (CoefficientVector, WeightSequence, check_array, check_count,
+                   check_exponent, check_real)
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -107,9 +108,7 @@ class WaveletSpec:
     def __post_init__(self):
         family = str(self.family).lower()
         object.__setattr__(self, "family", family)
-        if int(self.levels) < 1:
-            raise ParameterError("decomposition needs at least one level")
-        object.__setattr__(self, "levels", int(self.levels))
+        object.__setattr__(self, "levels", check_count(self.levels, "levels"))
         if self.boundary != "periodic":
             raise ParameterError("only periodic boundary handling is supported")
         h = _lowpass_filter(family)
@@ -188,15 +187,6 @@ def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
             )
 
 
-def _real_input(x) -> np.ndarray:
-    """x as float64; integer and float dtypes only."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        raise ParameterError(
-            f"wavelet transform expects real numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
-
-
 @dataclass
 class WaveletCoefficients:
     """Flat coefficients in band order plus per-coefficient scale labels."""
@@ -226,7 +216,7 @@ def _scale_labels(shape: Tuple[int, ...], spec: WaveletSpec) -> np.ndarray:
 def dwt_array(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Forward transform of a 1-d or 2-d array into flat band order."""
     h, g = spec.lowpass, spec.highpass
-    a = _real_input(x)
+    a = check_array(x, "wavelet transform input").astype(np.float64, copy=False)
     _check_shape(a.shape, spec)
     details = []
     for _ in range(spec.levels):
@@ -243,7 +233,7 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
                shape: Tuple[int, ...]) -> np.ndarray:
     """Inverse (and adjoint) of dwt_array for the given original shape."""
     h, g = spec.lowpass, spec.highpass
-    values = _real_input(values)
+    values = check_array(values, "wavelet coefficients").astype(np.float64, copy=False)
     if values.ndim != 1:
         raise AlignmentError(
             f"coefficients must be a flat 1-d array, got shape {values.shape}")
@@ -306,12 +296,9 @@ class BesovWeightSpec:
     d: int = 1
 
     def __post_init__(self):
-        p = check_exponent(self.p)
-        if int(self.d) < 1:
-            raise ParameterError("dimension d must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "p", check_exponent(self.p))
+        object.__setattr__(self, "s", check_real(self.s, "smoothness order s"))
+        object.__setattr__(self, "d", check_count(self.d, "dimension d"))
         if self.sigma < 0.0:
             raise ParameterError(
                 f"s + d*(1/2 - 1/p) = {self.sigma} is negative; weights would "
@@ -325,7 +312,7 @@ class BesovWeightSpec:
 
 def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
     """Scale weights w = 2^(sigma * p * |lambda|) for the given labels."""
-    labels = np.asarray(scale_labels)
+    labels = check_array(scale_labels, "scale labels")
     if labels.ndim != 1 or labels.size == 0:
         raise ParameterError("scale labels must form a nonempty 1-d sequence")
     if np.any(labels < 0):

@@ -93,6 +93,20 @@ class TestBounds:
         assert main(["bounds", "--epsilon", "0.1"]) == 2
         assert "--rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        # rho^p underflows to zero
+        (["--epsilon", "0.1", "--rho", "1e-200", "--p", "2"], "mu"),
+        # epsilon^2 overflows
+        (["--epsilon", "1e200", "--rho", "1", "--p", "2"], "mu"),
+        # epsilon^2 / mu overflows
+        (["--epsilon", "0.1", "--rho", "1", "--p", "1.5", "--mu", "1e-320"], "rho_primed"),
+    ])
+    def test_result_out_of_float_range_exits_2(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "finite" in captured.err
+
 
 class TestSolve:
     def _write_inputs(self, tmp_path, entries="0.9 0.5"):
@@ -262,6 +276,14 @@ class TestExperimentCommand:
     def test_output_dir_required(self, capsys):
         assert main(["experiment", "--grid", "64"]) == 2
         assert "--output-dir" in capsys.readouterr().err
+
+    def test_photon_budget_beyond_the_sampler_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["experiment", "--grid", "64", "--pad", "128", "--iterations", "2",
+                     "--photons", "1e308", "--output-dir", str(out)])
+        assert code == 2
+        assert "too large for a Poisson draw" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopLevel:

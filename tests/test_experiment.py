@@ -11,6 +11,7 @@ from sparseland.experiment import (
     CaseSpec,
     DEFAULT_CASES,
     ExperimentConfig,
+    _config_hash,
     add_poisson_noise,
     count_profile_peaks,
     make_phantom,
@@ -70,6 +71,32 @@ class TestConfig:
     def test_numbers_checked_at_construction(self, kwargs):
         with pytest.raises(ParameterError):
             ExperimentConfig(**{"grid": (64, 64), "pad": (128, 128), **kwargs})
+
+    def test_case_numbers_normalized(self):
+        # an int and a float p are one experiment, so they give one hash
+        ints = ExperimentConfig(cases=(CaseSpec("l1", 1, 1e-3, False),))
+        floats = ExperimentConfig(cases=(CaseSpec("l1", 1.0, 1e-3, False),))
+        assert ints.cases[0].p == 1.0 and type(ints.cases[0].p) is float
+        assert _config_hash(ints) == _config_hash(floats)
+
+    @pytest.mark.parametrize("args", [
+        ("l1", 1.0, 1e-3, 0),
+        ("l1", 1.0, 1e-3, np.True_),
+        ("l1", 3.0, 1e-3, False),
+        ("l1", "1", 1e-3, False),
+        ("l1", 1.0, 0.0, False),
+        ("l1", 1.0, "1e-3", False),
+        ("", 1.0, 1e-3, False),
+        (None, 1.0, 1e-3, False),
+    ])
+    def test_bad_case_rejected(self, args):
+        with pytest.raises(ParameterError):
+            CaseSpec(*args)
+
+    def test_cases_must_be_case_specs(self):
+        for cases in ((("l1", 1.0, 1e-3, False),), (), [DEFAULT_CASES[0], None]):
+            with pytest.raises(ParameterError):
+                ExperimentConfig(cases=cases)
 
     def test_numpy_reals_accepted(self):
         cfg = ExperimentConfig(total_photons=np.float32(1e4), smoothing_sigma=np.int64(0),
@@ -158,6 +185,19 @@ class TestPoissonNoise:
             add_poisson_noise(np.ones((3, 3)), 0.0, seed=0)
         with pytest.raises(ParameterError):
             add_poisson_noise(np.zeros((3, 3)), 10.0, seed=0)
+
+    def test_rate_beyond_the_sampler_rejected(self):
+        # numpy draws Poisson counts only for rates up to about 9.2e18
+        with pytest.raises(ParameterError, match="too large"):
+            add_poisson_noise(np.ones((3, 3)), 1e308, seed=0)
+        with pytest.raises(ParameterError, match="too large"):
+            add_poisson_noise(np.ones((3, 3)), 9e19, seed=0)
+        assert add_poisson_noise(np.ones((3, 3)), 9e18, seed=0).max_expected_count == 1e18
+
+    @pytest.mark.parametrize("seed", [2.7, True, "2", -1])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError):
+            add_poisson_noise(np.ones((3, 3)), 10.0, seed=seed)
 
 
 class TestPeakCounting:

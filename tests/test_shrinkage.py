@@ -275,10 +275,7 @@ class TestScalarWeights:
                                    shrink_asymmetric(x, full, np.full(x.size, 2.0 * c), p))
             z = x.astype(complex)
             z.imag = x[::-1]
-            # an infinite modulus gives inf/inf in the phase factor, a NaN
-            # output (for some inputs with a warning) on either weight form
-            with np.errstate(invalid="ignore"):
-                assert self.same_bytes(shrink_complex(z, c, p), shrink_complex(z, full, p))
+            assert self.same_bytes(shrink_complex(z, c, p), shrink_complex(z, full, p))
 
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, np.float64(np.nan), -0.0])
@@ -334,6 +331,45 @@ class TestShrinkComplex:
             radial = shrink_p(r, 0.8, p)
             np.testing.assert_allclose(out, radial * np.exp(1j * theta),
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_infinite_modulus(self, p):
+        # the scale S(r)/r tends to 1 for p < 2 and is 1/(1 + w) at p = 2,
+        # applied to each part; finite entries beside the infinite ones
+        # shrink as they do on their own (at p = 3/2 an infinite entry moves
+        # the others to the hypot form of the root, which may differ in the
+        # last bit)
+        z = np.array([complex(np.inf, 1.0), complex(0.0, np.inf),
+                      complex(np.inf, -np.inf), 0.3 - 2.5j, -1.0 + 0.5j])
+        out = shrink_complex(z, 0.8, p)
+        limit = z[:3] if p < 2.0 else np.array([complex(np.inf, 1.0 / 1.8), complex(0.0, np.inf),
+                                                 complex(np.inf, -np.inf)])
+        np.testing.assert_array_equal(out[:3], limit)
+        np.testing.assert_allclose(out[3:], shrink_complex(z[3:], 0.8, p), rtol=1e-15)
+        for point, expected in zip(z[:3], limit):
+            assert shrink_complex(point, 0.8, p) == expected
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 1.999999, 2.0])
+    def test_finite_point_whose_modulus_overflows(self, p):
+        # |z| is above the float limit though both parts are finite
+        z = np.array([complex(1.5e308, 1.5e308), complex(-1.5e308, 1.2e308)])
+        w = 0.8
+        out = shrink_complex(z, w, p)
+        assert np.all(np.isfinite(out))
+        if p == 2.0:
+            # S(x) = x / (1 + w), up to the rounding of the scale S(r)/r
+            np.testing.assert_allclose(out.real, z.real / (1.0 + w), rtol=1e-15)
+            np.testing.assert_allclose(out.imag, z.imag / (1.0 + w), rtol=1e-15)
+        # the phase is kept and F(|out|) = |z|, checked at a quarter of the
+        # moduli: y/4 + (w p / 2) (y/4)^(p-1) 4^(p-2) = r/4
+        np.testing.assert_allclose(out.imag / out.real, z.imag / z.real, rtol=1e-14)
+        y4 = np.hypot(out.real / 4, out.imag / 4)
+        r4 = np.hypot(z.real / 4, z.imag / 4)
+        np.testing.assert_allclose(y4 + 0.5 * w * p * y4 ** (p - 1) * 4.0 ** (p - 2), r4,
+                                   rtol=1e-13)
+        assert np.all(y4 <= r4)
+        for point, expected in zip(z, out):
+            assert shrink_complex(point, w, p) == expected
 
 
 class TestShrinkAsymmetric:
