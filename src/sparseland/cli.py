@@ -3,9 +3,12 @@
 Three subcommands: ``solve`` runs the iteration on data and an operator
 loaded from files, ``experiment`` runs the blurred-sources pipeline, and
 ``bounds`` evaluates the multiplier schedule and error-bound
-calculators. Every option can also come from a flat ``key=value`` config
-file (UTF-8, ``#`` comments); explicit command line flags win over
-config entries, which win over built-in defaults.
+calculators. Each subcommand declares its options once, as (key,
+converter, help) rows: the flag is the key with ``-`` for ``_``, and a
+flat ``key=value`` config file (UTF-8, ``#`` comments) may give the same
+key, passed through the same converter. Flags win over config entries.
+An option given neither way is left out of the library call, so the
+library's own default applies.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ def parse_config_file(path) -> dict:
 
 
 def _parse_bool(text: str) -> bool:
+    """Config value of an on/off option; its flag takes no value."""
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -73,28 +77,79 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"expected a boolean, got {text!r}")
 
 
-def _merge(args: argparse.Namespace, schema: dict) -> dict:
-    """Combine CLI flags (priority), config file, and defaults."""
-    config_values = {}
-    if getattr(args, "config", None):
-        config_values = parse_config_file(args.config)
-    unknown = set(config_values) - set(schema)
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+def _operator_kind(text: str) -> str:
+    if text not in ("diagonal", "dense", "convolution"):
+        raise argparse.ArgumentTypeError("expected one of diagonal, dense, convolution")
+    return text
+
+
+_SOLVE_OPTIONS = (
+    ("operator", _operator_kind, "diagonal, dense or convolution"),
+    ("operator_file", str, "text file with diagonal entries or a dense matrix"),
+    ("data", str, "data file (.grid binary or whitespace text)"),
+    ("weights", str, "text file with one weight per coefficient"),
+    ("p", float, "penalty exponent in [1, 2] (default 1)"),
+    ("mu", float, "penalty multiplier"),
+    ("iterations", int, "iteration cap"),
+    ("step_tolerance", float, "stop once a step is this small relative to the start"),
+    ("project_nonnegative", _parse_bool, "clip each iterate at zero"),
+    ("wavelet", str, "family:levels; solve in wavelet coefficients"),
+    ("besov_s", float, "smoothness order for scale weights (wavelet mode)"),
+    ("pad", int, "padded FFT size (convolution; default twice the larger data side)"),
+    ("radius_fraction", float, "low-pass radius as a fraction of Nyquist (convolution)"),
+    ("output_dir", str, "directory for solution.grid and trace.csv"),
+)
+
+_EXPERIMENT_OPTIONS = (
+    ("grid", int, "square grid size (>= 64)"),
+    ("pad", int, "padded FFT size"),
+    ("photons", float, "expected total photon count"),
+    ("iterations", int, "iterations per case"),
+    ("seed", int, "seed of the Poisson draw"),
+    ("radius_fraction", float, "low-pass radius as a fraction of Nyquist"),
+    ("cases", str, "comma list from: " + ",".join(c.name for c in DEFAULT_CASES)),
+    ("p", float, "run a single custom case at this p"),
+    ("mu", float, "multiplier for the custom case"),
+    ("project_nonnegative", _parse_bool, "clip the custom case's iterates at zero"),
+    ("output_dir", str, "directory for the run's files"),
+)
+
+_BOUNDS_OPTIONS = (
+    ("epsilon", float, "noise level"),
+    ("rho", float, "penalty-norm prior radius"),
+    ("p", float, "penalty exponent in [1, 2] (default 1)"),
+    ("mu", float, "override the balanced multiplier"),
+    ("envelope_file", str, "text file with columns b B w"),
+    ("alpha", float, "envelope decay order"),
+    ("sigma", float, "weight growth order"),
+    ("a_lower", float, "lower envelope amplitude"),
+    ("a_upper", float, "upper envelope amplitude"),
+    ("output", str, "also write the report to this file"),
+)
+
+
+def _merge(args: argparse.Namespace, options) -> dict:
+    """Flags over config entries; an option given neither way is absent."""
     merged = {}
-    for key, (convert, default) in schema.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config_values:
+    if hasattr(args, "config"):
+        converters = {key: convert for key, convert, _ in options}
+        entries = parse_config_file(args.config)
+        unknown = set(entries) - set(converters)
+        if unknown:
+            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, text in entries.items():
             try:
-                merged[key] = convert(config_values[key])
-            except ValueError as exc:
+                merged[key] = converters[key](text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ParameterError(
                     f"{args.config}: config key {key!r}: {exc}") from None
-        else:
-            merged[key] = default
+    merged.update((key, getattr(args, key)) for key, _, _ in options if hasattr(args, key))
     return merged
+
+
+def _given(opt: dict, **fields: str) -> dict:
+    """Library keyword arguments field=opt[key] for the keys that were given."""
+    return {field: opt[key] for field, key in fields.items() if key in opt}
 
 
 def _parse_wavelet(text: str):
@@ -121,165 +176,53 @@ def _load_array(path: str) -> np.ndarray:
     return _load_text(path)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sparseland",
-        description="Penalized least-squares inversion by thresholded "
-        "Landweber iteration.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="run the iteration on operator/data files")
-    ps.add_argument("--config", help="key=value config file")
-    ps.add_argument("--operator", choices=("diagonal", "dense", "convolution"))
-    ps.add_argument("--operator-file", dest="operator_file",
-                    help="text file with diagonal entries or a dense matrix")
-    ps.add_argument("--data", help="data file (.grid binary or whitespace text)")
-    ps.add_argument("--weights", help="text file with one weight per coefficient")
-    ps.add_argument("--p", type=float, help="penalty exponent in [1, 2]")
-    ps.add_argument("--mu", type=float, help="penalty multiplier")
-    ps.add_argument("--iterations", type=int, help="iteration cap")
-    ps.add_argument("--step-tolerance", dest="step_tolerance", type=float)
-    ps.add_argument("--project-nonnegative", dest="project_nonnegative",
-                    action="store_const", const=True,
-                    help="clip each iterate at zero")
-    ps.add_argument("--wavelet", help="family:levels; solve in wavelet coefficients")
-    ps.add_argument("--besov-s", dest="besov_s", type=float,
-                    help="smoothness order for scale weights (wavelet mode)")
-    ps.add_argument("--pad", type=int, help="padded FFT size (convolution operator)")
-    ps.add_argument("--radius-fraction", dest="radius_fraction", type=float)
-    ps.add_argument("--output-dir", dest="output_dir")
-
-    pe = sub.add_parser("experiment", help="blurred-sources Poisson experiment")
-    pe.add_argument("--config", help="key=value config file")
-    pe.add_argument("--grid", type=int, help="square grid size (>= 64)")
-    pe.add_argument("--pad", type=int, help="padded FFT size")
-    pe.add_argument("--photons", type=float, help="expected total photon count")
-    pe.add_argument("--iterations", type=int)
-    pe.add_argument("--seed", type=int)
-    pe.add_argument("--radius-fraction", dest="radius_fraction", type=float)
-    pe.add_argument("--cases", help="comma list from: "
-                    + ",".join(c.name for c in DEFAULT_CASES))
-    pe.add_argument("--p", type=float, help="run a single custom case at this p")
-    pe.add_argument("--mu", type=float, help="multiplier for the custom case")
-    pe.add_argument("--project-nonnegative", dest="project_nonnegative",
-                    action="store_const", const=True)
-    pe.add_argument("--output-dir", dest="output_dir")
-
-    pb = sub.add_parser("bounds", help="schedule and error-bound calculators")
-    pb.add_argument("--config", help="key=value config file")
-    pb.add_argument("--epsilon", type=float, help="noise level")
-    pb.add_argument("--rho", type=float, help="penalty-norm prior radius")
-    pb.add_argument("--p", type=float)
-    pb.add_argument("--mu", type=float, help="override the balanced multiplier")
-    pb.add_argument("--envelope-file", dest="envelope_file",
-                    help="text file with columns b B w")
-    pb.add_argument("--alpha", type=float, help="envelope decay order")
-    pb.add_argument("--sigma", type=float, help="weight growth order")
-    pb.add_argument("--a-lower", dest="a_lower", type=float)
-    pb.add_argument("--a-upper", dest="a_upper", type=float)
-    pb.add_argument("--output", help="also write the report to this file")
-    return parser
-
-
-_SOLVE_SCHEMA = {
-    "operator": (str, None),
-    "operator_file": (str, None),
-    "data": (str, None),
-    "weights": (str, None),
-    "p": (float, 1.0),
-    "mu": (float, None),
-    "iterations": (int, 10000),
-    "step_tolerance": (float, 1e-8),
-    "project_nonnegative": (_parse_bool, False),
-    "wavelet": (str, None),
-    "besov_s": (float, None),
-    "pad": (int, None),
-    "radius_fraction": (float, 0.1),
-    "output_dir": (str, None),
-}
-
-_EXPERIMENT_SCHEMA = {
-    "grid": (int, 256),
-    "pad": (int, 512),
-    "photons": (float, 10000.0),
-    "iterations": (int, 2000),
-    "seed": (int, 7),
-    "radius_fraction": (float, 0.1),
-    "cases": (str, ",".join(c.name for c in DEFAULT_CASES)),
-    "p": (float, None),
-    "mu": (float, None),
-    "project_nonnegative": (_parse_bool, False),
-    "output_dir": (str, None),
-}
-
-_BOUNDS_SCHEMA = {
-    "epsilon": (float, None),
-    "rho": (float, None),
-    "p": (float, 1.0),
-    "mu": (float, None),
-    "envelope_file": (str, None),
-    "alpha": (float, None),
-    "sigma": (float, None),
-    "a_lower": (float, None),
-    "a_upper": (float, None),
-    "output": (str, None),
-}
-
-
 def _require(options: dict, *keys: str):
-    missing = [k for k in keys if options[k] is None]
+    missing = [k for k in keys if k not in options]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ParameterError(f"missing required option(s): {flags}")
 
 
-def _cmd_solve(args) -> int:
-    opt = _merge(args, _SOLVE_SCHEMA)
+def _cmd_solve(opt: dict) -> int:
     _require(opt, "operator", "data", "mu", "output_dir")
     data = _load_array(opt["data"])
-    g = data.ravel()
 
-    if opt["operator"] == "diagonal":
-        _require(opt, "operator_file")
-        K = DiagonalOperator(np.atleast_1d(_load_array(opt["operator_file"])).ravel())
-    elif opt["operator"] == "dense":
-        _require(opt, "operator_file")
-        K = DenseOperator(np.atleast_2d(_load_array(opt["operator_file"])))
-    else:
+    if opt["operator"] == "convolution":
         if data.ndim != 2:
             raise ParameterError("convolution operator needs 2-d data")
-        pad = opt["pad"] or 2 * max(data.shape)
-        K = Convolution2DOperator(data.shape, (pad, pad), opt["radius_fraction"])
+        pad = opt.get("pad", 2 * max(data.shape))
+        K = Convolution2DOperator(data.shape, (pad, pad),
+                                  **_given(opt, radius_fraction="radius_fraction"))
+    else:
+        _require(opt, "operator_file")
+        entries = _load_array(opt["operator_file"])
+        K = (DiagonalOperator(np.atleast_1d(entries).ravel())
+             if opt["operator"] == "diagonal" else DenseOperator(np.atleast_2d(entries)))
 
-    mu = opt["mu"]
-    scale = 1.0
-    if not (K.norm_bound < 1.0):
-        renormalized = renormalize(K, g)
-        K, g, scale = renormalized.operator, renormalized.data, renormalized.scale
-        mu = mu * renormalized.mu_scale
+    renormalized = renormalize(K, data.ravel())
+    K, g = renormalized.operator, renormalized.data
+    mu = opt["mu"] * renormalized.mu_scale
 
     wavelet = None
-    if opt["wavelet"]:
+    if "wavelet" in opt:
         wavelet = _parse_wavelet(opt["wavelet"])
         K = conjugated_operator(K, wavelet)
 
-    if opt["weights"]:
+    p = opt.get("p", 1.0)
+    if "weights" in opt:
         weights = WeightSequence(np.atleast_1d(_load_array(opt["weights"])).ravel())
-    elif opt["besov_s"] is not None:
+    elif "besov_s" in opt:
         if wavelet is None:
             raise ParameterError("--besov-s needs --wavelet")
-        bspec = BesovWeightSpec(s=opt["besov_s"], p=opt["p"], d=len(K.shape))
+        bspec = BesovWeightSpec(s=opt["besov_s"], p=p, d=len(K.shape))
         weights = besov_weights(bspec, K.scales)
     else:
         weights = WeightSequence.uniform(K.domain_len)
 
-    spec = PenaltySpec(p=opt["p"], weights=weights, mu=mu)
+    spec = PenaltySpec(p=p, weights=weights, mu=mu)
     config = SolverConfig(
-        max_iterations=opt["iterations"],
-        step_tolerance=opt["step_tolerance"],
-        projection="nonnegative" if opt["project_nonnegative"] else None,
+        **_given(opt, max_iterations="iterations", step_tolerance="step_tolerance"),
+        projection="nonnegative" if opt.get("project_nonnegative") else None,
     )
     result = solve(g, K, spec, config)
 
@@ -291,7 +234,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "final_objective": float(result.trace.objectives[-1]),
         "fixed_point_residual": result.fixed_point_residual,
-        "renormalization_scale": scale,
+        "renormalization_scale": renormalized.scale,
     }
     solution = result.minimizer.values
     if wavelet is not None:
@@ -312,31 +255,24 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    opt = _merge(args, _EXPERIMENT_SCHEMA)
+def _cmd_experiment(opt: dict) -> int:
     _require(opt, "output_dir")
-    if opt["p"] is not None or opt["mu"] is not None:
+    fields = _given(opt, radius_fraction="radius_fraction", total_photons="photons",
+                    iterations="iterations", seed="seed")
+    fields.update((key, (opt[key], opt[key])) for key in ("grid", "pad") if key in opt)
+    if "p" in opt or "mu" in opt:
         _require(opt, "p", "mu")
-        cases = (CaseSpec("custom", opt["p"], opt["mu"],
-                          bool(opt["project_nonnegative"])),)
-    else:
+        fields["cases"] = (CaseSpec("custom", opt["p"], opt["mu"],
+                                    opt.get("project_nonnegative", False)),)
+    elif "cases" in opt:
         known = {c.name: c for c in DEFAULT_CASES}
         names = [n.strip() for n in opt["cases"].split(",") if n.strip()]
         bad = [n for n in names if n not in known]
         if bad:
             raise ParameterError(f"unknown case name(s) {bad}; "
                                  f"choose from {sorted(known)}")
-        cases = tuple(known[n] for n in names)
-    config = ExperimentConfig(
-        grid=(opt["grid"], opt["grid"]),
-        pad=(opt["pad"], opt["pad"]),
-        radius_fraction=opt["radius_fraction"],
-        total_photons=opt["photons"],
-        iterations=opt["iterations"],
-        seed=opt["seed"],
-        cases=cases,
-        output_dir=opt["output_dir"],
-    )
+        fields["cases"] = tuple(known[n] for n in names)
+    config = ExperimentConfig(output_dir=opt["output_dir"], **fields)
     result = run_experiment(config)
     for case in config.cases:
         info = result.manifest["cases"][case.name]
@@ -347,12 +283,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    opt = _merge(args, _BOUNDS_SCHEMA)
+def _cmd_bounds(opt: dict) -> int:
     _require(opt, "epsilon", "rho")
     noise = NoisePrior(epsilon=opt["epsilon"], rho=opt["rho"])
-    p = opt["p"]
-    mu = opt["mu"] if opt["mu"] is not None else mu_schedule(noise, p)
+    p = opt.get("p", 1.0)
+    mu = opt["mu"] if "mu" in opt else mu_schedule(noise, p)
     eps_primed, rho_primed = primed_radii(noise, mu, p)
     lines = [
         f"epsilon={noise.epsilon:.12g}",
@@ -362,7 +297,7 @@ def _cmd_bounds(args) -> int:
         f"eps_primed={eps_primed:.12g}",
         f"rho_primed={rho_primed:.12g}",
     ]
-    if opt["envelope_file"]:
+    if "envelope_file" in opt:
         table = np.atleast_2d(_load_text(opt["envelope_file"]))
         if table.shape[1] != 3:
             raise ParameterError("envelope file needs three columns: b B w")
@@ -371,31 +306,54 @@ def _cmd_bounds(args) -> int:
         lower, upper = modulus_bounds(env, weights, p, noise)
         lines.append(f"modulus_lower={lower:.12g}")
         lines.append(f"modulus_upper={upper:.12g}")
-    rate_params = [opt["alpha"], opt["sigma"], opt["a_lower"], opt["a_upper"]]
-    if any(v is not None for v in rate_params):
-        _require(opt, "alpha", "sigma", "a_lower", "a_upper")
-        rate_lower, rate_upper = besov_modulus_rate(
-            opt["alpha"], opt["sigma"], opt["a_lower"], opt["a_upper"], noise
-        )
+    rate_keys = ("alpha", "sigma", "a_lower", "a_upper")
+    if any(key in opt for key in rate_keys):
+        _require(opt, *rate_keys)
+        rate_lower, rate_upper = besov_modulus_rate(*(opt[k] for k in rate_keys), noise)
         lines.append(f"rate_lower={rate_lower:.12g}")
         lines.append(f"rate_upper={rate_upper:.12g}")
     report = "\n".join(lines)
     print(report)
-    if opt["output"]:
+    if "output" in opt:
         Path(opt["output"]).write_text(report + "\n", encoding="utf-8")
     return 0
 
 
+# subcommand -> (handler, help, option rows)
+_COMMANDS = {
+    "solve": (_cmd_solve, "run the iteration on operator/data files", _SOLVE_OPTIONS),
+    "experiment": (_cmd_experiment, "blurred-sources Poisson experiment",
+                   _EXPERIMENT_OPTIONS),
+    "bounds": (_cmd_bounds, "schedule and error-bound calculators", _BOUNDS_OPTIONS),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sparseland",
+        description="Penalized least-squares inversion by thresholded "
+        "Landweber iteration.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # options left off the command line stay out of the namespace
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="key=value config file")
+        for key, convert, text in options:
+            flag = "--" + key.replace("_", "-")
+            if convert is _parse_bool:
+                sp.add_argument(flag, action="store_true", help=text)
+            else:
+                sp.add_argument(flag, type=convert, help=text)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "experiment": _cmd_experiment,
-        "bounds": _cmd_bounds,
-    }
+    args = _build_parser().parse_args(argv)
+    handler, _, options = _COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
+        return handler(_merge(args, options))
     except (ParameterError, AlignmentError, ContractViolationError,
             DescentViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

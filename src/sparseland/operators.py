@@ -41,8 +41,6 @@ class LinearOperatorHandle:
 
     Attributes
     ----------
-    kind : str
-        Payload tag ("diagonal", "dense", "convolution", ...).
     domain_len, image_len : int
         Lengths of flat input and output vectors.
     norm_bound : float
@@ -52,8 +50,6 @@ class LinearOperatorHandle:
     domain_dims : tuple or None
         Grid shape of the domain for image-valued operators.
     """
-
-    kind = "abstract"
 
     def __init__(self, domain_len: int, image_len: int, norm_bound: float,
                  domain_dims: Optional[Tuple[int, ...]] = None,
@@ -65,25 +61,14 @@ class LinearOperatorHandle:
                             else tuple(check_count(d, "domain_dims") for d in domain_dims))
         self.domain_dtype = domain_dtype
 
-    def _check_domain(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f)
-        if f.ndim > 1:
-            f = f.ravel()
-        if f.shape != (self.domain_len,):
-            raise AlignmentError(
-                f"operator domain has length {self.domain_len}, got {f.size}"
-            )
-        return f
-
-    def _check_image(self, g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g)
-        if g.ndim > 1:
-            g = g.ravel()
-        if g.shape != (self.image_len,):
-            raise AlignmentError(
-                f"operator image has length {self.image_len}, got {g.size}"
-            )
-        return g
+    def _check(self, x, length: int, side: str) -> np.ndarray:
+        """x as a flat vector of ``length`` numbers, by check_array's dtype rule."""
+        x = check_array(x, side, complex_ok=True)
+        if x.ndim > 1:
+            x = x.ravel()
+        if x.shape != (length,):
+            raise AlignmentError(f"{side} has length {length}, got {x.size}")
+        return x
 
     def apply(self, f) -> np.ndarray:
         raise NotImplementedError
@@ -94,8 +79,6 @@ class LinearOperatorHandle:
 
 class DiagonalOperator(LinearOperatorHandle):
     """Componentwise multiplication by a fixed sequence."""
-
-    kind = "diagonal"
 
     def __init__(self, entries):
         entries = check_array(entries, "diagonal entries", complex_ok=True)
@@ -110,16 +93,14 @@ class DiagonalOperator(LinearOperatorHandle):
                          float(np.max(np.abs(entries))), domain_dtype=dtype)
 
     def apply(self, f):
-        return self.entries * self._check_domain(f)
+        return self.entries * self._check(f, self.domain_len, "operator domain")
 
     def adjoint(self, g):
-        return self._conj_entries * self._check_image(g)
+        return self._conj_entries * self._check(g, self.image_len, "operator image")
 
 
 class DenseOperator(LinearOperatorHandle):
     """Explicit matrix; norm bound from an exact spectral norm."""
-
-    kind = "dense"
 
     def __init__(self, matrix):
         matrix = check_array(matrix, "matrix entries", complex_ok=True)
@@ -136,16 +117,14 @@ class DenseOperator(LinearOperatorHandle):
                          domain_dtype=dtype)
 
     def apply(self, f):
-        return self.matrix @ self._check_domain(f)
+        return self.matrix @ self._check(f, self.domain_len, "operator domain")
 
     def adjoint(self, g):
-        return self._adjoint @ self._check_image(g)
+        return self._adjoint @ self._check(g, self.image_len, "operator image")
 
 
 class ScaledOperator(LinearOperatorHandle):
     """A fixed multiple of another operator (used by renormalize)."""
-
-    kind = "scaled"
 
     def __init__(self, base: LinearOperatorHandle, factor: float, norm_bound: float):
         self.base = base
@@ -208,8 +187,6 @@ class Convolution2DOperator(LinearOperatorHandle):
     point spread function is nonnegative (an intensity pattern), so the
     map preserves nonnegativity up to roundoff.
     """
-
-    kind = "convolution"
 
     def __init__(self, grid: Tuple[int, int], pad: Tuple[int, int],
                  radius_fraction: float = 0.1, peak_response: float = 0.999):
@@ -275,12 +252,12 @@ class Convolution2DOperator(LinearOperatorHandle):
         return out[:, : self.grid[1]]
 
     def apply(self, f):
-        return self._convolve(self._check_domain(f))
+        return self._convolve(self._check(f, self.domain_len, "operator domain"))
 
     def adjoint(self, g):
         # the frequency response is real and even, so the operator is
         # self-adjoint
-        return self._convolve(self._check_image(g))
+        return self._convolve(self._check(g, self.image_len, "operator image"))
 
     def point_spread_function(self) -> np.ndarray:
         """Spatial response to a unit impulse, centered on the padded grid."""

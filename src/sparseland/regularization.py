@@ -193,20 +193,17 @@ def modulus_bounds(env: SpectralEnvelope, weights: WeightSequence, p: float,
     eps, rho = noise.epsilon, noise.rho
     w = weights.w
 
-    lower = float(np.max(np.minimum(rho * w ** (-1.0 / p), eps / np.sqrt(env.B))))
-
+    # split k = 0..n puts the k indices with the largest b in the
+    # data-controlled part; an empty part contributes nothing to its term
     order = np.argsort(env.b, kind="stable")
-    b_sorted = env.b[order]
-    wq_sorted = (w ** (2.0 / p))[order]
-    prefix_min_w = np.minimum.accumulate(wq_sorted)
-    n = len(env)
-    best = np.inf
-    for k in range(n + 1):
-        # Gamma_1 = the k indices with the largest b; empty parts
-        # contribute nothing to their term
-        term_data = eps**2 / b_sorted[n - k] if k >= 1 else 0.0
-        term_prior = rho**2 / prefix_min_w[n - k - 1] if k < n else 0.0
-        best = min(best, term_data + term_prior)
+    with np.errstate(over="ignore", divide="ignore"):
+        # an overflowing term, or one over an underflowed weight, is inf
+        # and loses the min
+        lower = float(np.max(np.minimum(rho * w ** (-1.0 / p), eps / np.sqrt(env.B))))
+        prefix_min_w = np.minimum.accumulate((w ** (2.0 / p))[order])
+        term_data = np.float64(eps) ** 2 / env.b[order][::-1]
+        term_prior = np.float64(rho) ** 2 / prefix_min_w[::-1]
+    best = np.min(np.append(0.0, term_data) + np.append(term_prior, 0.0))
     upper = float(np.sqrt(best))
     return lower, upper
 

@@ -32,6 +32,8 @@ __all__ = [
 # exponents within this distance of 1, 3/2 or 2 use the closed form
 _P_SNAP = 1e-12
 _MAX_ROOT_ITERATIONS = 400
+# the Newton solve works at a quarter scale above this input
+_QUARTER_ABOVE = 2.0**1022
 
 
 def _real_array(x, name="input") -> np.ndarray:
@@ -102,9 +104,18 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     including p close to 1 where the root in y-space sits near the
     underflow threshold. Roots below the smallest denormal come back as
     exactly zero.
+
+    G at the start can reach about 2t, which overflows for t near the
+    float limit; components with t > 2^1022 are solved at t/4 with
+    a 4^(p-2), whose root is a quarter of theirs.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.broadcast_to(np.asarray(a, dtype=np.float64), t.shape)
+    big = t > _QUARTER_ABOVE
+    quarter = big.any()
+    if quarter:
+        t = np.where(big, 0.25 * t, t)
+        a = np.where(big, a * 4.0 ** (p - 2.0), a)
     active = t > 0.0
     tol = 1e-14 * (1.0 + t)
     # one errstate for the whole solve: the start, the Newton updates and
@@ -142,7 +153,11 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
         else:
             if np.any(active):
                 raise ContractViolationError("shrinkage root finder failed to converge")
-        return np.exp(u)
+        y = np.exp(u)
+        if quarter:
+            # 4 y may round past the float limit; shrink_p caps it at t
+            y = np.where(big, 4.0 * y, y)
+    return y
 
 
 def shrink_p(x, w, p):
@@ -169,7 +184,8 @@ def shrink_p(x, w, p):
         y = _root_three_halves(t, w)
     else:
         y = _invert_fp(t, 0.5 * w * p, p)
-    out = np.sign(arr) * y
+    # S(t) <= t, but a root within rounding of t can land an ulp above it
+    out = np.sign(arr) * np.minimum(y, t)
     return out if out.ndim else float(out)
 
 
@@ -177,8 +193,8 @@ def shrink_complex(z, w, p):
     """Shrink the modulus, keep the phase: S(r e^{i theta}) = S(r) e^{i theta}.
 
     Where r overflows, S(r)/r is taken from r/4, since S_w(r) = 4 S_v(r/4)
-    with v = w 4^(p-2) (a half would overflow the root finder), or, for
-    r/4 = inf, as its limit: 1 for p < 2, 1/(1 + w) at p = 2.
+    with v = w 4^(p-2), or, for r/4 = inf, as its limit: 1 for p < 2,
+    1/(1 + w) at p = 2.
     """
     arr = np.asarray(z)
     if arr.dtype.kind != "c":
@@ -195,7 +211,7 @@ def shrink_complex(z, w, p):
         w = np.broadcast_to(_check_weight(w, arr.shape), arr.shape)[big]
         r4 = np.hypot(0.25 * a.real, 0.25 * a.imag)
         with np.errstate(invalid="ignore"):
-            s = np.minimum(shrink_p(r4, w * 4.0 ** (p - 2.0), p) / r4, 1.0)
+            s = shrink_p(r4, w * 4.0 ** (p - 2.0), p) / r4
         s = np.where(np.isinf(r4), 1.0 / (1.0 + w) if abs(p - 2.0) <= _P_SNAP else 1.0, s)
         # each part on its own: the complex product forms inf * 0
         out.real[big], out.imag[big] = a.real * s, a.imag * s

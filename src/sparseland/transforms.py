@@ -330,8 +330,6 @@ class WaveletConjugatedOperator(LinearOperatorHandle):
     domain, ready for :func:`besov_weights`.
     """
 
-    kind = "wavelet-conjugated"
-
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
         shape = base.domain_dims or (base.domain_len,)
         _check_shape(shape, spec)
@@ -344,11 +342,11 @@ class WaveletConjugatedOperator(LinearOperatorHandle):
         super().__init__(base.domain_len, base.image_len, base.norm_bound)
 
     def apply(self, z):
-        z = self._check_domain(z)
+        z = self._check(z, self.domain_len, "operator domain")
         return self.base.apply(idwt_array(z, self.spec, self.shape).ravel())
 
     def adjoint(self, v):
-        v = self._check_image(v)
+        v = self._check(v, self.image_len, "operator image")
         back = np.asarray(self.base.adjoint(v)).reshape(self.shape)
         return dwt_array(back, self.spec)
 

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from sparseland import __version__, shrinkage
+from sparseland import __version__, cli, shrinkage
 from sparseland.cli import main, parse_config_file
 from sparseland.errors import ParameterError
+from sparseland.experiment import ExperimentConfig
 from sparseland.gridio import read_grid, read_trace_csv, write_grid
+from sparseland.operators import Convolution2DOperator
+from sparseland.solver import SolverConfig
 from sparseland.transforms import WaveletSpec, idwt_array
 
 
@@ -48,6 +51,110 @@ class TestConfigFile:
         assert "p=1" in out  # built-in default survives
         assert main(["bounds", "--config", str(cfg), "--epsilon", "0.5"]) == 0
         assert "epsilon=0.5" in capsys.readouterr().out
+
+    def test_misspelled_choice_exits_2(self, tmp_path, capsys):
+        # the flag's choice check applies to the config entry too
+        data = tmp_path / "data.grid"
+        write_grid(data, np.ones((8, 8)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("operator=diagnoal\n")
+        code = main(["solve", "--config", str(cfg), "--data", str(data), "--mu", "0.1",
+                     "--iterations", "2", "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'operator'" in err and str(cfg) in err
+        assert "expected one of diagonal, dense, convolution" in err
+
+
+# (subcommand, key, converter) for every option row of every subcommand
+OPTION_ROWS = [(command, key, convert)
+               for command, (_, _, rows) in cli._COMMANDS.items()
+               for key, convert, _ in rows]
+# converter -> (a valid value, a malformed value); str options take any text
+SAMPLES = {float: ("0.25", "abc"), int: ("3", "2.5"),
+           cli._operator_kind: ("dense", "diagnoal"), cli._parse_bool: ("yes", "maybe")}
+
+
+def merged_options(argv):
+    args = cli._build_parser().parse_args(argv)
+    return cli._merge(args, cli._COMMANDS[args.command][2])
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command, key, convert",
+                             [row for row in OPTION_ROWS if row[2] is not str])
+    def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                    command, key, convert):
+        bad = SAMPLES[convert][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={bad}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and str(cfg) in err
+        if convert is cli._parse_bool:
+            return  # an on/off flag takes no value
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, bad])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, convert", OPTION_ROWS)
+    def test_flag_and_config_entry_parse_alike(self, tmp_path, command, key, convert):
+        good = SAMPLES.get(convert, ("some text",))[0]
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={good}\n")
+        from_config = merged_options([command, "--config", str(cfg)])
+        from_flag = merged_options([command, flag] if convert is cli._parse_bool
+                                   else [command, flag, good])
+        assert from_flag == from_config == {key: convert(good)}
+        assert type(from_flag[key]) is type(from_config[key])
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_options_given_neither_way_are_absent(self, command):
+        assert merged_options([command]) == {}
+
+
+class Captured(Exception):
+    pass
+
+
+class TestLibraryDefaults:
+    """With no tuning option the CLI builds the library's default configs."""
+
+    def test_solve_builds_the_default_solver_config(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_solve(g, K, spec, config):
+            seen.update(K=K, spec=spec, config=config)
+            raise Captured
+
+        monkeypatch.setattr(cli, "solve", fake_solve)
+        data = tmp_path / "data.grid"
+        write_grid(data, np.ones((8, 8)))
+        with pytest.raises(Captured):
+            main(["solve", "--operator", "convolution", "--data", str(data),
+                  "--mu", "0.1", "--output-dir", str(tmp_path / "o")])
+        assert seen["config"] == SolverConfig()
+        default = Convolution2DOperator((8, 8), (16, 16))
+        assert seen["K"].radius_fraction == default.radius_fraction
+        assert seen["K"].pad == (16, 16)  # twice the larger data side
+        assert seen["spec"].p == 1.0 and seen["spec"].mu == 0.1
+
+    def test_experiment_builds_the_default_experiment_config(self, tmp_path,
+                                                             monkeypatch):
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            raise Captured
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        out = str(tmp_path / "o")
+        with pytest.raises(Captured):
+            main(["experiment", "--output-dir", out])
+        assert seen == [ExperimentConfig(output_dir=out)]
 
 
 class TestBounds:

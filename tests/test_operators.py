@@ -449,7 +449,7 @@ class TestSvdModel:
             SvdModel(np.array([-0.1]))
         m = SvdModel(np.array([0.9, 0.5, 0.0]))
         assert len(m) == 3
-        assert m.operator().kind == "diagonal"
+        assert isinstance(m.operator(), DiagonalOperator)
 
     def test_threshold_solve_hand_value(self):
         m = SvdModel(np.array([0.5]))
@@ -477,3 +477,34 @@ class TestSvdModel:
             thresholded_svd_solve(SvdModel(np.array([0.5])), np.ones(2), 0.1)
         with pytest.raises(ParameterError):
             thresholded_svd_solve(SvdModel(np.array([0.5])), np.ones(1), 0.0)
+
+
+def _every_operator_kind():
+    """One operator of each kind, on an 8 x 8 grid where one applies."""
+    from sparseland.transforms import WaveletSpec, conjugated_operator
+    conv = Convolution2DOperator((8, 8), (16, 16), 0.3)
+    return {
+        "diagonal": DiagonalOperator(np.full(64, 0.5)),
+        "dense": DenseOperator(np.eye(64) * 0.5),
+        "convolution": conv,
+        "scaled": ScaledOperator(conv, 0.5, norm_bound=0.5),
+        "wavelet-conjugated": conjugated_operator(conv, WaveletSpec("haar", 2)),
+    }
+
+
+class TestInputDtype:
+    @pytest.mark.parametrize("kind", sorted(_every_operator_kind()))
+    @pytest.mark.parametrize("bad", [np.ones(64, dtype=bool), np.full(64, "1.0")],
+                             ids=["bool", "string"])
+    @pytest.mark.parametrize("side", ["apply", "adjoint"])
+    def test_non_number_input_raises(self, kind, bad, side):
+        K = _every_operator_kind()[kind]
+        with pytest.raises(ParameterError, match="must be numbers"):
+            getattr(K, side)(bad)
+
+    @pytest.mark.parametrize("kind", sorted(_every_operator_kind()))
+    def test_integer_input_passes(self, kind):
+        K = _every_operator_kind()[kind]
+        ints, floats = np.ones(64, dtype=int), np.ones(64)
+        np.testing.assert_array_equal(K.apply(ints), K.apply(floats))
+        np.testing.assert_array_equal(K.adjoint(ints), K.adjoint(floats))

@@ -164,6 +164,47 @@ class TestModulusBounds:
             assert lo <= exact * (1.0 + 1e-9)
             assert exact <= hi * (1.0 + 1e-9)
 
+    def test_overflowing_term_loses_the_min_quietly(self):
+        # eps^2 / 1e-10 overflows; pytest turns a RuntimeWarning into an error
+        env = SpectralEnvelope(np.array([1e-10, 1.0]), np.array([1e-10, 1.0]))
+        lo, hi = modulus_bounds(env, WeightSequence(np.array([1.0, 1.0])), 2.0,
+                                NoisePrior(1e150, 1.0))
+        assert hi == 1.0  # the all-prior split: rho / sqrt(min w)
+        assert lo <= hi
+        # w^(-1/p) overflows for a subnormal weight in the lower bound
+        env = SpectralEnvelope(np.array([0.25, 1.0]), np.array([0.25, 1.0]))
+        lo, hi = modulus_bounds(env, WeightSequence(np.array([1e-310, 1.0])), 1.0,
+                                NoisePrior(0.1, 1.0))
+        assert lo == 0.2  # eps / sqrt(B) wins against the infinite prior term
+        assert lo <= hi
+
+    def test_matches_the_loop_over_splits(self):
+        def reference_upper(env, w, p, noise):
+            eps, rho = noise.epsilon, noise.rho
+            order = np.argsort(env.b, kind="stable")
+            b_sorted = env.b[order]
+            prefix_min_w = np.minimum.accumulate((w ** (2.0 / p))[order])
+            n = len(env)
+            best = np.inf
+            for k in range(n + 1):
+                term_data = eps**2 / b_sorted[n - k] if k >= 1 else 0.0
+                term_prior = rho**2 / prefix_min_w[n - k - 1] if k < n else 0.0
+                best = min(best, term_data + term_prior)
+            return float(np.sqrt(best))
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            # repeated b values exercise the stable sort
+            b = rng.choice(10.0 ** rng.uniform(-6, 0, size=n), size=n)
+            env = SpectralEnvelope(b, b * rng.uniform(1.0, 3.0, size=n))
+            w = 10.0 ** rng.uniform(-3, 3, size=n)
+            p = float(rng.uniform(1.0, 2.0))
+            noise = NoisePrior(float(10.0 ** rng.uniform(-4, 1)),
+                               float(10.0 ** rng.uniform(-1, 2)))
+            _, hi = modulus_bounds(env, WeightSequence(w), p, noise)
+            assert hi == reference_upper(env, w, p, noise)
+
     def test_alignment(self):
         env = SpectralEnvelope(np.ones(2), np.ones(2))
         with pytest.raises(AlignmentError):

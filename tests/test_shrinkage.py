@@ -213,6 +213,23 @@ class TestShrinkP:
         b = shrink_p(x + d, w, p)
         assert abs(a - b) <= d + 1e-12 * (1.0 + d)
 
+    def test_near_the_float_limit(self):
+        # t + a t^(p-1) overflows at the start of the solve; it runs at t/4
+        y = shrink_p(1e308, 0.8, 1.999999)
+        assert 0.0 < y < 1e308
+        # y = e^u with u near 707, so y is only as fine as one ulp of u
+        # (1.1e-13 relative)
+        assert forward_map(y, 0.8, 1.999999) == pytest.approx(1e308, rel=1e-13)
+        # the shift is far below an ulp of t: the root rounds to t itself
+        # (the Newton solve and the p = 3/2 closed form each gave t + 1 ulp)
+        assert shrink_p(1e307, 0.8, 1.3) == 1e307
+        assert shrink_p(1.25e38, 0.8, 1.5) == 1.25e38
+        x = np.array([1.5e308, -4.6e307, np.finfo(float).max, 1e300, 1.18e247, 1.0])
+        for p in (1.01, 1.3, 1.5, 1.7, 1.999999):
+            for w in (1e-300, 0.8, 1e300):
+                y = shrink_p(x, w, p)
+                assert np.all(np.abs(y) <= np.abs(x)) and np.all(y * np.sign(x) >= 0.0)
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
