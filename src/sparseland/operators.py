@@ -8,6 +8,13 @@ rescales an arbitrary problem by the bound so it is. The concrete kinds
 are diagonal maps, dense matrices and zero-padded FFT convolutions on
 2-d grids. Frame synthesis, z -> sum_n z_n psi_n, is the dense operator
 on the stacked frame vectors, ``DenseOperator(vectors.T)``.
+
+Besides apply and adjoint, every operator has ``normal(f) = K*K f``, the
+one product the iteration needs per step. It defaults to
+``adjoint(apply(f))``; a convolution in matrix form computes it from the
+Gram matrices of its truncated DFT bases in one pass (see
+:class:`Convolution2DOperator`), a circular one with the squared
+response, and a scaled operator as ``factor**2`` times its base's.
 """
 
 from __future__ import annotations
@@ -76,6 +83,10 @@ class LinearOperatorHandle:
     def adjoint(self, g) -> np.ndarray:
         raise NotImplementedError
 
+    def normal(self, f) -> np.ndarray:
+        """K*K f, the normal operator; kinds with a cheaper form override it."""
+        return self.adjoint(self.apply(f))
+
 
 class DiagonalOperator(LinearOperatorHandle):
     """Componentwise multiplication by a fixed sequence."""
@@ -139,6 +150,9 @@ class ScaledOperator(LinearOperatorHandle):
     def adjoint(self, g):
         return self.factor * self.base.adjoint(g)
 
+    def normal(self, f):
+        return (self.factor * self.factor) * self.base.normal(f)
+
 
 class Convolution2DOperator(LinearOperatorHandle):
     """Low-pass filtering of a 2-d grid, a cropped zero-padded convolution.
@@ -170,7 +184,12 @@ class Convolution2DOperator(LinearOperatorHandle):
       response tiled 2 x 2, weighted 2 for each ``k > 0`` (standing for
       ``+-k``) and divided by ``pad[0] * pad[1]``. That is four small
       real GEMMs and no FFT; the band stops short of Nyquist, so no
-      Nyquist weight is needed.
+      Nyquist weight is needed. The normal operator K*K (= K K, the
+      operator is self-adjoint) is ``Fy^T (H * (Gy (H * (Fy X Fx^T))
+      Gx)) Fx`` with the Gram matrices ``Gy = Fy Fy^T`` and ``Gx = Fx
+      Fx^T`` stored at construction: six GEMMs instead of eight. The
+      Gram matrices carry the crop between the two convolutions, so K*K
+      is *not* the convolution with the squared response.
     * Pruned FFT form otherwise: rfft of the ``grid[0]`` data rows
       (padding to ``pad[1]`` implicitly), column FFTs of the band only,
       the ``pad[0] x band`` response, and inverse transforms keeping just
@@ -178,7 +197,10 @@ class Convolution2DOperator(LinearOperatorHandle):
       It stays for wide bands, where the GEMMs' cost grows with the band
       and the FFTs' does not. The circular convolution at ``pad == grid``
       usually has one: at 256 x 256 and radius 0.3 it keeps 77 of 129
-      rfft columns and rows, and the FFT form is the faster there.
+      rfft columns and rows, and the FFT form is the faster there. With
+      ``pad == grid`` nothing is cropped, so the normal operator is one
+      pass with the squared response; with a larger pad it is
+      ``adjoint(apply(f))``.
 
     ``matrix_form`` tells which one the operator uses. Both compute the
     same map up to roundoff.
@@ -224,29 +246,37 @@ class Convolution2DOperator(LinearOperatorHandle):
             wx = np.where(kx == 0, 1.0, 2.0)
             self._hhat = (self.filter[np.ix_(ky, kx)] * np.outer(wy, wx)
                           / (pad[0] * pad[1]))
+            self._gy = self._fy @ self._fy.T
+            self._gx = self._fx @ self._fx.T
+        elif pad == grid:
+            self._rfilter_sq = self._rfilter * self._rfilter
         super().__init__(grid[0] * grid[1], grid[0] * grid[1], self.peak_response,
                          domain_dims=grid)
 
-    def _convolve(self, f: np.ndarray) -> np.ndarray:
+    def _convolve(self, f: np.ndarray, normal: bool = False) -> np.ndarray:
+        """K f, or K*K f when ``normal`` (matrix form or ``pad == grid`` only)."""
         if f.dtype.kind == "c":
             # the response is real, so it filters both parts separately
-            return self._convolve(f.real) + 1j * self._convolve(f.imag)
+            return self._convolve(f.real, normal) + 1j * self._convolve(f.imag, normal)
         x = f.reshape(self.grid)
         if self.matrix_form:
             # a strided view (the real part of a complex array) would take
             # a non-BLAS matmul whose roundoff differs from the contiguous one
-            return self._convolve_matrix(np.ascontiguousarray(x)).ravel()
-        return self._convolve_fft(x).ravel()
+            return self._convolve_matrix(np.ascontiguousarray(x), normal).ravel()
+        return self._convolve_fft(x, normal).ravel()
 
-    def _convolve_matrix(self, x: np.ndarray) -> np.ndarray:
+    def _convolve_matrix(self, x: np.ndarray, normal: bool = False) -> np.ndarray:
         spectrum = self._fy @ x @ self._fx.T
         spectrum *= self._hhat
+        if normal:
+            spectrum = self._gy @ spectrum @ self._gx
+            spectrum *= self._hhat
         return self._fy.T @ spectrum @ self._fx
 
-    def _convolve_fft(self, x: np.ndarray) -> np.ndarray:
+    def _convolve_fft(self, x: np.ndarray, normal: bool = False) -> np.ndarray:
         rows = scipy.fft.rfft(x, n=self.pad[1], axis=1)
         spectrum = scipy.fft.fft(rows[:, : self.band], n=self.pad[0], axis=0)
-        spectrum *= self._rfilter
+        spectrum *= self._rfilter_sq if normal else self._rfilter
         rows = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[: self.grid[0]]
         out = scipy.fft.irfft(rows, n=self.pad[1], axis=1)
         return out[:, : self.grid[1]]
@@ -258,6 +288,11 @@ class Convolution2DOperator(LinearOperatorHandle):
         # the frequency response is real and even, so the operator is
         # self-adjoint
         return self._convolve(self._check(g, self.image_len, "operator image"))
+
+    def normal(self, f):
+        if not (self.matrix_form or self.pad == self.grid):
+            return super().normal(f)
+        return self._convolve(self._check(f, self.domain_len, "operator domain"), True)
 
     def point_spread_function(self) -> np.ndarray:
         """Spatial response to a unit impulse, centered on the padded grid."""
@@ -326,11 +361,12 @@ def renormalize(K: LinearOperatorHandle, g, target: float = 0.999) -> Renormaliz
 
 def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0,
                       tol: float = 1e-10) -> dict:
-    """Probe the adjoint pairing and the norm bound with random vectors.
+    """Probe the adjoint pairing, the normal operator and the norm bound.
 
-    Raises ContractViolationError if <Kf, g> != <f, K*g> beyond ``tol``
-    (relative) or ||Kf|| exceeds norm_bound * ||f|| beyond roundoff slack.
-    Returns the worst observed defects for reporting.
+    Raises ContractViolationError if <Kf, g> != <f, K*g> or
+    normal(f) != adjoint(apply(f)) beyond ``tol`` (relative), or if ||Kf||
+    exceeds norm_bound * ||f|| beyond roundoff slack. Returns the worst
+    observed defects for reporting.
     """
     n_probes = check_count(n_probes, "n_probes")
     tol = check_real(tol, "tol", lower="nonnegative")
@@ -344,6 +380,7 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
         return v
 
     worst_adjoint = 0.0
+    worst_normal = 0.0
     worst_excess = 0.0
     for _ in range(n_probes):
         f = draw(K.domain_len)
@@ -359,6 +396,15 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
             raise ContractViolationError(
                 f"adjoint pairing defect {defect:.3e} exceeds {tol:.1e}"
             )
+        reference = K.adjoint(kf)
+        defect = (float(np.linalg.norm(K.normal(f) - reference))
+                  / max(float(np.linalg.norm(reference)), 1.0))
+        worst_normal = max(worst_normal, defect)
+        if defect > tol:
+            raise ContractViolationError(
+                f"normal operator differs from adjoint(apply) by {defect:.3e}, "
+                f"beyond {tol:.1e}"
+            )
         nf = np.linalg.norm(f)
         excess = float(np.linalg.norm(kf) - K.norm_bound * nf)
         worst_excess = max(worst_excess, excess)
@@ -366,7 +412,8 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
             raise ContractViolationError(
                 f"norm bound {K.norm_bound} violated by {excess:.3e} on a probe"
             )
-    return {"worst_adjoint_defect": worst_adjoint, "worst_norm_excess": worst_excess}
+    return {"worst_adjoint_defect": worst_adjoint, "worst_normal_defect": worst_normal,
+            "worst_norm_excess": worst_excess}
 
 
 @dataclass(frozen=True)

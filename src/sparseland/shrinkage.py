@@ -103,7 +103,8 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     started on the G >= 0 side converges monotonically for every input,
     including p close to 1 where the root in y-space sits near the
     underflow threshold. Roots below the smallest denormal come back as
-    exactly zero.
+    exactly zero. One final Newton step in y refines e^u, whose accuracy
+    is one ulp of u.
 
     G at the start can reach about 2t, which overflows for t near the
     float limit; components with t > 2^1022 are solved at t/4 with
@@ -154,6 +155,12 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
             if np.any(active):
                 raise ContractViolationError("shrinkage root finder failed to converge")
         y = np.exp(u)
+        # y is only as fine as one ulp of u, about 1e-13 relative for
+        # large t; one Newton step in y itself takes it to roundoff. Zero
+        # (v / y = nan) and infinite roots keep their value
+        v = a * y ** (p - 1.0)
+        y_next = y - ((y - t) + v) / (1.0 + (p - 1.0) * v / y)
+        y = np.where((y_next > 0.0) & np.isfinite(y_next), y_next, y)
         if quarter:
             # 4 y may round past the float limit; shrink_p caps it at t
             y = np.where(big, 4.0 * y, y)

@@ -2,15 +2,19 @@
 
 One step from the current iterate f is
 
-    f_next = S( f + K*(g - K f) )
+    f_next = S( f + K*(g - K f) ) = S( f + b - A f )
 
-where S is the componentwise shrinkage with effective weights mu * w.
-Each step minimizes the decoupled surrogate anchored at f, so the
-objective never increases as long as the certified norm bound < 1
-actually holds; the solver treats an observed increase as a broken
-contract and aborts. The iterates converge
-to a minimizer of the objective, and a point is a minimizer exactly when
-it is a fixed point of the step map.
+where S is the componentwise shrinkage with effective weights mu * w,
+A = K*K is the normal operator and b = K*g is fixed. Each step
+minimizes the decoupled surrogate anchored at f, so the objective never
+increases as long as the certified norm bound < 1 actually holds; the
+solver treats an observed increase as a broken contract and aborts. The
+iterates converge to a minimizer of the objective, and a point is a
+minimizer exactly when it is a fixed point of the step map.
+
+The loop iterates on the normal operator: one ``K.normal`` call per
+iteration, plus one ``K.apply`` at the returned point that re-anchors
+the discrepancy (see :func:`solve`).
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ __all__ = [
 # relative slack applied to the monotonicity check; anything beyond this
 # is treated as a contract violation, not roundoff
 _DESCENT_SLACK = 1e-12
+# the running discrepancy may drift from the re-anchored one by this much
+# relative to 1 + the starting objective; a wrong normal operator drifts further
+_ANCHOR_SLACK = 1e-10
 
 STATUS_STEP = "converged_step"
 STATUS_MAX = "max_iterations"
@@ -90,7 +97,9 @@ class SolveTrace:
     d = f_{k+1} - f_k (for complex iterates this may differ from
     np.linalg.norm(d) at roundoff). surrogates[k] is the surrogate value
     of iterate k+1 anchored at iterate k, so descent shows up as
-    objectives[k+1] <= surrogates[k] <= objectives[k].
+    objectives[k+1] <= surrogates[k] <= objectives[k]. The first and
+    last discrepancies are evaluated exactly; those in between are the
+    solver's running sum, exact up to roundoff relative to the first.
     """
 
     objectives: np.ndarray
@@ -117,9 +126,9 @@ class SolveResult:
 
 
 class _Step:
-    """The step map f -> P(S(f + K*(g - K f))) of one problem.
+    """The step map f -> P(S(f + b - A f)) of one problem, b = K*g, A = K*K.
 
-    Built once per problem. It holds the effective shrinkage weights
+    Built once per problem. It holds b, the effective shrinkage weights
     mu * w (a (plus, minus) pair for asymmetric weights) and the optional
     nonnegativity projection P. Effective weights that are all one
     finite positive number are held as that Python float, which the
@@ -128,12 +137,13 @@ class _Step:
     it is checked here, once, and weights that fail stay an array for
     the shrink to reject. The float broadcasts to the same value in
     every element, so outputs are bit-for-bit those of the array. Calls
-    take the residual g - K f, so a caller that already has it pays only
-    the adjoint.
+    take A f, so a caller that already holds it pays no operator call,
+    and return the stepped point with r = b - A f.
     """
 
-    def __init__(self, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig):
-        self.K = K
+    def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
+                 config: SolverConfig):
+        self.b = K.adjoint(g)
         self.p = spec.p
         self.nonnegative = config.projection == "nonnegative"
         if spec.asymmetric is not None:
@@ -143,8 +153,9 @@ class _Step:
         else:
             self.weights = _effective_weights(spec.mu, spec.weights.w)
 
-    def __call__(self, f: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        h = f + self.K.adjoint(residual)
+    def __call__(self, f: np.ndarray, Af: np.ndarray):
+        r = self.b - Af
+        h = f + r
         # the dispatch calls shrink_* through this module's names, so a
         # wrapper installed on this module sees every shrink of a solve;
         # the shrink of a 1-d array is a 1-d array
@@ -156,7 +167,7 @@ class _Step:
             out = shrink_p(h, self.weights, self.p)
         if self.nonnegative:
             out = np.maximum(out, 0.0)
-        return out
+        return out, r
 
 
 def _effective_weights(mu: float, w: np.ndarray):
@@ -177,13 +188,14 @@ def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
     gv = as_coefficients(g)
     dtype = np.result_type(fv.values.dtype, gv.values.dtype, np.dtype(K.domain_dtype))
     _validate_problem(gv.values, K, spec, config, dtype.kind == "c")
-    step = _Step(K, spec, config)
-    return fv, step(fv.values, gv.values - K.apply(fv.values))
+    step = _Step(K, gv.values, spec, config)
+    out, _ = step(fv.values, K.normal(fv.values))
+    return fv, out
 
 
 def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
                  config: Optional[SolverConfig] = None) -> CoefficientVector:
-    """One shrinkage-thresholded Landweber step.
+    """One shrinkage-thresholded Landweber step, the step :func:`solve` takes.
 
     Honors the config's nonnegativity projection. With a tiny mu the
     result approaches the plain Landweber step f + K*(g - K f).
@@ -195,7 +207,8 @@ def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
 def fixed_point_residual(f, g, K: LinearOperatorHandle, spec: PenaltySpec) -> float:
     """Distance ||f - S(f + K*(g - K f))||; zero exactly at minimizers.
 
-    Validates the problem as iterate_step does.
+    Takes the step :func:`solve` takes and validates the problem as
+    iterate_step does.
     """
     fv, stepped = _checked_step(f, g, K, spec, SolverConfig())
     return float(np.linalg.norm(fv.values - stepped))
@@ -229,8 +242,23 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
 
     Returns the final iterate, the full trace, the stopping status
     ("converged_step" or "max_iterations"), and the fixed-point residual
-    ||f - T(f)|| of the returned point under the configured step map. That residual reuses the final g - K f the loop
-    already holds, so it costs one adjoint and no extra apply.
+    ||f - T(f)|| of the returned point under the configured step map.
+
+    Each iteration calls ``K.normal`` once, on the new iterate; the start
+    costs one apply, one adjoint (b = K*g) and one normal, and the end one
+    apply. With r = b - A f and the step d = f_new - f, the loop takes
+    A d = A f_new - A f and the objective change
+
+        Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,
+
+    which the descent check tests, and the surrogate is
+    obj_new + ||d||^2 - <d, A d>. The discrepancy is a running sum of
+    those changes from the exact start value. At the returned point one
+    apply re-anchors it: the last trace entry is the exact value, and a
+    running sum that drifted from it by more than 1e-10 (1 + the starting
+    objective) raises ContractViolationError, because only a normal
+    operator that is not K*K drifts that far. The fixed-point residual
+    reuses the held A f and costs no operator call.
     """
     config = config or SolverConfig()
     gv = as_coefficients(g)
@@ -250,14 +278,14 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     f = start.astype(dtype, copy=True)
     _validate_problem(gvals, K, spec, config, dtype.kind == "c")
 
-    step = _Step(K, spec, config)
+    step = _Step(K, gvals, spec, config)
     step_threshold = config.step_tolerance * (float(np.linalg.norm(start)) + 1.0)
 
-    Kf = K.apply(f)
-    residual = gvals - Kf
+    residual = gvals - K.apply(f)
     disc = float(np.vdot(residual, residual).real)
     pen = penalty_sum(f, spec)
     obj = disc + pen
+    Af = K.normal(f)
     objectives = [obj]
     discrepancies = [disc]
     penalties = [pen]
@@ -268,39 +296,49 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     status = STATUS_MAX
     for _ in range(config.max_iterations):
         t0 = time.perf_counter()
-        f_new = step(f, residual)
+        f_new, r = step(f, Af)
         diff = f_new - f
         quad = float(np.vdot(diff, diff).real)
         step_norm = math.sqrt(quad)
 
-        Kf_new = K.apply(f_new)
-        residual = gvals - Kf_new
-        disc = float(np.vdot(residual, residual).real)
-        pen = penalty_sum(f_new, spec)
-        obj_new = disc + pen
-        kdiff = Kf_new - Kf
-        surrogate = obj_new + quad - float(np.vdot(kdiff, kdiff).real)
+        Af_new = K.normal(f_new)
+        dAd = float(np.vdot(diff, Af_new - Af).real)
+        pen_new = penalty_sum(f_new, spec)
+        change = dAd - 2.0 * float(np.vdot(diff, r).real)
+        delta = change + (pen_new - pen)
+        disc += change
+        obj_new = disc + pen_new
 
         wall_times.append(time.perf_counter() - t0)
         objectives.append(obj_new)
         discrepancies.append(disc)
-        penalties.append(pen)
+        penalties.append(pen_new)
         step_norms.append(step_norm)
-        surrogates.append(surrogate)
+        surrogates.append(obj_new + quad - dAd)
 
-        if obj_new > obj + _DESCENT_SLACK * (1.0 + abs(obj)):
+        if delta > _DESCENT_SLACK * (1.0 + abs(obj)):
             raise DescentViolationError(
-                f"objective increased from {obj!r} to {obj_new!r} at iteration "
+                f"objective increased by {delta!r} from {obj!r} at iteration "
                 f"{len(step_norms)}; the certified norm bound "
                 f"{K.norm_bound} is false"
             )
 
-        f, Kf, obj = f_new, Kf_new, obj_new
+        f, Af, obj, pen = f_new, Af_new, obj_new, pen_new
         if step_norm <= step_threshold:
             status = STATUS_STEP
             break
 
-    fp_residual = float(np.linalg.norm(f - step(f, residual)))
+    residual = gvals - K.apply(f)
+    exact = float(np.vdot(residual, residual).real)
+    if abs(disc - exact) > _ANCHOR_SLACK * (1.0 + objectives[0]):
+        raise ContractViolationError(
+            f"running discrepancy {disc!r} differs from the exact {exact!r} at the "
+            f"returned point; K.normal is not K*K"
+        )
+    discrepancies[-1] = exact
+    objectives[-1] = exact + pen
+
+    fp_residual = float(np.linalg.norm(f - step(f, Af)[0]))
     trace = SolveTrace(
         objectives=np.asarray(objectives),
         discrepancies=np.asarray(discrepancies),

@@ -324,10 +324,11 @@ def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
 class WaveletConjugatedOperator(LinearOperatorHandle):
     """Pixel-domain operator viewed from the wavelet coefficient side.
 
-    apply = K_pixel o synthesis, adjoint = analysis o K_pixel*. The
-    transform is orthonormal, so the certified norm bound carries over
-    unchanged. The ``scales`` attribute aligns with the operator's
-    domain, ready for :func:`besov_weights`.
+    apply = K_pixel o synthesis, adjoint = analysis o K_pixel*, and
+    normal = analysis o K_pixel.normal o synthesis. The transform is
+    orthonormal, so the certified norm bound carries over unchanged. The
+    ``scales`` attribute aligns with the operator's domain, ready for
+    :func:`besov_weights`.
     """
 
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
@@ -349,6 +350,11 @@ class WaveletConjugatedOperator(LinearOperatorHandle):
         v = self._check(v, self.image_len, "operator image")
         back = np.asarray(self.base.adjoint(v)).reshape(self.shape)
         return dwt_array(back, self.spec)
+
+    def normal(self, z):
+        z = self._check(z, self.domain_len, "operator domain")
+        pixels = self.base.normal(idwt_array(z, self.spec, self.shape).ravel())
+        return dwt_array(np.asarray(pixels).reshape(self.shape), self.spec)
 
 
 def conjugated_operator(K_pixel: LinearOperatorHandle,

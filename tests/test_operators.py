@@ -438,6 +438,16 @@ class TestValidateOperator:
         report = validate_operator(DiagonalOperator(np.array([1.0j, 0.5 - 0.5j])))
         assert report["worst_adjoint_defect"] < 1e-12
 
+    def test_catches_wrong_normal(self):
+        class Skewed(DiagonalOperator):
+            def normal(self, f):
+                return 1.01 * super().normal(f)
+
+        report = validate_operator(DiagonalOperator(np.array([0.5, 0.25])))
+        assert report["worst_normal_defect"] == 0.0
+        with pytest.raises(ContractViolationError, match="normal"):
+            validate_operator(Skewed(np.array([0.5, 0.25])))
+
 
 class TestSvdModel:
     def test_validation(self):
@@ -508,3 +518,103 @@ class TestInputDtype:
         ints, floats = np.ones(64, dtype=int), np.ones(64)
         np.testing.assert_array_equal(K.apply(ints), K.apply(floats))
         np.testing.assert_array_equal(K.adjoint(ints), K.adjoint(floats))
+
+
+def _normal_kinds():
+    """One operator per kind and form the normal operator has, complex entries included."""
+    from sparseland.transforms import WaveletSpec, conjugated_operator
+    rng = np.random.default_rng(21)
+    matrix = Convolution2DOperator((5, 12), (10, 17), 0.35)
+    imaging = ExperimentConfig()
+    # the circular FFT form, as in the wavelet workload
+    circular = Convolution2DOperator((12, 12), (12, 12), 0.45)
+    return {
+        "diagonal": DiagonalOperator(np.linspace(-0.9, 0.8, 12)),
+        "diagonal-complex": DiagonalOperator(rng.normal(size=12) + 1j * rng.normal(size=12)),
+        "dense": DenseOperator(rng.normal(size=(9, 12))),
+        "dense-complex": DenseOperator(rng.normal(size=(15, 12))
+                                       + 1j * rng.normal(size=(15, 12))),
+        "convolution-matrix": matrix,
+        "convolution-matrix-quarter": Convolution2DOperator((8, 8), (16, 16), 0.3),
+        "convolution-matrix-circular": Convolution2DOperator((64, 64), (64, 64), 0.1),
+        "convolution-imaging": Convolution2DOperator(imaging.grid, imaging.pad,
+                                                     imaging.radius_fraction),
+        "convolution-fft-circular": Convolution2DOperator((7, 9), (7, 9), 0.3),
+        "convolution-fft-padded": Convolution2DOperator((12, 10), (24, 20), 0.45),
+        "scaled": ScaledOperator(matrix, 0.5, norm_bound=0.5),
+        "wavelet-conjugated": conjugated_operator(circular, WaveletSpec("db2", 2)),
+    }
+
+
+def _probe(K, rng, complex_input):
+    f = rng.normal(size=K.domain_len)
+    return f + 1j * rng.normal(size=K.domain_len) if complex_input else f
+
+
+class TestNormalOperator:
+    def test_every_form_is_covered(self):
+        kinds = _normal_kinds()
+        forms = [kinds[k].matrix_form for k in kinds if k.startswith("convolution")]
+        assert True in forms and False in forms
+        assert not kinds["wavelet-conjugated"].base.matrix_form
+        assert kinds["wavelet-conjugated"].base.pad == kinds["wavelet-conjugated"].base.grid
+
+    @pytest.mark.parametrize("kind", sorted(_normal_kinds()))
+    def test_matches_adjoint_of_apply(self, kind):
+        K = _normal_kinds()[kind]
+        rng = np.random.default_rng(22)
+        inputs = [False] if kind == "wavelet-conjugated" else [False, True]
+        for complex_input in inputs:
+            f = _probe(K, rng, complex_input)
+            ref = K.adjoint(K.apply(f))
+            out = K.normal(f)
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert validate_operator(K, n_probes=3)["worst_normal_defect"] <= 1e-13
+
+    @pytest.mark.parametrize("grid, pad, radius, matrix", [
+        ((5, 12), (10, 17), 0.35, True),
+        ((8, 8), (16, 16), 0.3, True),
+        ((16, 16), (16, 16), 0.1, True),
+        ((7, 9), (7, 9), 0.3, False),
+        ((12, 10), (24, 20), 0.45, False),
+    ])
+    def test_convolution_against_explicit_matrix(self, grid, pad, radius, matrix):
+        # K as an explicit matrix from full complex FFTs of each unit
+        # vector; K*K is its Gram matrix, not the convolution with the
+        # squared response unless pad == grid
+        K = Convolution2DOperator(grid, pad, radius_fraction=radius)
+        assert K.matrix_form is matrix
+        n = grid[0] * grid[1]
+        columns = []
+        for j in range(n):
+            padded = np.zeros(pad)
+            padded[np.unravel_index(j, grid)] = 1.0
+            conv = np.fft.ifft2(np.fft.fft2(padded) * K.filter).real
+            columns.append(conv[: grid[0], : grid[1]].ravel())
+        dense = np.column_stack(columns)
+        rng = np.random.default_rng(23)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = dense.T @ (dense @ f)
+        scale = np.abs(ref).max()
+        assert np.abs(K.normal(f) - ref).max() <= 1e-13 * scale
+        assert np.abs(K.normal(f.real) - ref.real).max() <= 1e-13 * scale
+        squared = np.fft.ifft2(np.fft.fft2(f.real.reshape(grid), s=pad) * K.filter**2)
+        squared = squared.real[: grid[0], : grid[1]].ravel()
+        if pad == grid:
+            assert np.abs(squared - ref.real).max() <= 1e-13 * scale
+        else:
+            assert np.abs(squared - ref.real).max() > 1e-3 * scale
+
+    def test_scaled_is_factor_squared_times_base(self):
+        base = DenseOperator(np.random.default_rng(24).normal(size=(5, 4)))
+        K = ScaledOperator(base, 0.25, norm_bound=0.25 * base.norm_bound)
+        f = np.arange(4.0)
+        np.testing.assert_array_equal(K.normal(f), 0.0625 * base.normal(f))
+
+    def test_checks_its_input(self):
+        for K in _every_operator_kind().values():
+            with pytest.raises(AlignmentError):
+                K.normal(np.ones(K.domain_len + 1))
+            with pytest.raises(ParameterError, match="must be numbers"):
+                K.normal(np.ones(K.domain_len, dtype=bool))

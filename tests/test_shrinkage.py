@@ -217,9 +217,9 @@ class TestShrinkP:
         # t + a t^(p-1) overflows at the start of the solve; it runs at t/4
         y = shrink_p(1e308, 0.8, 1.999999)
         assert 0.0 < y < 1e308
-        # y = e^u with u near 707, so y is only as fine as one ulp of u
-        # (1.1e-13 relative)
-        assert forward_map(y, 0.8, 1.999999) == pytest.approx(1e308, rel=1e-13)
+        # the Newton solve in u = log y (u near 707, one ulp 1.1e-13
+        # relative in y) ends with a Newton step in y, which reaches roundoff
+        assert forward_map(y, 0.8, 1.999999) == pytest.approx(1e308, rel=1e-14)
         # the shift is far below an ulp of t: the root rounds to t itself
         # (the Newton solve and the p = 3/2 closed form each gave t + 1 ulp)
         assert shrink_p(1e307, 0.8, 1.3) == 1e307

@@ -27,12 +27,16 @@ def random_contraction(rng, n, norm=0.9):
 
 
 class CountingDiagonal(DiagonalOperator):
-    """Diagonal operator that counts its apply and adjoint calls."""
+    """Diagonal operator that counts its apply, adjoint and normal calls.
+
+    A normal call is counted once, not as the apply and adjoint it runs.
+    """
 
     def __init__(self, entries):
         super().__init__(entries)
         self.applies = 0
         self.adjoints = 0
+        self.normals = 0
 
     def apply(self, f):
         self.applies += 1
@@ -41,6 +45,10 @@ class CountingDiagonal(DiagonalOperator):
     def adjoint(self, g):
         self.adjoints += 1
         return super().adjoint(g)
+
+    def normal(self, f):
+        self.normals += 1
+        return DiagonalOperator.adjoint(self, DiagonalOperator.apply(self, f))
 
 
 class TestSteps:
@@ -74,16 +82,18 @@ class TestSteps:
         with pytest.raises(ContractViolationError):
             iterate_step(np.array([0.0]), np.array([1.0]), K, spec)
 
-    def test_one_apply_and_adjoint_per_iteration(self):
-        # the initial residual costs one apply; the final fixed-point
-        # residual reuses the last residual and costs one adjoint
-        K = CountingDiagonal(np.array([0.5, 0.25, 0.8]))
+    def test_one_normal_per_iteration(self):
+        # the start costs one apply (the exact discrepancy), one adjoint
+        # (b = K* g) and one normal; each iteration one normal; the end one
+        # apply (the re-anchored discrepancy), and the fixed-point residual
+        # reuses the held A f
         spec = PenaltySpec.uniform(p=1.5, mu=0.1, n=3)
-        n = 7
-        res = solve(np.ones(3), K, spec,
-                    SolverConfig(max_iterations=n, step_tolerance=0.0))
-        assert res.iterations == n
-        assert (K.applies, K.adjoints) == (n + 1, n + 1)
+        for n in (1, 7):
+            K = CountingDiagonal(np.array([0.5, 0.25, 0.8]))
+            res = solve(np.ones(3), K, spec,
+                        SolverConfig(max_iterations=n, step_tolerance=0.0))
+            assert res.iterations == n
+            assert (K.applies, K.adjoints, K.normals) == (2, 1, n + 1)
 
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
     def test_every_shrink_goes_through_the_module_name(self, monkeypatch, p):
@@ -212,6 +222,75 @@ class TestDescent:
         with pytest.raises(DescentViolationError):
             solve(np.array([1.0, -1.0]), K, spec,
                   SolverConfig(max_iterations=50, step_tolerance=0.0))
+
+
+def _skewed(K):
+    """K, recast as a subclass whose normal operator is 1.01 K*K."""
+
+    class Skewed(type(K)):
+        def normal(self, f):
+            return 1.01 * super().normal(f)
+
+    K.__class__ = Skewed
+    return K
+
+
+def _solver_kinds():
+    """Every operator kind on 16 unknowns; the convolutions in matrix and in FFT form."""
+    from sparseland.operators import ScaledOperator
+    from sparseland.transforms import WaveletSpec, conjugated_operator
+
+    rng = np.random.default_rng(30)
+    M = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    return {
+        "diagonal": DiagonalOperator(np.linspace(0.2, 0.9, 16)),
+        "dense": random_contraction(rng, 16),
+        "dense-complex": DenseOperator(M * 0.9 / np.linalg.norm(M, 2)),
+        "convolution-matrix": Convolution2DOperator((4, 4), (8, 8), 0.4),
+        "convolution-fft": Convolution2DOperator((4, 4), (4, 4), 0.6),
+        "scaled": ScaledOperator(Convolution2DOperator((4, 4), (8, 8), 0.4), 0.8, 0.8),
+        "wavelet-conjugated": conjugated_operator(
+            Convolution2DOperator((4, 4), (4, 4), 0.6), WaveletSpec("haar", 1)),
+    }
+
+
+class TestNormalOperatorLoop:
+    @pytest.mark.parametrize("kind", sorted(_solver_kinds()))
+    def test_running_discrepancy_is_exact(self, kind):
+        # every trace entry, rebuilt from the iterates with apply
+        K = _solver_kinds()[kind]
+        g = np.linspace(-1.0, 2.0, 16)
+        if kind == "dense-complex":
+            g = g + 1j * np.linspace(1.0, -0.5, 16)
+        spec = PenaltySpec.uniform(p=1.0, mu=0.05, n=16)
+        config = SolverConfig(max_iterations=40, step_tolerance=0.0)
+        res = solve(g, K, spec, config)
+        f = np.zeros(16, dtype=res.minimizer.values.dtype)
+        exact = []
+        for _ in range(res.iterations + 1):
+            exact.append(objective(f, g, K, spec).discrepancy)
+            f = iterate_step(f, g, K, spec, config).values
+        scale = 1.0 + res.trace.objectives[0]
+        assert np.abs(res.trace.discrepancies - exact).max() <= 1e-13 * scale
+        assert res.trace.discrepancies[-1] == exact[-1]
+
+    @pytest.mark.parametrize("kind", sorted(_solver_kinds()))
+    def test_wrong_normal_rejected(self, kind):
+        K = _skewed(_solver_kinds()[kind])
+        g = np.linspace(-1.0, 2.0, 16)
+        spec = PenaltySpec.uniform(p=1.0, mu=0.05, n=16)
+        with pytest.raises(ContractViolationError, match="normal"):
+            solve(g, K, spec, SolverConfig(max_iterations=50, step_tolerance=0.0))
+
+    def test_final_residual_reuses_the_held_normal(self):
+        # the loop's fixed-point residual equals the standalone one bitwise
+        rng = np.random.default_rng(31)
+        K = random_contraction(rng, 8)
+        g = rng.normal(size=8)
+        spec = PenaltySpec.uniform(p=1.5, mu=0.2, n=8)
+        res = solve(g, K, spec, SolverConfig(max_iterations=30, step_tolerance=0.0))
+        assert res.fixed_point_residual == fixed_point_residual(
+            res.minimizer.values, g, K, spec)
 
 
 class TestStopping:
