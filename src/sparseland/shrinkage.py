@@ -34,6 +34,7 @@ _P_SNAP = 1e-12
 _MAX_ROOT_ITERATIONS = 400
 # the Newton solve works at a quarter scale above this input
 _QUARTER_ABOVE = 2.0**1022
+_SMALLEST_DENORMAL = 2.0**-1074
 
 
 def _real_array(x, name="input") -> np.ndarray:
@@ -118,7 +119,12 @@ def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
         t = np.where(big, 0.25 * t, t)
         a = np.where(big, a * 4.0 ** (p - 2.0), a)
     active = t > 0.0
-    tol = 1e-14 * (1.0 + t)
+    # relative to t, down to the resolution of G itself: a fixed absolute
+    # floor would stop small t before the first step, at the start, an
+    # upper bound; but where e^((p-1)u) is subnormal, a e^((p-1)u) moves
+    # in steps of a times the smallest denormal, and a relative tolerance
+    # alone is never met
+    tol = 1e-14 * t + (4.0 * _SMALLEST_DENORMAL) * (1.0 + a)
     # one errstate for the whole solve: the start, the Newton updates and
     # the final exponential all meet inf, zero and settled components
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -1,23 +1,34 @@
 """Orthonormal discrete wavelet transforms and smoothness weights.
 
-Periodized filter-bank transforms in 1-d and 2-d (separable, square
-decomposition) built from compactly supported orthonormal filters. Each
-level splits the last axis into lowpass (l) and highpass (h) halves,
-then the first; synthesis is the adjoint of that split. The flat band
-order is the coarsest scaling band, then the detail bands of each level
-from coarsest to finest: one band per level in 1-d, and lh, hl, hh in
-2-d, the first letter naming the filter along axis 1 and the second the
+Periodized transforms in 1-d and 2-d (separable, square decomposition)
+built from compactly supported orthonormal filters. Each level splits
+the last axis into lowpass (l) and highpass (h) halves, then the first;
+synthesis is the adjoint of that split. The flat band order is the
+coarsest scaling band, then the detail bands of each level from
+coarsest to finest: one band per level in 1-d, and lh, hl, hh in 2-d,
+the first letter naming the filter along axis 1 and the second the
 filter along axis 0. With H and G the periodic lowpass and highpass
 analysis matrices, one 2-d level of X gives H X H^T, G X H^T, H X G^T,
 G X G^T in that order.
 
-Both directions run in polyphase form along the axis itself: analysis
-extends the axis periodically and sums strided slices of its even and
-odd phases, one per filter tap; synthesis accumulates the two output
-phases out[0::2] and out[1::2] from shifted slices of the periodically
-extended bands. The extensions index modulo the axis length because at
-coarse levels a db3 or db4 filter is longer than the axis it splits,
-so a single wrap would not cover it.
+Both directions run as lifting steps (Daubechies & Sweldens, "Factoring
+wavelet transforms into lifting steps", J. Fourier Anal. Appl. 4(3),
+1998). A WaveletSpec factors the polyphase matrix of its filter pair
+by the Euclidean algorithm on Laurent polynomials into steps that add
+a short filter of one phase (even or odd samples) to the other, then
+a scaling of each phase. Analysis splits an axis into its two phases,
+runs the steps in place on them and scales; synthesis undoes the
+scaling, runs the steps backward with the opposite sign and
+interleaves. A step reads the other phase periodically, modulo the
+band length, so the factorization also holds at coarse levels where
+the band is shorter than the filter: it is an identity of Laurent
+polynomials, hence also one modulo z^m - 1. The shift the factorization
+leaves on each phase is folded into where analysis reads that phase
+and synthesis writes it, and the signs into the scaling, so the bands
+are the filter bank's entry for entry. During a transform the
+bands sit in place in one array, each level's in the corner the
+previous level's scaling band held; they are copied to or from the
+flat band order once.
 
 Every coefficient carries a scale label |lambda|, with the scaling band
 and the coarsest details at |lambda| = 0 and the finest details at
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,7 +61,10 @@ __all__ = [
     "conjugated_operator",
 ]
 
-_ORTHONORMALITY_TOL = 1e-12
+# bound on the orthonormality defects of a filter pair and on the
+# difference between its lifted and its direct analysis; lifting
+# coefficients below it are roundoff
+_FILTER_TOL = 1e-14
 
 
 def _lowpass_filter(family: str) -> np.ndarray:
@@ -74,21 +88,143 @@ def _lowpass_filter(family: str) -> np.ndarray:
             ]
         ) / (16.0 * s2)
     if family == "db4":
+        # minimum-phase spectral factor of the Daubechies polynomial for
+        # four vanishing moments, rounded from 60-digit arithmetic
         return np.array(
             [
-                0.23037781330885523,
-                0.7148465705525415,
-                0.6308807679295904,
-                -0.02798376941698385,
-                -0.18703481171888114,
-                0.030841381835986965,
-                0.032883011666982945,
-                -0.010597401784997278,
+                0.2303778133088965,
+                0.7148465705529157,
+                0.6308807679298589,
+                -0.027983769416859854,
+                -0.18703481171909309,
+                0.030841381835560764,
+                0.0328830116668852,
+                -0.010597401785069032,
             ]
         )
     raise ParameterError(
         f"unknown wavelet family {family!r}; available: haar/db1, db2, db3, db4"
     )
+
+
+class _Lifting(NamedTuple):
+    """A lifting factorization in the form analysis runs it.
+
+    Analysis takes the phases e[k] = x[2 (k + shift[0])] and
+    o[k] = x[2 (k + shift[1]) + 1] of an axis of length 2m, then for
+    each step ``(odd, terms)`` in order adds sum c * v[(k + s) mod m]
+    over its ``(c, s)`` terms to o[k] when ``odd`` (v = e) and to e[k]
+    otherwise (v = o), and ends with a = scale[0] * e, d = scale[1] * o.
+    """
+
+    steps: Tuple[Tuple[bool, Tuple[Tuple[float, int], ...]], ...]
+    scale: Tuple[float, float]
+    shift: Tuple[int, int]
+
+
+# Laurent polynomials are (lowest exponent, coefficient array) pairs
+
+
+def _poly_sub(p, q):
+    lo = min(p[0], q[0])
+    out = np.zeros(max(p[0] + p[1].size, q[0] + q[1].size) - lo)
+    out[p[0] - lo:p[0] - lo + p[1].size] += p[1]
+    out[q[0] - lo:q[0] - lo + q[1].size] -= q[1]
+    return lo, out
+
+
+def _divide(a, b, top: bool):
+    """Quotient q and remainder a - q b, the remainder shorter than b.
+
+    Laurent division is not unique: ``top`` clears the highest
+    len(a) - len(b) + 1 coefficients of a, otherwise the lowest.
+    """
+    nb = b[1].size
+    nq = a[1].size - nb + 1
+    r = a[1].copy()
+    q = np.zeros(nq)
+    for i in reversed(range(nq)) if top else range(nq):
+        q[i] = r[i + nb - 1] / b[1][-1] if top else r[i] / b[1][0]
+        r[i:i + nb] -= q[i] * b[1]
+    rest = (a[0], r[:nb - 1]) if top else (a[0] + nq, r[nq:])
+    return (a[0] - b[0], q), rest
+
+
+def _euclid(h: np.ndarray, g: np.ndarray, even_first: bool, top: bool):
+    """One run of the Euclidean algorithm on the polyphase matrix of (h, g).
+
+    The matrix is [[H_e, H_o], [G_e, G_o]] with H_e(z) = sum_q h[2q] z^q,
+    H_o(z) = sum_q h[2q + 1] z^q (z advances a sequence by one) and G
+    alike, so that [a; d] = P [x_e; x_o]. Dividing the longer of H_e,
+    H_o by the shorter is a column operation, P = P' L with L a lifting
+    step, and the run ends when H_o is zero and H_e a monomial. An
+    orthonormal pair has a monomial determinant, so G_o is then a
+    monomial too, and one last step clears G_e. ``even_first`` picks the
+    dividend when H_e and H_o are equally long, ``top`` the end the
+    first division clears; the ends then alternate. Returns None when
+    the run does not end that way.
+    """
+    A, B = (0, h[0::2]), (0, h[1::2])
+    C, D = (0, g[0::2]), (0, g[1::2])
+    steps = []
+    while A[1].size and B[1].size:
+        odd = A[1].size > B[1].size or (A[1].size == B[1].size and even_first)
+        if odd:  # o += q e
+            q, A = _divide(A, B, top)
+            C = _poly_sub(C, (q[0] + D[0], np.convolve(q[1], D[1])))
+        else:  # e += q o
+            q, B = _divide(B, A, top)
+            D = _poly_sub(D, (q[0] + C[0], np.convolve(q[1], C[1])))
+        steps.append((odd, q))
+        top = not top
+    if B[1].size or A[1].size != 1:
+        return None
+    # G_o is now a monomial up to roundoff, and G_e / G_o the last step
+    k = int(np.argmax(np.abs(D[1])))
+    beta, odd_scale = D[0] + k, D[1][k]
+    steps.append((True, (C[0] - beta, C[1] / odd_scale)))
+    # move the phase shifts of diag(H_e, G_o) in front of every step,
+    # diag(z^alpha, z^beta) L = L' diag(z^alpha, z^beta); coefficients
+    # within the tolerance of zero are roundoff and dropped
+    alpha = A[0]
+    folded = []
+    for odd, (lo, q) in steps:
+        lo += beta - alpha if odd else alpha - beta
+        terms = tuple((float(c), lo + i) for i, c in enumerate(q) if abs(c) > _FILTER_TOL)
+        if terms:
+            folded.append((odd, terms))
+    return _Lifting(tuple(folded), (float(A[1][0]), float(odd_scale)), (alpha, beta))
+
+
+def _factor(h: np.ndarray, g: np.ndarray) -> _Lifting:
+    """The lifting of (h, g) with the fewest terms, then the smallest coefficients.
+
+    Raises ParameterError when no run of the Euclidean algorithm ends
+    in a lifting, or when the lifted analysis differs from the direct
+    one by more than the tolerance. The check runs the lifting kernel
+    itself on the unit impulses of a period of 4 len(h) samples, long
+    enough that no coefficient of the polyphase matrix wraps around.
+    """
+    runs = [_euclid(h, g, even_first, top)
+            for even_first in (True, False) for top in (True, False)]
+    runs = [r for r in runs if r is not None]
+    if not runs:
+        raise ParameterError("filter pair has no lifting factorization")
+    lifting = min(runs, key=lambda r: (
+        sum(len(terms) for _, terms in r.steps),
+        max(abs(c) for c in r.scale + tuple(c for _, t in r.steps for c, _ in t))))
+    n = 4 * h.size
+    k = np.arange(n // 2)[:, None]
+    taps = (2 * k + np.arange(h.size)) % n
+    direct = np.zeros((n, n))
+    direct[k, taps] = h
+    direct[k + n // 2, taps] = g
+    lifted = np.empty((n, n))
+    _split(np.eye(n), lifted, 0, lifting, np.empty(3 * n * n // 2))
+    defect = float(np.max(np.abs(lifted - direct)))
+    if defect > _FILTER_TOL:
+        raise ParameterError(f"lifting steps miss the filter bank by {defect:.2e}")
+    return lifting
 
 
 @dataclass(frozen=True)
@@ -98,7 +234,9 @@ class WaveletSpec:
     Only periodic boundaries are supported; they are what keeps the
     transform exactly orthonormal on finite grids. The filter pair is
     validated at construction: unit energy, vanishing even-lag
-    autocorrelation, and lowpass sum sqrt(2), all to 1e-12.
+    autocorrelation, and lowpass sum sqrt(2), all to 1e-14. Its lifting
+    factorization, the ``lifting`` attribute, is derived from the
+    filters then and checked to reproduce them to 1e-14.
     """
 
     family: str = "db2"
@@ -117,15 +255,15 @@ class WaveletSpec:
         defects = [abs(np.dot(h, h) - 1.0), abs(h.sum() - np.sqrt(2.0))]
         for lag in range(2, h.size, 2):
             defects.append(abs(np.dot(h[:-lag], h[lag:])))
-        if max(defects) > _ORTHONORMALITY_TOL:
+        if max(defects) > _FILTER_TOL:
             raise ParameterError(
                 f"filter bank for {family!r} fails orthonormality by {max(defects):.2e}"
             )
-        h = h.copy()
         h.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "lowpass", h)
         object.__setattr__(self, "highpass", g)
+        object.__setattr__(self, "lifting", _factor(h, g))
 
 
 def _along(axis: int, index: slice) -> tuple:
@@ -133,47 +271,69 @@ def _along(axis: int, index: slice) -> tuple:
     return (slice(None),) * axis + (index,)
 
 
-def _analyze(x: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """Split one axis (even length n, periodic) into approximation/detail.
+def _phases(shape: Tuple[int, ...], axis: int, scratch: np.ndarray):
+    """Even phase, odd phase and a temporary of a split along `axis`.
 
-    Band entry k is sum_j h[j] x[(2k + j) mod n]. On the periodic
-    extension xe of x, tap j reads the strided slice xe[j : j + n : 2]:
-    the even (j = 2q) or odd (j = 2q + 1) phase shifted by q.
+    Each is contiguous in scratch and has `shape` with the axis halved.
     """
-    n = x.shape[axis]
-    xe = np.take(x, np.arange(n + h.size - 2) % n, axis=axis)
-    window = xe[_along(axis, slice(0, n, 2))]
-    a, d = h[0] * window, g[0] * window
-    for j in range(1, h.size):
-        window = xe[_along(axis, slice(j, j + n, 2))]
-        a += h[j] * window
-        d += g[j] * window
-    return a, d
+    half = shape[:axis] + (shape[axis] // 2,) + shape[axis + 1:]
+    size = prod(half)
+    return [scratch[i * size:(i + 1) * size].reshape(half) for i in range(3)]
 
 
-def _synthesize(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray,
-                axis: int) -> np.ndarray:
-    """Adjoint of _analyze along one axis, hence its inverse.
+def _run_steps(steps, phases, axis: int, sign: float):
+    """Lifting steps in place: v[k] += sign * sum c * u[(k + s) mod m].
 
-    Polyphase form: analysis reads x[2k + j] into band entry k, so the
-    adjoint sends tap j = 2q + r back onto output phase r (out[r::2]),
-    with the bands shifted by q. Each band is first extended periodically
-    by L/2 - 1 entries in front (L the filter length); the extension is
-    modular because at coarse levels the band can be shorter than that.
+    The phases are viewed as (before, m, after) around the axis. They
+    are contiguous, so a shift by s along m is a shift by s * after of
+    the flat array, right except in the last s rows along m of each
+    block, which are rewritten from the wrapped rows.
     """
-    m = a.shape[axis]
-    lag = h.size // 2 - 1
-    wrap = (np.arange(m + lag) - lag) % m
-    ae, de = np.take(a, wrap, axis=axis), np.take(d, wrap, axis=axis)
-    out = np.empty(a.shape[:axis] + (2 * m,) + a.shape[axis + 1:])
-    for r in (0, 1):
-        band = _along(axis, slice(lag, lag + m))
-        phase = h[r] * ae[band] + g[r] * de[band]
-        for q in range(1, h.size // 2):
-            band = _along(axis, slice(lag - q, lag - q + m))
-            phase += h[2 * q + r] * ae[band] + g[2 * q + r] * de[band]
-        out[_along(axis, slice(r, None, 2))] = phase
-    return out
+    e, o, t = (a.reshape(prod(a.shape[:axis]), a.shape[axis], -1) for a in phases)
+    m, after = t.shape[1:]
+    flat = t.reshape(-1)
+    for odd, terms in steps:
+        v, u = (o, e) if odd else (e, o)
+        for c, s in terms:
+            c, s = sign * c, s % m
+            if s:
+                np.multiply(u.reshape(-1)[s * after:], c, out=flat[:-s * after])
+                np.multiply(u[:, :s], c, out=t[:, m - s:])
+            else:
+                np.multiply(u, c, out=t)
+            v += t
+
+
+def _split(src: np.ndarray, dst: np.ndarray, axis: int, lifting: _Lifting,
+           scratch: np.ndarray):
+    """One analysis split along `axis`: dst gets [a | d] along it.
+
+    src has an even length 2m there and is read periodically; dst may be
+    src. scratch holds at least 3/2 src.size floats.
+    """
+    phases = _phases(src.shape, axis, scratch)
+    m = src.shape[axis] // 2
+    for r, phase in enumerate(phases[:2]):
+        s = lifting.shift[r] % m
+        phase[_along(axis, slice(0, m - s))] = src[_along(axis, slice(2 * s + r, None, 2))]
+        phase[_along(axis, slice(m - s, m))] = src[_along(axis, slice(r, 2 * s, 2))]
+    _run_steps(lifting.steps, phases, axis, 1.0)
+    for r, phase in enumerate(phases[:2]):
+        np.multiply(phase, lifting.scale[r], out=dst[_along(axis, slice(r * m, (r + 1) * m))])
+
+
+def _merge(x: np.ndarray, axis: int, lifting: _Lifting, scratch: np.ndarray):
+    """Inverse of _split in place: [a | d] along `axis` back to the signal."""
+    phases = _phases(x.shape, axis, scratch)
+    m = x.shape[axis] // 2
+    for r, phase in enumerate(phases[:2]):
+        np.multiply(x[_along(axis, slice(r * m, (r + 1) * m))], 1.0 / lifting.scale[r],
+                    out=phase)
+    _run_steps(reversed(lifting.steps), phases, axis, -1.0)
+    for r, phase in enumerate(phases[:2]):
+        s = lifting.shift[r] % m
+        x[_along(axis, slice(2 * s + r, None, 2))] = phase[_along(axis, slice(0, m - s))]
+        x[_along(axis, slice(r, 2 * s, 2))] = phase[_along(axis, slice(m - s, m))]
 
 
 def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
@@ -213,26 +373,49 @@ def _scale_labels(shape: Tuple[int, ...], spec: WaveletSpec) -> np.ndarray:
     return np.concatenate(labels)
 
 
+def _bands(shape: Tuple[int, ...], levels: int):
+    """Where each band sits in the transform's array, in flat band order.
+
+    Level j's split leaves its details beside the halved corner that
+    holds its scaling band; band b of a level is high along each axis
+    whose bit is set in b, axis 0 the lowest bit.
+    """
+    yield _corner(shape, levels)
+    for level in range(levels, 0, -1):
+        for b in range(1, 2 ** len(shape)):
+            yield tuple(slice(n >> level, 2 * (n >> level)) if b >> axis & 1
+                        else slice(0, n >> level) for axis, n in enumerate(shape))
+
+
+def _corner(shape: Tuple[int, ...], level: int) -> tuple:
+    """The region a level splits: its scaling band and its details."""
+    return tuple(slice(0, n >> level) for n in shape)
+
+
 def dwt_array(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Forward transform of a 1-d or 2-d array into flat band order."""
-    h, g = spec.lowpass, spec.highpass
     a = check_array(x, "wavelet transform input").astype(np.float64, copy=False)
     _check_shape(a.shape, spec)
-    details = []
-    for _ in range(spec.levels):
-        bands = [a]
+    work = np.empty(a.shape)
+    scratch = np.empty(3 * a.size // 2)
+    src = a
+    for level in range(spec.levels):
+        corner = _corner(a.shape, level)
         for axis in reversed(range(a.ndim)):
-            bands = [b for band in bands for b in _analyze(band, h, g, axis)]
-        a = bands[0]
-        details.append(bands[1:])
-    pieces = [a] + [b for level in reversed(details) for b in level]
-    return np.concatenate([b.ravel() for b in pieces])
+            _split(src[corner], work[corner], axis, spec.lifting, scratch)
+            src = work
+    out = np.empty(a.size)
+    pos = 0
+    for band in _bands(a.shape, spec.levels):
+        piece = work[band]
+        out[pos:pos + piece.size].reshape(piece.shape)[...] = piece
+        pos += piece.size
+    return out
 
 
 def idwt_array(values: np.ndarray, spec: WaveletSpec,
                shape: Tuple[int, ...]) -> np.ndarray:
     """Inverse (and adjoint) of dwt_array for the given original shape."""
-    h, g = spec.lowpass, spec.highpass
     values = check_array(values, "wavelet coefficients").astype(np.float64, copy=False)
     if values.ndim != 1:
         raise AlignmentError(
@@ -241,33 +424,33 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
     _check_shape(shape, spec)
     if values.size != prod(shape):
         raise AlignmentError(f"expected {prod(shape)} coefficients, got {values.size}")
-    J = spec.levels
-    details = 2 ** len(shape) - 1
-    sub = tuple(n >> J for n in shape)
-    pos = prod(sub)
-    a = values[:pos].reshape(sub)
-    for level in range(J, 0, -1):
-        sub = tuple(n >> level for n in shape)
-        size = details * prod(sub)
-        bands = [a, *values[pos : pos + size].reshape((details,) + sub)]
-        pos += size
+    work = np.empty(shape)
+    pos = 0
+    for band in _bands(shape, spec.levels):
+        piece = work[band]
+        piece[...] = values[pos:pos + piece.size].reshape(piece.shape)
+        pos += piece.size
+    scratch = np.empty(3 * values.size // 2)
+    for level in reversed(range(spec.levels)):
+        corner = _corner(shape, level)
         for axis in range(len(shape)):
-            bands = [_synthesize(bands[k], bands[k + 1], h, g, axis)
-                     for k in range(0, len(bands), 2)]
-        a = bands[0]
-    return a
+            _merge(work[corner], axis, spec.lifting, scratch)
+    return work
 
 
 def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
     """Orthonormal forward transform; energy is preserved exactly.
 
     Accepts a 1-d signal, a 2-d grid, or a CoefficientVector carrying
-    grid dims. Axis lengths must be divisible by 2^levels.
+    grid dims. Axis lengths must be divisible by 2^levels, and entries
+    must be finite.
     """
     if isinstance(signal, CoefficientVector):
         arr = signal.as_grid() if signal.dims is not None else signal.values
     else:
-        arr = np.asarray(signal)
+        arr = check_array(signal, "wavelet transform input")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("wavelet transform input must be finite")
     values = dwt_array(arr, spec)
     return WaveletCoefficients(
         values=values,
@@ -278,8 +461,14 @@ def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
 
 
 def idwt(coefficients: WaveletCoefficients) -> np.ndarray:
-    """Reconstruct the signal; exact inverse of :func:`dwt`."""
-    return idwt_array(coefficients.values, coefficients.spec, coefficients.shape)
+    """Reconstruct the signal; exact inverse of :func:`dwt`.
+
+    The coefficient values must be finite.
+    """
+    values = check_array(coefficients.values, "wavelet coefficients")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("wavelet coefficients must be finite")
+    return idwt_array(values, coefficients.spec, coefficients.shape)
 
 
 @dataclass(frozen=True)
@@ -321,14 +510,15 @@ def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
     return WeightSequence(w=w)
 
 
-class WaveletConjugatedOperator(LinearOperatorHandle):
-    """Pixel-domain operator viewed from the wavelet coefficient side.
+class _ConjugatedOperator(LinearOperatorHandle):
+    """A pixel-domain operator conjugated with the orthonormal transform.
 
-    apply = K_pixel o synthesis, adjoint = analysis o K_pixel*, and
-    normal = analysis o K_pixel.normal o synthesis. The transform is
-    orthonormal, so the certified norm bound carries over unchanged. The
-    ``scales`` attribute aligns with the operator's domain, ready for
-    :func:`besov_weights`.
+    It acts on the flat wavelet coefficients: apply = K_pixel o
+    synthesis, adjoint = analysis o K_pixel*, and normal = analysis o
+    K_pixel.normal o synthesis. The transform is orthonormal, so the
+    certified norm bound carries over unchanged. The ``scales``
+    attribute aligns with the operator's domain, ready for
+    :func:`besov_weights`. Build it with :func:`conjugated_operator`.
     """
 
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
@@ -358,6 +548,6 @@ class WaveletConjugatedOperator(LinearOperatorHandle):
 
 
 def conjugated_operator(K_pixel: LinearOperatorHandle,
-                        wavelet_spec: WaveletSpec) -> WaveletConjugatedOperator:
-    """Conjugate a pixel-domain operator with the orthonormal transform."""
-    return WaveletConjugatedOperator(K_pixel, wavelet_spec)
+                        wavelet_spec: WaveletSpec) -> LinearOperatorHandle:
+    """K_pixel seen from the coefficients of ``wavelet_spec``'s transform."""
+    return _ConjugatedOperator(K_pixel, wavelet_spec)

@@ -211,6 +211,20 @@ def test_check_real_unknown_bound():
         check_real(1.0, "x", lower="negative")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_wavelet_transforms_reject_non_finite(bad):
+    # the array kernels dwt_array/idwt_array run every solve iteration and
+    # stay unchecked; the public transforms check once
+    spec = sparseland.WaveletSpec("db2", 1)
+    signal = np.array([1.0, 2.0, bad, 4.0])
+    with pytest.raises(ParameterError, match="finite"):
+        sparseland.dwt(signal, spec)
+    coefficients = sparseland.dwt(np.ones(4), spec)
+    coefficients.values[2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        sparseland.idwt(coefficients)
+
+
 def _public_callables():
     names = [(name, getattr(sparseland, name)) for name in sparseland.__all__]
     names += [(name, getattr(gridio, name)) for name in gridio.__all__]

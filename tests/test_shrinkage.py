@@ -123,7 +123,7 @@ class TestShrinkP:
     def test_three_halves_closed_form_matches_newton(self):
         # p = 1.5 takes the quadratic root, p = 1.5 -+ 1e-9 the Newton
         # solve; their mean cancels the first-order change in p, leaving
-        # Newton's own residual tolerance 1e-14 (1 + |x|)
+        # Newton's own residual tolerance, 1e-14 |x|
         rng = np.random.default_rng(12)
         x = np.sign(rng.normal(size=20000)) * 10.0 ** rng.uniform(-15, 15, 20000)
         w = 10.0 ** rng.uniform(-8, 8, 20000)
@@ -229,6 +229,32 @@ class TestShrinkP:
             for w in (1e-300, 0.8, 1e300):
                 y = shrink_p(x, w, p)
                 assert np.all(np.abs(y) <= np.abs(x)) and np.all(y * np.sign(x) >= 0.0)
+
+
+    @pytest.mark.parametrize("p", [1.01, 1.3, 1.7, 1.999999])
+    def test_tiny_inputs_solved_to_relative_accuracy(self, p):
+        # Newton stops on a residual relative to t: with a floor of
+        # 1e-14 it took no step for t below that and returned its start
+        t = 10.0 ** np.linspace(-300, -10, 581)
+        for w in (1e-200, 1e-30, 1e-5, 1.0):
+            y = shrink_p(t, w, p)
+            # a subnormal root carries too few digits for the bound
+            normal = y >= np.finfo(float).tiny
+            assert np.all(np.abs(forward_map(y, w, p) - t)[normal] <= 1e-13 * t[normal])
+        # roots y0 at every ratio of the two terms of F, from 1e-6 to 1e6
+        rng = np.random.default_rng(31)
+        y0 = 10.0 ** rng.uniform(-300, -10, 2000)
+        w = 2.0 * 10.0 ** rng.uniform(-6, 6, 2000) * y0 ** (2.0 - p) / p
+        t = forward_map(y0, w, p)
+        assert np.all(np.abs(forward_map(shrink_p(t, w, p), w, p) - t) <= 1e-13 * t)
+        t = 1.2470701771236815e-17
+        assert forward_map(shrink_p(t, 1e-5, p), 1e-5, p) == pytest.approx(t, rel=1e-13)
+        # subnormal t: the weighted term moves in steps of w times the
+        # smallest denormal, so the residual never reaches 1e-14 t
+        t = np.array([2.225073858507e-311, 9.346903797e-315, 5e-324])
+        for w in (18.0, 1723.58):
+            y = shrink_p(t, w, p)
+            assert np.all((0.0 <= y) & (y <= t))
 
 
 class TestInputErrors:

@@ -49,6 +49,27 @@ class TestWaveletSpec:
         with pytest.raises(ParameterError):
             WaveletSpec("haar", boundary="zero")
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lifting_reproduces_polyphase_matrix(self, family):
+        spec = WaveletSpec(family)
+        h, g = spec.lowpass, spec.highpass
+        polyphase = [[dict(enumerate(f[r::2])) for r in (0, 1)] for f in (h, g)]
+        lifted = _lifted_polyphase(spec.lifting)
+        for i in (0, 1):
+            for j in (0, 1):
+                want, got = polyphase[i][j], lifted[i][j]
+                worst = max(abs(want.get(k, 0.0) - got.get(k, 0.0)) for k in {*want, *got})
+                assert worst <= 1e-14, (i, j, worst)
+
+    @pytest.mark.parametrize("family", ["db2", "db3", "db4"])
+    def test_vanishing_moments(self, family):
+        # sum (-1)^j j^k h[j] = 0 for k below the number of vanishing
+        # moments, half the filter length
+        h = WaveletSpec(family).lowpass
+        j = np.arange(h.size, dtype=float)
+        for k in range(h.size // 2):
+            assert abs(np.sum((-1.0) ** j * j**k * h)) <= 1e-13 * np.sum(j**k * np.abs(h))
+
 
 class TestTransform1D:
     def test_perfect_reconstruction(self):
@@ -159,6 +180,33 @@ class TestTransform2D:
         np.testing.assert_allclose(idwt(c), grid, atol=1e-12)
 
 
+def _laurent_mul(p, q):
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0.0) + a * b
+    return out
+
+
+def _lifted_polyphase(lifting):
+    """diag(scale) L_n ... L_1 diag(z^shift) as a 2x2 of {exponent: coefficient}.
+
+    An odd step is [[1, 0], [q, 1]], an even one [[1, q], [0, 1]], with
+    q(z) = sum c z^s over the step's (c, s) terms.
+    """
+    M = [[{lifting.shift[0]: 1.0}, {}], [{}, {lifting.shift[1]: 1.0}]]
+    for odd, terms in lifting.steps:
+        q = {}
+        for c, s in terms:
+            q[s] = q.get(s, 0.0) + c
+        row, other = (1, 0) if odd else (0, 1)
+        for col in (0, 1):
+            for k, v in _laurent_mul(q, M[other][col]).items():
+                M[row][col][k] = M[row][col].get(k, 0.0) + v
+    return [[{k: lifting.scale[i] * v for k, v in M[i][j].items()} for j in (0, 1)]
+            for i in (0, 1)]
+
+
 def _analysis_matrices(h, g, n):
     """One-level periodic analysis rows: band entry k reads x[2k + j]."""
     H = np.zeros((n // 2, n))
@@ -213,12 +261,28 @@ class TestBandLayout:
     def test_synthesis_is_adjoint_of_analysis(self):
         rng = np.random.default_rng(12)
         for family in FAMILIES:
-            spec = WaveletSpec(family, 2)
-            for shape in ((16,), (8, 16)):
-                x = rng.normal(size=shape)
-                c = rng.normal(size=x.size)
-                assert np.dot(dwt_array(x, spec), c) == pytest.approx(
-                    np.vdot(x, idwt_array(c, spec, shape)), rel=1e-12)
+            for levels in range(1, 6):
+                spec = WaveletSpec(family, levels)
+                for shape in ((16 << levels,), (32, 64), (64, 64)):
+                    x = rng.normal(size=shape)
+                    c = rng.normal(size=x.size)
+                    assert np.dot(dwt_array(x, spec), c) == pytest.approx(
+                        np.vdot(x, idwt_array(c, spec, shape)), rel=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("shape, levels", [
+        ((2,), 1), ((8,), 3), ((2, 8), 1), ((8, 16), 3), ((16, 16), 2)])
+    def test_explicit_periodic_matrices(self, family, shape, levels):
+        # at axis length 2 (m = 1) every lifting step reads its own
+        # band's single entry, whatever its shift
+        spec = WaveletSpec(family, levels)
+        W = _analysis_matrix(spec, shape)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=shape)
+        c = rng.normal(size=x.size)
+        np.testing.assert_allclose(dwt_array(x, spec), W @ x.ravel(), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(idwt_array(c, spec, shape).ravel(), W.T @ c,
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("family", ["db3", "db4"])
     @pytest.mark.parametrize("shape, levels", [((8,), 3), ((8, 16), 2)])
