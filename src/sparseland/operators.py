@@ -5,9 +5,10 @@ fixed at construction: the largest modulus of a diagonal, the spectral
 norm of a dense matrix, the peak frequency response of a convolution.
 The iteration theory needs that bound below 1, and :func:`renormalize`
 rescales an arbitrary problem by the bound so it is. The concrete kinds
-are diagonal maps, dense matrices and zero-padded FFT convolutions on
-2-d grids. Frame synthesis, z -> sum_n z_n psi_n, is the dense operator
-on the stacked frame vectors, ``DenseOperator(vectors.T)``.
+are diagonal maps, dense matrices and zero-padded convolutions on 2-d
+grids, computed with ``numpy.fft`` or as real GEMMs. Frame synthesis,
+z -> sum_n z_n psi_n, is the dense operator on the stacked frame
+vectors, ``DenseOperator(vectors.T)``.
 
 Besides apply and adjoint, every operator has ``normal(f) = K*K f``, the
 one product the iteration needs per step. It defaults to
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .core import CoefficientVector, check_array, check_count, check_real, check_shape
 from .errors import AlignmentError, ContractViolationError, ParameterError
@@ -190,10 +190,11 @@ class Convolution2DOperator(LinearOperatorHandle):
       Fx^T`` stored at construction: six GEMMs instead of eight. The
       Gram matrices carry the crop between the two convolutions, so K*K
       is *not* the convolution with the squared response.
-    * Pruned FFT form otherwise: rfft of the ``grid[0]`` data rows
-      (padding to ``pad[1]`` implicitly), column FFTs of the band only,
-      the ``pad[0] x band`` response, and inverse transforms keeping just
-      the ``grid[0]`` rows and ``grid[1]`` columns that survive the crop.
+    * Pruned FFT form otherwise, with ``numpy.fft``: rfft of the
+      ``grid[0]`` data rows (padding to ``pad[1]`` implicitly), column
+      FFTs of the band only, the ``pad[0] x band`` response, and inverse
+      transforms keeping just the ``grid[0]`` rows and ``grid[1]``
+      columns that survive the crop.
       It stays for wide bands, where the GEMMs' cost grows with the band
       and the FFTs' does not. The circular convolution at ``pad == grid``
       usually has one: at 256 x 256 and radius 0.3 it keeps 77 of 129
@@ -274,11 +275,11 @@ class Convolution2DOperator(LinearOperatorHandle):
         return self._fy.T @ spectrum @ self._fx
 
     def _convolve_fft(self, x: np.ndarray, normal: bool = False) -> np.ndarray:
-        rows = scipy.fft.rfft(x, n=self.pad[1], axis=1)
-        spectrum = scipy.fft.fft(rows[:, : self.band], n=self.pad[0], axis=0)
+        rows = np.fft.rfft(x, n=self.pad[1], axis=1)
+        spectrum = np.fft.fft(rows[:, : self.band], n=self.pad[0], axis=0)
         spectrum *= self._rfilter_sq if normal else self._rfilter
-        rows = scipy.fft.ifft(spectrum, axis=0, overwrite_x=True)[: self.grid[0]]
-        out = scipy.fft.irfft(rows, n=self.pad[1], axis=1)
+        rows = np.fft.ifft(spectrum, axis=0)[: self.grid[0]]
+        out = np.fft.irfft(rows, n=self.pad[1], axis=1)
         return out[:, : self.grid[1]]
 
     def apply(self, f):

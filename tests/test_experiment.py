@@ -1,6 +1,7 @@
 """Phantom construction, photon noise, and the experiment pipeline."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparseland.experiment import (
     DEFAULT_CASES,
     ExperimentConfig,
     _config_hash,
+    _gaussian_smooth,
     add_poisson_noise,
     count_profile_peaks,
     make_phantom,
@@ -147,6 +149,27 @@ class TestPhantom:
     def test_pair_sits_ten_pixels_apart(self):
         table = ExperimentConfig().ellipse_table()
         assert table[1]["center_col"] - table[0]["center_col"] == pytest.approx(10.0)
+
+
+class TestGaussianSmoothing:
+    """The numpy smoothing reproduces the ndimage reference to the bit."""
+
+    # 0.1 has a kernel of one tap; 70 reaches past every axis below
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0, 2.5, 70.0])
+    @pytest.mark.parametrize("shape", [(256, 256), (64, 128), (37, 100)])
+    def test_equals_ndimage_gaussian_filter(self, shape, sigma):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        image = rng.random(shape) * (rng.random(shape) < 0.3)
+        expected = scipy.ndimage.gaussian_filter(image, sigma, mode="constant")
+        assert np.array_equal(_gaussian_smooth(image, sigma), expected)
+
+    @pytest.mark.parametrize("smoothing_sigma", [1.0, 2.3])
+    def test_phantom_equals_ndimage_smoothed_render(self, smoothing_sigma):
+        cfg = ExperimentConfig(smoothing_sigma=smoothing_sigma)
+        render = make_phantom(replace(cfg, smoothing_sigma=0.0))
+        expected = np.maximum(scipy.ndimage.gaussian_filter(
+            render, smoothing_sigma, mode="constant"), 0.0)
+        assert np.array_equal(make_phantom(cfg), expected)
 
 
 class TestPoissonNoise:

@@ -1,8 +1,12 @@
-"""Every name a module lists in __all__, or a demo imports, resolves."""
+"""Every name a module lists in __all__, or a demo imports, resolves, and
+importing the package loads no scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,16 @@ def test_demo_imports_resolve(demo):
 
 def test_demos_found():
     assert len(DEMOS) >= 5
+
+
+def test_import_loads_no_scipy():
+    # a fresh process, since this one has loaded scipy for other tests
+    code = ("import sys, sparseland, sparseland.cli\n"
+            "print(sparseland.__file__)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sparseland.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    path, loaded = done.stdout.splitlines()
+    assert Path(path).resolve() == Path(sparseland.__file__).resolve()
+    assert loaded == "[]"
