@@ -156,11 +156,6 @@ class CoefficientVector:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def from_grid(cls, grid) -> "CoefficientVector":
-        grid = np.asarray(grid)
-        return cls(values=grid.ravel(), dims=grid.shape)
-
     def __len__(self) -> int:
         return self.values.size
 
@@ -183,14 +178,15 @@ def as_coefficients(f) -> CoefficientVector:
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Strictly positive weights with a certified uniform lower bound.
+    """Strictly positive weights and their uniform lower bound.
 
-    The lower bound ``c`` is what turns the weighted penalty into a norm
-    that controls the plain Euclidean norm; it defaults to ``min(w)``.
+    The lower bound ``c`` is ``min(w)``, derived and read-only. It is what
+    turns the weighted penalty into a norm that controls the plain
+    Euclidean norm.
     """
 
     w: np.ndarray
-    c: float = None  # type: ignore[assignment]
+    c: float = field(init=False)
 
     def __post_init__(self):
         w = check_array(self.w, "weights").astype(np.float64)
@@ -198,21 +194,14 @@ class WeightSequence:
             raise ParameterError("weights must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ParameterError("weights must be finite and strictly positive")
-        if self.c is None:
-            c = float(w.min())
-        else:
-            c = check_real(self.c, "weight lower bound c", lower="positive")
-            if c > w.min() * (1.0 + 1e-12):
-                raise ParameterError(
-                    f"claimed lower bound c={c} exceeds min weight {w.min()}"
-                )
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", float(w.min()))
 
     @classmethod
-    def uniform(cls, n: int, value: float = 1.0) -> "WeightSequence":
-        return cls(w=np.full(check_count(n, "weight sequence length"), value))
+    def uniform(cls, n: int) -> "WeightSequence":
+        """n unit weights."""
+        return cls(w=np.ones(check_count(n, "weight sequence length")))
 
     def __len__(self) -> int:
         return self.w.size
@@ -247,8 +236,9 @@ class PenaltySpec:
             object.__setattr__(self, "asymmetric", (wp, wm))
 
     @classmethod
-    def uniform(cls, p: float, mu: float, n: int, weight: float = 1.0) -> "PenaltySpec":
-        return cls(p=p, weights=WeightSequence.uniform(n, weight), mu=mu)
+    def uniform(cls, p: float, mu: float, n: int) -> "PenaltySpec":
+        """Unit weights on n coefficients."""
+        return cls(p=p, weights=WeightSequence.uniform(n), mu=mu)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -260,11 +250,10 @@ class ObjectiveBreakdown:
 
     discrepancy: float
     penalty: float
-    total: float = field(default=None)  # type: ignore[assignment]
+    total: float = field(init=False)
 
     def __post_init__(self):
-        if self.total is None:
-            object.__setattr__(self, "total", self.discrepancy + self.penalty)
+        object.__setattr__(self, "total", self.discrepancy + self.penalty)
 
 
 def _check_alignment(n_values: int, spec: PenaltySpec):

@@ -26,7 +26,7 @@ from .core import (PenaltySpec, check_array, check_count, check_exponent, check_
                    check_shape)
 from .errors import ParameterError
 from .gridio import write_grid, write_pgm, write_trace_csv
-from .operators import Convolution2DOperator
+from .operators import Convolution2DOperator, _check_geometry
 from .solver import SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -107,12 +107,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         grid = check_shape(self.grid, "experiment grid", minimum=64)
-        pad = check_shape(self.pad, "pad")
-        if pad[0] < grid[0] or pad[1] < grid[1]:
-            raise ParameterError("padded shape must dominate the grid")
-        radius_fraction = check_real(self.radius_fraction, "radius_fraction")
-        if not (0.0 < radius_fraction <= 1.0):
-            raise ParameterError("radius_fraction must lie in (0, 1]")
+        pad, radius_fraction = _check_geometry(grid, self.pad, self.radius_fraction)
+        smoothing_sigma = check_real(self.smoothing_sigma, "smoothing_sigma",
+                                     lower="nonnegative")
+        # make_phantom's Gaussian reaches int(4 sigma + 0.5) pixels with sigma
+        # scaled as there; a reach beyond the grid only allocates zeros
+        sigma = smoothing_sigma * min(grid) / _REFERENCE_GRID
+        if 4.0 * sigma + 0.5 >= max(grid) + 1:
+            raise ParameterError(
+                f"smoothing_sigma {smoothing_sigma} gives a Gaussian radius beyond "
+                f"the grid's larger side {max(grid)}")
         cases = tuple(self.cases)
         if not cases or not all(isinstance(case, CaseSpec) for case in cases):
             raise ParameterError("cases must be a nonempty sequence of CaseSpec")
@@ -123,8 +127,7 @@ class ExperimentConfig:
                            check_real(self.total_photons, "total_photons", lower="positive"))
         object.__setattr__(self, "iterations", check_count(self.iterations, "iterations"))
         object.__setattr__(self, "seed", check_count(self.seed, "seed", minimum=0))
-        object.__setattr__(self, "smoothing_sigma", check_real(
-            self.smoothing_sigma, "smoothing_sigma", lower="nonnegative"))
+        object.__setattr__(self, "smoothing_sigma", smoothing_sigma)
         object.__setattr__(self, "cases", cases)
 
     def ellipse_table(self):

@@ -3,10 +3,11 @@
 Every operator carries a certified upper bound on its spectral norm,
 fixed at construction: the largest modulus of a diagonal, the spectral
 norm of a dense matrix, the peak frequency response of a convolution.
-The iteration theory needs that bound below 1, and :func:`renormalize`
-rescales an arbitrary problem by the bound so it is. The concrete kinds
-are diagonal maps, dense matrices and zero-padded convolutions on 2-d
-grids, computed with ``numpy.fft`` or as real GEMMs. Frame synthesis,
+The iteration theory needs that bound below 1, and one margin, 0.999,
+sets how far below: it is a convolution's peak response, and
+:func:`renormalize` rescales an arbitrary problem to it. The concrete
+kinds are diagonal maps, dense matrices and zero-padded convolutions on
+2-d grids, computed with ``numpy.fft`` or as real GEMMs. Frame synthesis,
 z -> sum_n z_n psi_n, is the dense operator on the stacked frame
 vectors, ``DenseOperator(vectors.T)``.
 
@@ -41,6 +42,10 @@ __all__ = [
     "SvdModel",
     "thresholded_svd_solve",
 ]
+
+# the certified norm bound a convolution is built with and renormalize
+# rescales to: below 1, as the iteration needs
+_NORM_MARGIN = 0.999
 
 
 class LinearOperatorHandle:
@@ -159,8 +164,8 @@ class Convolution2DOperator(LinearOperatorHandle):
 
     The frequency response is the autocorrelation of the indicator of a
     disk whose radius is ``radius_fraction`` times the maximum (Nyquist)
-    frequency of the padded grid, scaled so the peak response equals
-    ``peak_response``. The peak response is then an exact norm bound:
+    frequency of the padded grid, scaled so the peak response
+    (``peak_response``) is 0.999. The peak is then an exact norm bound:
     padding and cropping are partial isometries around a multiplication
     operator in an orthogonal basis.
 
@@ -212,19 +217,13 @@ class Convolution2DOperator(LinearOperatorHandle):
     """
 
     def __init__(self, grid: Tuple[int, int], pad: Tuple[int, int],
-                 radius_fraction: float = 0.1, peak_response: float = 0.999):
+                 radius_fraction: float = 0.1):
         grid = check_shape(grid, "grid")
-        pad = check_shape(pad, "pad")
-        if pad[0] < grid[0] or pad[1] < grid[1]:
-            raise ParameterError("padded shape must dominate the grid shape")
-        radius_fraction = check_real(radius_fraction, "radius_fraction")
-        if not (0.0 < radius_fraction <= 1.0):
-            raise ParameterError("radius_fraction must lie in (0, 1]")
-        peak_response = check_real(peak_response, "peak_response", lower="positive")
+        pad, radius_fraction = _check_geometry(grid, pad, radius_fraction)
         self.grid = grid
         self.pad = pad
         self.radius_fraction = radius_fraction
-        self.peak_response = peak_response
+        self.peak_response = _NORM_MARGIN
 
         fy = np.fft.fftfreq(pad[0])
         fx = np.fft.fftfreq(pad[1])
@@ -234,9 +233,8 @@ class Convolution2DOperator(LinearOperatorHandle):
             raise ParameterError("frequency disk is empty; enlarge pad or radius")
         spectrum = np.abs(np.fft.fft2(disk.astype(np.float64))) ** 2
         autocorr = np.fft.ifft2(spectrum).real
-        self.filter = peak_response * autocorr / autocorr.max()
+        self.filter = self.peak_response * autocorr / autocorr.max()
         self.band_y, self.band = _band(disk.any(axis=1)), _band(disk.any(axis=0))
-        self._rfilter = self.filter[:, : self.band].copy()
         self.matrix_form = (4 * (self.band - 1) <= pad[1]
                             and 4 * (self.band_y - 1) <= pad[0])
         if self.matrix_form:
@@ -249,8 +247,10 @@ class Convolution2DOperator(LinearOperatorHandle):
                           / (pad[0] * pad[1]))
             self._gy = self._fy @ self._fy.T
             self._gx = self._fx @ self._fx.T
-        elif pad == grid:
-            self._rfilter_sq = self._rfilter * self._rfilter
+        else:
+            self._rfilter = self.filter[:, : self.band].copy()
+            if pad == grid:
+                self._rfilter_sq = self._rfilter * self._rfilter
         super().__init__(grid[0] * grid[1], grid[0] * grid[1], self.peak_response,
                          domain_dims=grid)
 
@@ -300,6 +300,21 @@ class Convolution2DOperator(LinearOperatorHandle):
         return np.fft.fftshift(np.fft.ifft2(self.filter).real)
 
 
+def _check_geometry(grid: Tuple[int, int], pad, radius_fraction):
+    """(pad, radius_fraction) checked against a checked grid, as a convolution needs.
+
+    The padded shape must dominate the grid and radius_fraction lie in
+    (0, 1]; the caller keeps its own rule for the grid.
+    """
+    pad = check_shape(pad, "pad")
+    if pad[0] < grid[0] or pad[1] < grid[1]:
+        raise ParameterError("padded shape must dominate the grid shape")
+    radius_fraction = check_real(radius_fraction, "radius_fraction")
+    if not (0.0 < radius_fraction <= 1.0):
+        raise ParameterError("radius_fraction must lie in (0, 1]")
+    return pad, radius_fraction
+
+
 def _band(reached: np.ndarray) -> int:
     """Kept frequencies 0..band-1 along an axis of a disk's autocorrelation.
 
@@ -339,24 +354,21 @@ class RenormalizedProblem(NamedTuple):
         return 1.0 / self.scale**2
 
 
-def renormalize(K: LinearOperatorHandle, g, target: float = 0.999) -> RenormalizedProblem:
-    """Rescale (K, g) so the certified norm bound is at most ``target``.
+def renormalize(K: LinearOperatorHandle, g) -> RenormalizedProblem:
+    """Rescale (K, g) so the certified norm bound is at most 0.999.
 
-    The scale is ``K.norm_bound / target``, so the returned bound is
+    The scale is ``K.norm_bound / 0.999``, so the returned bound is
     certified whenever the operator's own bound is. Minimizing
     ||K'f - g'||^2 + (mu/scale^2) * penalty(f) over the returned pair
     reproduces the minimizer of the original problem. An operator
-    already bounded by target (the zero operator included) passes
+    already bounded by 0.999 (the zero operator included) passes
     through unchanged.
     """
-    target = check_real(target, "renormalization target", lower="positive")
-    if target >= 1.0:
-        raise ParameterError("renormalization target must lie in (0, 1)")
     g = check_array(g, "data", complex_ok=True)
-    if K.norm_bound <= target:
+    if K.norm_bound <= _NORM_MARGIN:
         return RenormalizedProblem(K, g, 1.0)
-    scale = K.norm_bound / target
-    scaled = ScaledOperator(K, 1.0 / scale, norm_bound=target)
+    scale = K.norm_bound / _NORM_MARGIN
+    scaled = ScaledOperator(K, 1.0 / scale, norm_bound=_NORM_MARGIN)
     return RenormalizedProblem(scaled, g / scale, scale)
 
 

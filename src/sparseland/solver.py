@@ -109,9 +109,6 @@ class SolveTrace:
     surrogates: np.ndarray
     wall_times: np.ndarray
 
-    def sum_squared_steps(self) -> float:
-        return float(np.sum(self.step_norms**2))
-
     def __len__(self) -> int:
         return self.step_norms.size
 

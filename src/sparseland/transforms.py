@@ -229,10 +229,10 @@ def _factor(h: np.ndarray, g: np.ndarray) -> _Lifting:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Filter family, decomposition depth, and boundary handling.
+    """Filter family and decomposition depth.
 
-    Only periodic boundaries are supported; they are what keeps the
-    transform exactly orthonormal on finite grids. The filter pair is
+    Boundaries are periodic, which keeps the transform exactly
+    orthonormal on finite grids. The filter pair is
     validated at construction: unit energy, vanishing even-lag
     autocorrelation, and lowpass sum sqrt(2), all to 1e-14. Its lifting
     factorization, the ``lifting`` attribute, is derived from the
@@ -241,14 +241,11 @@ class WaveletSpec:
 
     family: str = "db2"
     levels: int = 1
-    boundary: str = "periodic"
 
     def __post_init__(self):
         family = str(self.family).lower()
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "levels", check_count(self.levels, "levels"))
-        if self.boundary != "periodic":
-            raise ParameterError("only periodic boundary handling is supported")
         h = _lowpass_filter(family)
         # quadrature mirror highpass: alternate signs on the reversed filter
         g = (h[::-1] * np.where(np.arange(h.size) % 2 == 0, 1.0, -1.0)).copy()
@@ -355,9 +352,6 @@ class WaveletCoefficients:
     scales: np.ndarray
     spec: WaveletSpec
     shape: Tuple[int, ...]
-
-    def to_vector(self) -> CoefficientVector:
-        return CoefficientVector(values=self.values)
 
     def __len__(self) -> int:
         return self.values.size

@@ -146,6 +146,17 @@ class TestPhantom:
         assert 0.0 < phantom.max() < 1.6
         assert np.count_nonzero((phantom > 0.01) & (phantom < 0.9)) > 0
 
+    @pytest.mark.parametrize("grid, limit", [((64, 64), 64.5), ((64, 128), 128.5)])
+    def test_smoothing_radius_bounded_by_grid(self, grid, limit):
+        # sigma is smoothing_sigma / 4 pixels on a 64-row grid, so the
+        # Gaussian radius int(4 sigma + 0.5) passes the larger side at limit
+        largest = np.nextafter(limit, 0.0)
+        phantom = make_phantom(ExperimentConfig(grid=grid, pad=grid, smoothing_sigma=largest))
+        assert np.all(np.isfinite(phantom)) and phantom.min() >= 0.0 and phantom.max() > 0.0
+        for sigma in (limit, 1e12):
+            with pytest.raises(ParameterError, match="smoothing_sigma"):
+                ExperimentConfig(grid=grid, pad=grid, smoothing_sigma=sigma)
+
     def test_pair_sits_ten_pixels_apart(self):
         table = ExperimentConfig().ellipse_table()
         assert table[1]["center_col"] - table[0]["center_col"] == pytest.approx(10.0)

@@ -1,7 +1,8 @@
-"""Every name a module lists in __all__, or a demo imports, resolves, and
-importing the package loads no scipy."""
+"""Every name a module lists in __all__, or a demo imports, resolves,
+importing the package loads no scipy, and the public settings are pinned."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -53,3 +54,26 @@ def test_import_loads_no_scipy():
     path, loaded = done.stdout.splitlines()
     assert Path(path).resolve() == Path(sparseland.__file__).resolve()
     assert loaded == "[]"
+
+
+# the fields each public config or value dataclass takes at construction;
+# a new setting, or a derived value turned settable, edits this table
+INIT_FIELDS = {
+    "SolverConfig": ("max_iterations", "step_tolerance", "projection"),
+    "ExperimentConfig": ("grid", "pad", "radius_fraction", "total_photons", "iterations",
+                         "seed", "smoothing_sigma", "cases", "output_dir"),
+    "CaseSpec": ("name", "p", "mu", "project"),
+    "WaveletSpec": ("family", "levels"),
+    "WeightSequence": ("w",),
+    "PenaltySpec": ("p", "weights", "mu", "asymmetric"),
+    "ObjectiveBreakdown": ("discrepancy", "penalty"),
+    "BesovWeightSpec": ("s", "p", "d"),
+    "NoisePrior": ("epsilon", "rho"),
+    "SpectralEnvelope": ("b", "B"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_FIELDS))
+def test_dataclass_settings_pinned(name):
+    fields = dataclasses.fields(getattr(sparseland, name))
+    assert tuple(f.name for f in fields if f.init) == INIT_FIELDS[name]

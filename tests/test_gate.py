@@ -44,16 +44,16 @@ def _noise():
     return sparseland.NoisePrior(0.1, 1.0)
 
 
-# public callable -> (valid keyword arguments, {number parameter: kind})
+# public callable -> (valid keyword arguments, {number parameter: kind}); a
+# row with no number parameter still has its valid call checked
 TABLE = {
     "CoefficientVector": (lambda: dict(values=np.ones(128)), {"dims": "shape"}),
-    "WeightSequence": (lambda: dict(w=np.ones(3), c=0.5), {"c": "real"}),
-    "WeightSequence.uniform": (lambda: dict(n=3, value=1.0),
-                               {"n": "count", "value": "real"}),
+    "WeightSequence": (lambda: dict(w=np.ones(3)), {}),
+    "WeightSequence.uniform": (lambda: dict(n=3), {"n": "count"}),
     "PenaltySpec": (lambda: dict(p=1.5, weights=_weights(), mu=0.1),
                     {"p": "real", "mu": "real"}),
-    "PenaltySpec.uniform": (lambda: dict(p=1.5, mu=0.1, n=3, weight=1.0),
-                            {"p": "real", "mu": "real", "n": "count", "weight": "real"}),
+    "PenaltySpec.uniform": (lambda: dict(p=1.5, mu=0.1, n=3),
+                            {"p": "real", "mu": "real", "n": "count"}),
     "soft_threshold": (lambda: dict(x=np.ones(3), w=0.5), {"w": "real"}),
     "shrink_p": (lambda: dict(x=np.ones(3), w=0.5, p=1.3), {"w": "real", "p": "real"}),
     "shrink_complex": (lambda: dict(z=np.ones(3) + 1j, w=0.5, p=1.3),
@@ -64,13 +64,11 @@ TABLE = {
                              {"domain_len": "count", "image_len": "count",
                               "norm_bound": "real", "domain_dims": "shape"}),
     "Convolution2DOperator": (lambda: dict(grid=(64, 64), pad=(128, 128),
-                                           radius_fraction=0.1, peak_response=0.9),
-                              {"grid": "shape", "pad": "shape",
-                               "radius_fraction": "real", "peak_response": "real"}),
+                                           radius_fraction=0.1),
+                              {"grid": "shape", "pad": "shape", "radius_fraction": "real"}),
     "ScaledOperator": (lambda: dict(base=_diagonal(), factor=0.5, norm_bound=0.4),
                        {"factor": "real", "norm_bound": "real"}),
-    "renormalize": (lambda: dict(K=_diagonal(), g=np.ones(3), target=0.5),
-                    {"target": "real"}),
+    "renormalize": (lambda: dict(K=_diagonal(), g=np.ones(3)), {}),
     "validate_operator": (lambda: dict(K=_diagonal(), n_probes=2, seed=0, tol=1e-10),
                           {"n_probes": "count", "seed": "count", "tol": "real"}),
     "thresholded_svd_solve": (lambda: dict(model=sparseland.SvdModel(np.array([0.5, 0.2])),

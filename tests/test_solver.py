@@ -77,10 +77,14 @@ class TestSteps:
         np.testing.assert_allclose(it.values, lw, rtol=1e-10)
 
     def test_iterate_step_requires_contraction(self):
-        K = DiagonalOperator(np.array([1.5]))
+        # a bound of exactly 1 is refused, and one just above it
         spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=1)
-        with pytest.raises(ContractViolationError):
-            iterate_step(np.array([0.0]), np.array([1.0]), K, spec)
+        for bound in (1.0, 1.2):
+            K = DiagonalOperator(np.array([bound]))
+            with pytest.raises(ContractViolationError):
+                iterate_step(np.array([0.0]), np.array([1.0]), K, spec)
+            with pytest.raises(ContractViolationError):
+                solve(np.array([1.0]), K, spec)
 
     def test_one_normal_per_iteration(self):
         # the start costs one apply (the exact discrepancy), one adjoint
@@ -130,7 +134,7 @@ class TestSteps:
     @pytest.mark.parametrize("mu, weight", [(1e300, 1e10), (1e-300, 1e-300)])
     def test_effective_weight_out_of_range_rejected(self, mu, weight):
         # mu and w are each valid, but mu * w overflows or underflows
-        spec = PenaltySpec.uniform(p=1.5, mu=mu, n=3, weight=weight)
+        spec = PenaltySpec(p=1.5, weights=WeightSequence(np.full(3, weight)), mu=mu)
         K = DiagonalOperator(np.array([0.5, 0.25, 0.8]))
         with pytest.raises(ParameterError, match="strictly positive"):
             solve(np.ones(3), K, spec)
@@ -207,7 +211,7 @@ class TestDescent:
         res = solve(g, K, spec,
                     SolverConfig(max_iterations=500, step_tolerance=0.0), f0=f0)
         bound = objective(f0, g, K, spec).total / (1.0 - K.norm_bound**2)
-        assert res.trace.sum_squared_steps() <= bound * (1.0 + 1e-12)
+        assert np.sum(res.trace.step_norms**2) <= bound * (1.0 + 1e-12)
 
     def test_broken_norm_certificate_detected(self):
         # operator of true norm 1.5 sold with a 0.9 certificate: the
@@ -268,11 +272,18 @@ class TestNormalOperatorLoop:
         f = np.zeros(16, dtype=res.minimizer.values.dtype)
         exact = []
         for _ in range(res.iterations + 1):
-            exact.append(objective(f, g, K, spec).discrepancy)
+            breakdown = objective(f, g, K, spec)
+            exact.append((breakdown.discrepancy, breakdown.penalty))
             f = iterate_step(f, g, K, spec, config).values
-        scale = 1.0 + res.trace.objectives[0]
-        assert np.abs(res.trace.discrepancies - exact).max() <= 1e-13 * scale
-        assert res.trace.discrepancies[-1] == exact[-1]
+        exact_disc, exact_pen = np.array(exact).T
+        t = res.trace
+        scale = 1.0 + t.objectives[0]
+        assert np.abs(t.discrepancies - exact_disc).max() <= 1e-13 * scale
+        assert t.discrepancies[-1] == exact_disc[-1]
+        assert np.abs(t.penalties - exact_pen).max() <= 1e-13 * scale
+        np.testing.assert_array_equal(t.objectives, t.discrepancies + t.penalties)
+        final = objective(res.minimizer, g, K, spec).total
+        assert abs(t.objectives[-1] - final) <= 1e-13 * scale
 
     @pytest.mark.parametrize("kind", sorted(_solver_kinds()))
     def test_wrong_normal_rejected(self, kind):
@@ -363,8 +374,9 @@ class TestFixedPoint:
                 iterate_step(f, g, K, sp)
             with pytest.raises(AlignmentError):
                 fixed_point_residual(f, g, K, sp)
-        with pytest.raises(ContractViolationError):
-            fixed_point_residual(f, np.ones(3), DiagonalOperator(np.full(3, 1.5)), spec)
+        for bound in (1.0, 1.2):
+            with pytest.raises(ContractViolationError):
+                fixed_point_residual(f, np.ones(3), DiagonalOperator(np.full(3, bound)), spec)
 
 
 class TestProjection:
