@@ -182,11 +182,13 @@ class WeightSequence:
 
     The lower bound ``c`` is ``min(w)``, derived and read-only. It is what
     turns the weighted penalty into a norm that controls the plain
-    Euclidean norm.
+    Euclidean norm. Whether every weight is 1.0 is recorded once, so the
+    penalty of unit weights skips the multiply by ones.
     """
 
     w: np.ndarray
     c: float = field(init=False)
+    _unit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = check_array(self.w, "weights").astype(np.float64)
@@ -197,6 +199,7 @@ class WeightSequence:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", float(w.min()))
+        object.__setattr__(self, "_unit", bool((w == 1.0).all()))
 
     @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
@@ -300,8 +303,20 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec) -> float:
         neg = np.maximum(-values, 0.0)
         return float(spec.mu * (np.add.reduce(wp.w * pos**spec.p)
                                 + np.add.reduce(wm.w * neg**spec.p)))
+    p, char = spec.p, values.dtype.char
+    # unit weights give the weighted form's bits without the multiply:
+    # 1.0 * x == x, |x|**1.0 == |x| and |x|**2.0 == x * x; narrower dtypes
+    # keep the weighted form, whose float64 weights widen them before the sum
+    if not spec.weights._unit or char not in "dD":
+        terms = spec.weights.w * np.abs(values) ** p
+    elif p == 1.0:
+        terms = np.abs(values)
+    elif p == 2.0 and char == "d":
+        terms = values * values
+    else:
+        terms = np.abs(values) ** p
     # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
-    return float(spec.mu * np.add.reduce(spec.weights.w * np.abs(values) ** spec.p))
+    return float(spec.mu * np.add.reduce(terms))
 
 
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:

@@ -13,10 +13,13 @@ vectors, ``DenseOperator(vectors.T)``.
 
 Besides apply and adjoint, every operator has ``normal(f) = K*K f``, the
 one product the iteration needs per step. It defaults to
-``adjoint(apply(f))``; a convolution in matrix form computes it from the
-Gram matrices of its truncated DFT bases in one pass (see
-:class:`Convolution2DOperator`), a circular one with the squared
-response, and a scaled operator as ``factor**2`` times its base's.
+``adjoint(apply(f))``; a diagonal operator multiplies by ``conj(d) d``
+once, a dense matrix with no more columns than rows multiplies by its
+stored Gram matrix ``K^H K`` (a wide one keeps the default), a
+convolution in matrix form computes it from the Gram matrices of its
+truncated DFT bases in one pass (see :class:`Convolution2DOperator`), a
+circular one with the squared response, and a scaled operator as
+``factor**2`` times its base's.
 """
 
 from __future__ import annotations
@@ -104,6 +107,9 @@ class DiagonalOperator(LinearOperatorHandle):
             raise ParameterError("diagonal entries must be finite")
         self.entries = entries
         self._conj_entries = np.conj(entries)
+        # conj(d) d keeps the entries' dtype, so normal returns the dtype
+        # adjoint(apply(f)) does; its imaginary part is exactly zero
+        self._normal_entries = self._conj_entries * entries
         dtype = np.complex128 if entries.dtype.kind == "c" else np.float64
         super().__init__(entries.size, entries.size,
                          float(np.max(np.abs(entries))), domain_dtype=dtype)
@@ -114,9 +120,20 @@ class DiagonalOperator(LinearOperatorHandle):
     def adjoint(self, g):
         return self._conj_entries * self._check(g, self.image_len, "operator image")
 
+    def normal(self, f):
+        return self._normal_entries * self._check(f, self.domain_len, "operator domain")
+
 
 class DenseOperator(LinearOperatorHandle):
-    """Explicit matrix; norm bound from an exact spectral norm."""
+    """Explicit matrix; norm bound from an exact spectral norm.
+
+    A float64 or complex128 matrix with no more columns than rows stores
+    its Gram matrix ``K^H K``, no larger than the matrix itself, and
+    ``normal`` is one product with it. A wide matrix (frame synthesis
+    ``DenseOperator(vectors.T)`` is one) or one of another dtype keeps
+    ``adjoint(apply(f))``. Products use ``ndarray.dot``, which costs less
+    per call than ``@`` on small vectors and computes the same product.
+    """
 
     def __init__(self, matrix):
         matrix = check_array(matrix, "matrix entries", complex_ok=True)
@@ -126,6 +143,9 @@ class DenseOperator(LinearOperatorHandle):
             raise ParameterError("matrix entries must be finite")
         self.matrix = matrix
         self._adjoint = matrix.conj().T
+        self._gram = (self._adjoint.dot(matrix)
+                      if matrix.dtype.char in "dD" and matrix.shape[1] <= matrix.shape[0]
+                      else None)
         # exact up to roundoff; tiny inflation keeps it an upper bound
         norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
         dtype = np.complex128 if matrix.dtype.kind == "c" else np.float64
@@ -133,10 +153,15 @@ class DenseOperator(LinearOperatorHandle):
                          domain_dtype=dtype)
 
     def apply(self, f):
-        return self.matrix @ self._check(f, self.domain_len, "operator domain")
+        return self.matrix.dot(self._check(f, self.domain_len, "operator domain"))
 
     def adjoint(self, g):
-        return self._adjoint @ self._check(g, self.image_len, "operator image")
+        return self._adjoint.dot(self._check(g, self.image_len, "operator image"))
+
+    def normal(self, f):
+        if self._gram is None:
+            return super().normal(f)
+        return self._gram.dot(self._check(f, self.domain_len, "operator domain"))
 
 
 class ScaledOperator(LinearOperatorHandle):

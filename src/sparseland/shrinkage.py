@@ -68,11 +68,23 @@ def _check_weight(w, shape):
 
 
 def soft_threshold(x, w):
-    """Soft thresholding: shrink |x| by w/2, dead zone where |x| < w/2."""
+    """Soft thresholding: shrink |x| by w/2, dead zone where |x| <= w/2."""
     arr = _real_array(x)
-    w = _check_weight(w, arr.shape)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - 0.5 * w, 0.0)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return _soft(arr, _check_weight(w, arr.shape))
+
+
+def _soft(arr: np.ndarray, w):
+    """Soft thresholding of a checked array by a checked weight.
+
+    x - clip(x, -w/2, w/2) is x -+ w/2 outside the dead zone, exactly
+    sign(x) (|x| - w/2), in two passes. Inside it writes x - x = +0.0,
+    where sign(x) max(|x| - w/2, 0) writes -0.0 for negative x. The one
+    -0.0 it writes is for x = -0.0 where w/2 rounds to zero (w = 5e-324)
+    and the weight is an array, whose clip returns the bound +0.0.
+    """
+    t = 0.5 * w
+    out = arr - arr.clip(-t, t)
+    return out if out.ndim else float(out)
 
 
 def _root_three_halves(t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -86,7 +98,8 @@ def _root_three_halves(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     # one errstate for both: h^2 + t may overflow, and t = inf gives inf/inf
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(h * h + t)
-        if np.isinf(root).any():
+        # fmax skips NaN, so a NaN elsewhere cannot hide an infinite root
+        if np.fmax.reduce(root, axis=None, initial=0.0) == math.inf:
             # h^2 + t overflowed for a huge weight (or t = inf): take the
             # same square root without forming h^2
             root = np.hypot(h, r)
@@ -182,13 +195,14 @@ def shrink_p(x, w, p):
     broadcast to the shape of x. A uniform weight is best passed as one
     float: it is checked by one comparison instead of a pass over an
     array, and since it broadcasts to the same value in every element
-    the output is bit-for-bit that of the equivalent weight array.
+    the output is bit-for-bit that of the equivalent weight array (but
+    for the sign of zero at p = 1 and w = 5e-324, see ``_soft``).
     """
     p = check_exponent(p)
-    if abs(p - 1.0) <= _P_SNAP:
-        return soft_threshold(x, w)
     arr = _real_array(x)
     w = _check_weight(w, arr.shape)
+    if abs(p - 1.0) <= _P_SNAP:
+        return _soft(arr, w)
     if abs(p - 2.0) <= _P_SNAP:
         out = arr / (1.0 + w)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)

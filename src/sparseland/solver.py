@@ -242,9 +242,11 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     ||f - T(f)|| of the returned point under the configured step map.
 
     Each iteration calls ``K.normal`` once, on the new iterate; the start
-    costs one apply, one adjoint (b = K*g) and one normal, and the end one
-    apply. With r = b - A f and the step d = f_new - f, the loop takes
-    A d = A f_new - A f and the objective change
+    costs one adjoint (b = K*g), plus one apply and one normal from an
+    explicit f0 (from the default zero start K f and A f are zero and
+    cost nothing), and the end one apply. With r = b - A f and the step
+    d = f_new - f, the loop takes A d = A f_new - A f and the objective
+    change
 
         Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,
 
@@ -278,11 +280,17 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     step = _Step(K, gvals, spec, config)
     step_threshold = config.step_tolerance * (float(np.linalg.norm(start)) + 1.0)
 
-    residual = gvals - K.apply(f)
+    if f0 is None:
+        # K 0 = 0: the residual is g (in the dtype g - K f would have) and
+        # A f is zero, with no operator call
+        residual = gvals.astype(dtype, copy=False)
+        Af = np.zeros_like(f)
+    else:
+        residual = gvals - K.apply(f)
+        Af = K.normal(f)
     disc = float(np.vdot(residual, residual).real)
     pen = penalty_sum(f, spec)
     obj = disc + pen
-    Af = K.normal(f)
     objectives = [obj]
     discrepancies = [disc]
     penalties = [pen]

@@ -13,6 +13,7 @@ from sparseland.core import (
     WeightSequence,
     as_coefficients,
     objective,
+    penalty_sum,
     penalty_value,
     surrogate_objective,
     triple_norm,
@@ -181,6 +182,58 @@ class TestPenaltyValue:
     def test_complex_uses_modulus(self):
         spec = PenaltySpec.uniform(p=2.0, mu=1.0, n=1)
         assert penalty_value(np.array([3.0 + 4.0j]), spec) == pytest.approx(25.0)
+
+
+class TestUnitWeightPenalty:
+    """Unit weights skip the multiply by ones and keep the weighted form's bits."""
+
+    # signed zeros, subnormals, infinities and ordinary values
+    SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf,
+                        0.3, -2.5, 1e6, -7e-9, 1e150, -3e-160])
+
+    @staticmethod
+    def weighted(values, w, p, mu):
+        return float(mu * np.add.reduce(w * np.abs(values) ** p))
+
+    def inputs(self, complex_values):
+        rng = np.random.default_rng(41)
+        x = np.concatenate([self.SPECIAL,
+                            rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-320, 150, 2000)])
+        if complex_values:
+            # each part set on its own: 1j * inf forms inf * 0
+            z = x.astype(complex)
+            z.imag = rng.permutation(x)
+            x = z
+        # the whole array, one without infinities, and every entry alone
+        # (where the sum is the one term)
+        return [x, x[np.isfinite(x)]] + [x[i:i + 1] for i in range(x.size)]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_same_bits_as_the_weighted_form(self, p, complex_values):
+        for x in self.inputs(complex_values):
+            spec = PenaltySpec.uniform(p=p, mu=0.3, n=x.size)
+            assert spec.weights._unit
+            got = penalty_sum(x, spec)
+            ref = self.weighted(x, np.ones(x.size), p, 0.3)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_other_uniform_weights_keep_the_multiply(self, p):
+        x = self.inputs(False)[1]
+        for value in (2.0, 0.5, 1.0 + 2.0**-52):
+            spec = PenaltySpec(p=p, weights=WeightSequence(np.full(x.size, value)), mu=0.3)
+            assert not spec.weights._unit
+            assert penalty_sum(x, spec) == self.weighted(x, spec.weights.w, p, 0.3)
+        assert not WeightSequence(np.array([1.0, 1.0, 2.0]))._unit
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_narrow_dtypes_are_widened_before_the_sum(self, p):
+        rng = np.random.default_rng(42)
+        for x in (rng.normal(size=10000).astype(np.float32),
+                  (rng.normal(size=300) + 1j * rng.normal(size=300)).astype(np.complex64)):
+            spec = PenaltySpec.uniform(p=p, mu=0.3, n=x.size)
+            assert penalty_sum(x, spec) == self.weighted(x, np.ones(x.size), p, 0.3)
 
 
 class TestObjective:

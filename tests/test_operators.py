@@ -523,7 +523,9 @@ def _normal_kinds():
     return {
         "diagonal": DiagonalOperator(np.linspace(-0.9, 0.8, 12)),
         "diagonal-complex": DiagonalOperator(rng.normal(size=12) + 1j * rng.normal(size=12)),
+        # wide: adjoint(apply); square and tall: the stored Gram matrix
         "dense": DenseOperator(rng.normal(size=(9, 12))),
+        "dense-square": DenseOperator(rng.normal(size=(12, 12))),
         "dense-complex": DenseOperator(rng.normal(size=(15, 12))
                                        + 1j * rng.normal(size=(15, 12))),
         "convolution-matrix": matrix,
@@ -550,6 +552,52 @@ class TestNormalOperator:
         assert True in forms and False in forms
         assert not kinds["wavelet-conjugated"].base.matrix_form
         assert kinds["wavelet-conjugated"].base.pad == kinds["wavelet-conjugated"].base.grid
+        grams = {k: kinds[k]._gram is not None for k in kinds if k.startswith("dense")}
+        assert grams == {"dense": False, "dense-square": True, "dense-complex": True}
+
+    def test_dense_gram_only_when_no_larger_than_the_matrix(self):
+        rng = np.random.default_rng(25)
+        for shape in [(6, 4), (4, 4), (1, 1)]:
+            M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            K = DenseOperator(M)
+            assert K._gram.shape == (shape[1], shape[1])
+            np.testing.assert_allclose(K._gram, M.conj().T @ M, rtol=0, atol=1e-14)
+        # frame synthesis: more frame vectors than samples
+        wide = DenseOperator(rng.normal(size=(4, 6)))
+        assert wide._gram is None
+        f = rng.normal(size=6)
+        np.testing.assert_array_equal(wide.normal(f), wide.adjoint(wide.apply(f)))
+        # an integer matrix keeps adjoint(apply): its Gram could wrap around
+        ints = DenseOperator(np.array([[2, 1], [0, 3], [1, 1]]))
+        assert ints._gram is None
+        assert ints.normal(np.ones(2, dtype=int)).dtype == np.int_
+
+    def test_dense_products_match_matmul(self):
+        # ndarray.dot and @ run the same product
+        rng = np.random.default_rng(26)
+        for shape in [(20, 20), (9, 12), (15, 12)]:
+            for M in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+                K = DenseOperator(M)
+                for f in (rng.normal(size=shape[1]),
+                          rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])):
+                    assert K.apply(f).tobytes() == (M @ f).tobytes()
+                g = rng.normal(size=shape[0])
+                assert K.adjoint(g).tobytes() == (M.conj().T @ g).tobytes()
+
+    @pytest.mark.parametrize("entries", [np.array([0.5, -0.25, 0.8]),
+                                         np.array([0.5j, -0.25 + 0.1j, 0.8]),
+                                         np.array([2, -1, 3])],
+                             ids=["real", "complex", "integer"])
+    def test_diagonal_normal_keeps_the_dtype_of_adjoint_apply(self, entries):
+        K = DiagonalOperator(entries)
+        for f in (np.array([1.0, -2.0, 3.0]), np.array([1, -2, 3]),
+                  np.array([1.0 + 1.0j, 2.0, -1.0j])):
+            ref = K.adjoint(K.apply(f))
+            out = K.normal(f)
+            assert out.dtype == ref.dtype
+            np.testing.assert_allclose(out, ref, rtol=1e-15, atol=0)
+        # conj(d) d has an exactly zero imaginary part
+        assert not np.any(np.imag(K._normal_entries))
 
     @pytest.mark.parametrize("kind", sorted(_normal_kinds()))
     def test_matches_adjoint_of_apply(self, kind):

@@ -56,6 +56,55 @@ class TestSoftThreshold:
             soft_threshold(np.array([1.0 + 1.0j]), 1.0)
 
 
+class TestSoftThresholdEdges:
+    """x - clip(x, -w/2, w/2) against the form sign(x) max(|x| - w/2, 0).
+
+    Every nonzero output, infinities included, has the same bits, and NaN
+    stays NaN. The sign of zero changes: for negative x in the dead zone
+    [-w/2, 0) the sign form writes -0.0, the clip form +0.0. Where w/2
+    rounds to zero (w = 5e-324), x = -0.0 gives +0.0 in both forms for a
+    float weight, and -0.0 in the clip form for an array weight.
+    """
+
+    @staticmethod
+    def sign_form(x, w):
+        return np.sign(x) * np.maximum(np.abs(x) - 0.5 * w, 0.0)
+
+    @staticmethod
+    def inputs(w):
+        t = 0.5 * w
+        edge = [t, -t, np.nextafter(t, np.inf), -np.nextafter(t, np.inf),
+                np.nextafter(t, 0.0), -np.nextafter(t, 0.0)]
+        return np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf,
+                         np.nan, 0.3, -2.5, 1e300, -1e300, 1.7e308, -1.7e308] + edge)
+
+    @pytest.mark.parametrize("w", [1.0, 3e-300, 1e300, 5e-324, 1e-323])
+    def test_matches_the_sign_form(self, w):
+        x = self.inputs(w)
+        for weight in (w, np.full(x.size, w)):
+            ref = self.sign_form(x, weight)
+            for out in (soft_threshold(x, weight), shrink_p(x, weight, 1.0)):
+                assert out.dtype == ref.dtype and out.shape == ref.shape
+                nan = np.isnan(ref)
+                assert np.array_equal(np.isnan(out), nan)
+                moved = (ref != 0.0) & ~nan
+                assert out[moved].tobytes() == ref[moved].tobytes()
+                zero = ref == 0.0
+                assert np.all(out[zero] == 0.0)
+                if 0.5 * w > 0.0:
+                    assert not np.signbit(out[zero]).any()
+                    # the sign form's negative zeros are the negative dead-zone inputs
+                    assert np.array_equal(np.signbit(ref[zero]), x[zero] < 0.0)
+                else:
+                    # x itself, but -0.0 becomes +0.0 (x + 0.0) for a float weight
+                    same = x if isinstance(weight, np.ndarray) else x + 0.0
+                    assert out.tobytes() == same.tobytes()
+            for xi, ri in zip(x, ref):
+                for out in (soft_threshold(float(xi), w), shrink_p(float(xi), w, 1.0)):
+                    assert isinstance(out, float)
+                    assert (np.isnan(out) and np.isnan(ri)) or out == ri
+
+
 class TestShrinkP:
     def test_p1_matches_soft_threshold(self):
         x = np.linspace(-3, 3, 41)
@@ -149,6 +198,19 @@ class TestShrinkP:
             warnings.simplefilter("error")
             y = shrink_p(np.array([np.inf, -np.inf]), 1.0, 1.5)
         np.testing.assert_array_equal(y, [np.inf, -np.inf])
+
+    @pytest.mark.parametrize("w", [1e200, 1e250])
+    def test_three_halves_overflow_seen_past_nan(self, w):
+        # h^2 + t overflows for every entry; a NaN in the same array must
+        # not hide that from the guard, or the roots collapse to zero
+        x = np.array([np.nan, 1e100, -np.inf, 4.0, np.inf, -1e100, np.nan])
+        for weight in (w, np.full(x.size, w)):
+            y = shrink_p(x, weight, 1.5)
+            assert y[1] > 0.0 and y[5] == -y[1]
+            assert forward_map(y[1], w, 1.5) == pytest.approx(1e100, rel=1e-14)
+            for xi, yi in zip(x, y):
+                alone = shrink_p(np.array([xi]), w, 1.5)[0]
+                assert (np.isnan(yi) and np.isnan(alone)) or yi == alone
 
     def test_root_finder_failure_is_a_library_error(self, monkeypatch):
         monkeypatch.setattr(shrinkage, "_MAX_ROOT_ITERATIONS", 1)

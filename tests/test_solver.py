@@ -87,9 +87,9 @@ class TestSteps:
                 solve(np.array([1.0]), K, spec)
 
     def test_one_normal_per_iteration(self):
-        # the start costs one apply (the exact discrepancy), one adjoint
-        # (b = K* g) and one normal; each iteration one normal; the end one
-        # apply (the re-anchored discrepancy), and the fixed-point residual
+        # from the default zero start, only b = K* g costs an adjoint: K 0
+        # and K*K 0 are zero; each iteration one normal; the end one apply
+        # (the re-anchored discrepancy), and the fixed-point residual
         # reuses the held A f
         spec = PenaltySpec.uniform(p=1.5, mu=0.1, n=3)
         for n in (1, 7):
@@ -97,7 +97,49 @@ class TestSteps:
             res = solve(np.ones(3), K, spec,
                         SolverConfig(max_iterations=n, step_tolerance=0.0))
             assert res.iterations == n
-            assert (K.applies, K.adjoints, K.normals) == (2, 1, n + 1)
+            assert (K.applies, K.adjoints, K.normals) == (1, 1, n)
+
+    def test_explicit_start_costs_one_apply_and_one_normal(self):
+        # an explicit f0 adds one apply (the exact discrepancy) and one
+        # normal at the start, even when it is zero
+        spec = PenaltySpec.uniform(p=1.5, mu=0.1, n=3)
+        for f0 in (np.array([0.3, -1.0, 2.0]), np.zeros(3)):
+            for n in (1, 7):
+                K = CountingDiagonal(np.array([0.5, 0.25, 0.8]))
+                res = solve(np.ones(3), K, spec,
+                            SolverConfig(max_iterations=n, step_tolerance=0.0), f0=f0)
+                assert res.iterations == n
+                assert (K.applies, K.adjoints, K.normals) == (2, 1, n + 1)
+
+    @pytest.mark.parametrize("kind, p, complex_data, projection", [
+        ("dense", 1.0, False, None),
+        ("dense", 1.5, True, None),
+        ("dense", 2.0, False, "nonnegative"),
+        ("diagonal-complex", 1.3, False, None),
+        ("convolution", 1.0, False, None),
+    ])
+    def test_zero_start_matches_explicit_zeros(self, kind, p, complex_data, projection):
+        # skipping K 0 and K*K 0 at the default start changes no bit of
+        # the minimizer or of any trace array but the wall times
+        rng = np.random.default_rng(31)
+        K = {
+            "dense": lambda: random_contraction(rng, 8),
+            "diagonal-complex": lambda: DiagonalOperator(
+                0.9 * rng.uniform(size=8) * np.exp(1j * rng.uniform(0.0, 6.0, size=8))),
+            "convolution": lambda: Convolution2DOperator((4, 2), (8, 4), 0.5),
+        }[kind]()
+        g = rng.normal(size=8) + (1j * rng.normal(size=8) if complex_data else 0.0)
+        spec = PenaltySpec.uniform(p=p, mu=0.05, n=8)
+        config = SolverConfig(max_iterations=40, step_tolerance=0.0, projection=projection)
+        default = solve(g, K, spec, config)
+        explicit = solve(g, K, spec, config, f0=np.zeros(8))
+        assert (default.status, default.iterations) == (explicit.status, explicit.iterations)
+        assert default.minimizer.values.dtype == explicit.minimizer.values.dtype
+        assert default.minimizer.values.tobytes() == explicit.minimizer.values.tobytes()
+        assert default.fixed_point_residual == explicit.fixed_point_residual
+        for name in ("objectives", "discrepancies", "penalties", "step_norms", "surrogates"):
+            a, b = getattr(default.trace, name), getattr(explicit.trace, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
     def test_every_shrink_goes_through_the_module_name(self, monkeypatch, p):
