@@ -297,26 +297,38 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec) -> float:
     The caller guarantees a length matching ``spec`` and real values
     whenever the weights are asymmetric.
     """
+    p = spec.p
     if spec.asymmetric is not None:
         wp, wm = spec.asymmetric
         pos = np.maximum(values, 0.0)
         neg = np.maximum(-values, 0.0)
-        return float(spec.mu * (np.add.reduce(wp.w * pos**spec.p)
-                                + np.add.reduce(wm.w * neg**spec.p)))
-    p, char = spec.p, values.dtype.char
-    # unit weights give the weighted form's bits without the multiply:
-    # 1.0 * x == x, |x|**1.0 == |x| and |x|**2.0 == x * x; narrower dtypes
-    # keep the weighted form, whose float64 weights widen them before the sum
-    if not spec.weights._unit or char not in "dD":
+        return float(spec.mu * (np.add.reduce(wp.w * _powers(pos, p))
+                                + np.add.reduce(wm.w * _powers(neg, p))))
+    char = values.dtype.char
+    if char not in "dD":
+        # narrower dtypes keep the power, and the float64 weights widen
+        # them before the sum
         terms = spec.weights.w * np.abs(values) ** p
-    elif p == 1.0:
-        terms = np.abs(values)
-    elif p == 2.0 and char == "d":
-        terms = values * values
     else:
-        terms = np.abs(values) ** p
+        # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
+        terms = values * values if p == 2.0 and char == "d" else _powers(np.abs(values), p)
+        if not spec.weights._unit:
+            np.multiply(spec.weights.w, terms, out=terms)
     # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
     return float(spec.mu * np.add.reduce(terms))
+
+
+def _powers(a: np.ndarray, p: float) -> np.ndarray:
+    """a**p of a nonnegative array that the caller owns, in its buffer.
+
+    a**1.0 is a itself. At p = 3/2 a float64 array becomes a * sqrt(a),
+    which is within one ulp of a**1.5 and takes half its time.
+    """
+    if p == 1.0:
+        return a
+    if p == 1.5 and a.dtype.char == "d":
+        return np.multiply(a, np.sqrt(a), out=a)
+    return np.power(a, p, out=a)
 
 
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:

@@ -35,6 +35,9 @@ _MAX_ROOT_ITERATIONS = 400
 # the Newton solve works at a quarter scale above this input
 _QUARTER_ABOVE = 2.0**1022
 _SMALLEST_DENORMAL = 2.0**-1074
+# the p = 3/2 root drops its overflow guards while every sqrt(h^2 + t)
+# is below this: the root's square then stays below 2^1022
+_GUARD_ROOT_ABOVE = 2.0**511
 
 
 def _real_array(x, name="input") -> np.ndarray:
@@ -87,26 +90,38 @@ def _soft(arr: np.ndarray, w):
     return out if out.ndim else float(out)
 
 
-def _root_three_halves(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _root_three_halves(t: np.ndarray, w) -> np.ndarray:
     """Solve y + (3w/4) sqrt(y) = t elementwise for y >= 0 (p = 3/2).
 
     In s = sqrt(y) this is s^2 + 2h s - t = 0 with h = 3w/8, whose
     nonnegative root s = t / (h + sqrt(h^2 + t)) has no cancellation.
+    Returns y in a new array and leaves t unchanged. While every
+    sqrt(h^2 + t) stays below 2^511, h^2 + t, the quotient and s^2 are
+    all finite, and the root is formed in place in one buffer; s may
+    then round an ulp above sqrt(t), which the caller's cap at t
+    absorbs. Otherwise (t = inf, t near the float limit, or h^2 + t
+    near or past overflow) the whole call takes the guarded form.
     """
     h = 0.375 * w
-    r = np.sqrt(t)
-    # one errstate for both: h^2 + t may overflow, and t = inf gives inf/inf
+    y = np.empty_like(t)
+    # one errstate for both forms: h^2 + t may overflow, t = inf gives
+    # inf/inf, and t = 0 with h = 0 (w = 5e-324) gives 0/0
     with np.errstate(over="ignore", invalid="ignore"):
-        root = np.sqrt(h * h + t)
-        # fmax skips NaN, so a NaN elsewhere cannot hide an infinite root
-        if np.fmax.reduce(root, axis=None, initial=0.0) == math.inf:
-            # h^2 + t overflowed for a huge weight (or t = inf): take the
-            # same square root without forming h^2
-            root = np.hypot(h, r)
-        # s < sqrt(t) in exact arithmetic; the bound also sends t = inf,
-        # where the quotient is inf/inf, to inf
-        s = np.fmin(t / (h + root), r)
-    return s * s
+        root = np.sqrt(np.add(h * h, t, out=y), out=y)
+        # fmax skips NaN, so a NaN elsewhere cannot hide a large root
+        top = np.fmax.reduce(root, axis=None, initial=0.0)
+        if top < _GUARD_ROOT_ABOVE:
+            np.divide(t, np.add(root, h, out=y), out=y)
+        else:
+            r = np.sqrt(t)
+            if top == math.inf:
+                # h^2 + t overflowed for a huge weight (or t = inf): take
+                # the same square root without forming h^2
+                root = np.hypot(h, r)
+            # s < sqrt(t) in exact arithmetic; the bound also sends t = inf,
+            # where the quotient is inf/inf, to inf
+            np.fmin(t / (h + root), r, out=y)
+    return np.multiply(y, y, out=y)
 
 
 def _invert_fp(t: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
@@ -206,14 +221,18 @@ def shrink_p(x, w, p):
     if abs(p - 2.0) <= _P_SNAP:
         out = arr / (1.0 + w)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-    t = np.abs(arr)
+    # t and y are this call's own arrays: the cap and the sign are
+    # formed in them, and t is returned
+    t = np.asarray(np.abs(arr))
     if abs(p - 1.5) <= _P_SNAP:
         y = _root_three_halves(t, w)
     else:
         y = _invert_fp(t, 0.5 * w * p, p)
-    # S(t) <= t, but a root within rounding of t can land an ulp above it
-    out = np.sign(arr) * np.minimum(y, t)
-    return out if out.ndim else float(out)
+    # S(t) <= t, but a root within rounding of t can land an ulp above
+    # it; fmin also keeps t where the p = 3/2 root is 0/0 (t = 0, w = 5e-324)
+    np.fmin(y, t, out=t)
+    np.multiply(np.sign(arr, out=y), t, out=t)
+    return t if t.ndim else float(t)
 
 
 def shrink_complex(z, w, p):

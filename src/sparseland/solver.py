@@ -59,6 +59,10 @@ _DESCENT_SLACK = 1e-12
 # relative to 1 + the starting objective; a wrong normal operator drifts further
 _ANCHOR_SLACK = 1e-10
 
+# weights constant on contiguous runs of this average length or more are
+# shrunk run by run with float weights (see _constant_runs)
+_MIN_RUN = 8192
+
 STATUS_STEP = "converged_step"
 STATUS_MAX = "max_iterations"
 
@@ -132,10 +136,15 @@ class _Step:
     shrink checks by one comparison per call instead of a pass over an
     array; mu * w can leave that range although mu and w are valid, so
     it is checked here, once, and weights that fail stay an array for
-    the shrink to reject. The float broadcasts to the same value in
-    every element, so outputs are bit-for-bit those of the array. Calls
-    take A f, so a caller that already holds it pays no operator call,
-    and return the stepped point with r = b - A f.
+    the shrink to reject. Symmetric weights that are constant on long
+    contiguous runs, such as Besov weights in wavelet band order (one
+    value per scale), are held as a list of (slice, float) runs, and
+    each run is shrunk on its own with its float. A float broadcasts to
+    the same value in every element, so outputs are bit-for-bit those
+    of the array (but for the sign of zero at p = 1 and w = 5e-324, see
+    ``shrinkage._soft``). Calls take A f, so a caller that already
+    holds it pays no operator call, and return the stepped point with
+    r = b - A f.
     """
 
     def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
@@ -148,7 +157,7 @@ class _Step:
             self.weights = (_effective_weights(spec.mu, wp.w),
                             _effective_weights(spec.mu, wm.w))
         else:
-            self.weights = _effective_weights(spec.mu, spec.weights.w)
+            self.weights = _constant_runs(_effective_weights(spec.mu, spec.weights.w))
 
     def __call__(self, f: np.ndarray, Af: np.ndarray):
         r = self.b - Af
@@ -158,10 +167,14 @@ class _Step:
         # the shrink of a 1-d array is a 1-d array
         if isinstance(self.weights, tuple):
             out = shrink_asymmetric(h, *self.weights, self.p)
-        elif h.dtype.kind == "c":
-            out = shrink_complex(h, self.weights, self.p)
         else:
-            out = shrink_p(h, self.weights, self.p)
+            shrink = shrink_complex if h.dtype.kind == "c" else shrink_p
+            if isinstance(self.weights, list):
+                out = np.empty_like(h)
+                for run, w in self.weights:
+                    out[run] = shrink(h[run], w, self.p)
+            else:
+                out = shrink(h, self.weights, self.p)
         if self.nonnegative:
             out = np.maximum(out, 0.0)
         return out, r
@@ -176,6 +189,27 @@ def _effective_weights(mu: float, w: np.ndarray):
     if 0.0 < first < math.inf and (weights == first).all():
         return first
     return weights
+
+
+def _constant_runs(weights):
+    """Array weights as [(slice, float), ...] runs when the runs are long.
+
+    A run pays one shrink call, 2-16 us at 16 entries, and its float
+    saves 0.9-3.4 ns per entry over an array weight (65,536 entries,
+    p = 1, 3/2 and 2, on a 2-core Xeon): runs break even at 1,200-5,500
+    entries on average, and are taken from _MIN_RUN. Uniform weights
+    (a float) and weights with shorter runs are returned as they are.
+    A run whose value is not finite and positive reaches the shrink as
+    a float, which rejects it as it would the array.
+    """
+    if isinstance(weights, float):
+        return weights
+    stops = np.flatnonzero(weights[1:] != weights[:-1]) + 1
+    if (stops.size + 1) * _MIN_RUN > weights.size:
+        return weights
+    starts = [0, *stops.tolist()]
+    return [(slice(start, stop), float(weights[start]))
+            for start, stop in zip(starts, starts[1:] + [weights.size])]
 
 
 def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,

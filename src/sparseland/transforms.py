@@ -28,7 +28,10 @@ and synthesis writes it, and the signs into the scaling, so the bands
 are the filter bank's entry for entry. During a transform the
 bands sit in place in one array, each level's in the corner the
 previous level's scaling band held; they are copied to or from the
-flat band order once.
+flat band order once. Each direction records its ufunc calls once per
+shape and spec, on a work array and scratch of its own, and later
+calls run that record: a thread keeps its own recent records, and
+every call returns a new array.
 
 Every coefficient carries a scale label |lambda|, with the scaling band
 and the coarsest details at |lambda| = 0 and the finest details at
@@ -40,6 +43,7 @@ iteration shrink wavelet coefficients instead of pixels.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple, Tuple
@@ -220,7 +224,9 @@ def _factor(h: np.ndarray, g: np.ndarray) -> _Lifting:
     direct[k, taps] = h
     direct[k + n // 2, taps] = g
     lifted = np.empty((n, n))
-    _split(np.eye(n), lifted, 0, lifting, np.empty(3 * n * n // 2))
+    plan = _Plan(0)
+    _split(np.eye(n), lifted, 0, lifting, np.empty(3 * n * n // 2), plan)
+    plan.run(None, None)
     defect = float(np.max(np.abs(lifted - direct)))
     if defect > _FILTER_TOL:
         raise ParameterError(f"lifting steps miss the filter bank by {defect:.2e}")
@@ -278,13 +284,67 @@ def _phases(shape: Tuple[int, ...], axis: int, scratch: np.ndarray):
     return [scratch[i * size:(i + 1) * size].reshape(half) for i in range(3)]
 
 
-def _run_steps(steps, phases, axis: int, sign: float):
+class _Call:
+    """A transform call's input or output array while its plan is recorded.
+
+    Indexing it gives the region ``index`` of the array a call will pass.
+    """
+
+    def __init__(self, index=None):
+        self.index = index
+
+    def __getitem__(self, index) -> "_Call":
+        return _Call(index)
+
+
+_CALL = _Call()
+
+
+class _Plan:
+    """The ufunc calls of one transform, recorded once and run per call.
+
+    ``ops`` are (ufunc, args) pairs on the plan's own work and scratch
+    buffers. ``reads`` copy the call's input into those buffers before
+    ``ops`` run, and ``writes`` copy them into the call's output after;
+    each is (index, shape, view), the call's region being
+    array[index].reshape(shape). ``size`` counts the floats the plan holds.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.reads, self.ops, self.writes = [], [], []
+
+    def call(self, ufunc, *args):
+        self.ops.append((ufunc, args))
+
+    def copy(self, dst, src):
+        """Record dst[...] = src; either may be a _Call region of the call's array."""
+        if isinstance(src, _Call):
+            self.reads.append((src.index, dst.shape, dst))
+        elif isinstance(dst, _Call):
+            self.writes.append((dst.index, src.shape, src))
+        else:
+            self.ops.append((np.copyto, (dst, src)))
+
+    def run(self, x, out):
+        for index, shape, view in self.reads:
+            np.copyto(view, x[index].reshape(shape))
+        for ufunc, args in self.ops:
+            ufunc(*args)
+        for index, shape, view in self.writes:
+            np.copyto(out[index].reshape(shape), view)
+        return out
+
+
+def _run_steps(steps, phases, axis: int, sign: float, plan: _Plan):
     """Lifting steps in place: v[k] += sign * sum c * u[(k + s) mod m].
 
     The phases are viewed as (before, m, after) around the axis. They
     are contiguous, so a shift by s along m is a shift by s * after of
-    the flat array, right except in the last s rows along m of each
-    block, which are rewritten from the wrapped rows.
+    the flat array, right except in the s rows along m of each block
+    that wrap around, which are rewritten from the wrapped rows. A
+    shift is taken modulo m as the one of -m/2 < s <= m/2, which wraps
+    the fewest rows.
     """
     e, o, t = (a.reshape(prod(a.shape[:axis]), a.shape[axis], -1) for a in phases)
     m, after = t.shape[1:]
@@ -292,45 +352,58 @@ def _run_steps(steps, phases, axis: int, sign: float):
     for odd, terms in steps:
         v, u = (o, e) if odd else (e, o)
         for c, s in terms:
-            c, s = sign * c, s % m
-            if s:
-                np.multiply(u.reshape(-1)[s * after:], c, out=flat[:-s * after])
-                np.multiply(u[:, :s], c, out=t[:, m - s:])
+            c, s = sign * c, (s + (m - 1) // 2) % m - (m - 1) // 2
+            if s > 0:
+                plan.call(np.multiply, u.reshape(-1)[s * after:], c, flat[:-s * after])
+                plan.call(np.multiply, u[:, :s], c, t[:, m - s:])
+            elif s < 0:
+                plan.call(np.multiply, u.reshape(-1)[:s * after], c, flat[-s * after:])
+                plan.call(np.multiply, u[:, m + s:], c, t[:, :-s])
             else:
-                np.multiply(u, c, out=t)
-            v += t
+                plan.call(np.multiply, u, c, t)
+            plan.call(np.add, v, t, v)
 
 
-def _split(src: np.ndarray, dst: np.ndarray, axis: int, lifting: _Lifting,
-           scratch: np.ndarray):
-    """One analysis split along `axis`: dst gets [a | d] along it.
+def _split(src, dst: np.ndarray, axis: int, lifting: _Lifting, scratch: np.ndarray,
+           plan: _Plan):
+    """Record one analysis split along `axis`: dst gets [a | d] along it.
 
-    src has an even length 2m there and is read periodically; dst may be
-    src. scratch holds at least 3/2 src.size floats.
+    src has dst's shape, an even length 2m along the axis, and is read
+    periodically; it may be dst, or _CALL for the call's input. scratch
+    holds at least 3/2 dst.size floats.
+    """
+    phases = _phases(dst.shape, axis, scratch)
+    m = dst.shape[axis] // 2
+    for r, phase in enumerate(phases[:2]):
+        s = lifting.shift[r] % m
+        plan.copy(phase[_along(axis, slice(0, m - s))],
+                  src[_along(axis, slice(2 * s + r, None, 2))])
+        if s:
+            plan.copy(phase[_along(axis, slice(m - s, m))], src[_along(axis, slice(r, 2 * s, 2))])
+    _run_steps(lifting.steps, phases, axis, 1.0, plan)
+    for r, phase in enumerate(phases[:2]):
+        plan.call(np.multiply, phase, lifting.scale[r],
+                  dst[_along(axis, slice(r * m, (r + 1) * m))])
+
+
+def _merge(src: np.ndarray, dst, axis: int, lifting: _Lifting, scratch: np.ndarray,
+           plan: _Plan):
+    """Record the inverse of _split: [a | d] along `axis` of src back to the signal.
+
+    dst has src's shape; it may be src, or _CALL for the call's output.
     """
     phases = _phases(src.shape, axis, scratch)
     m = src.shape[axis] // 2
     for r, phase in enumerate(phases[:2]):
-        s = lifting.shift[r] % m
-        phase[_along(axis, slice(0, m - s))] = src[_along(axis, slice(2 * s + r, None, 2))]
-        phase[_along(axis, slice(m - s, m))] = src[_along(axis, slice(r, 2 * s, 2))]
-    _run_steps(lifting.steps, phases, axis, 1.0)
-    for r, phase in enumerate(phases[:2]):
-        np.multiply(phase, lifting.scale[r], out=dst[_along(axis, slice(r * m, (r + 1) * m))])
-
-
-def _merge(x: np.ndarray, axis: int, lifting: _Lifting, scratch: np.ndarray):
-    """Inverse of _split in place: [a | d] along `axis` back to the signal."""
-    phases = _phases(x.shape, axis, scratch)
-    m = x.shape[axis] // 2
-    for r, phase in enumerate(phases[:2]):
-        np.multiply(x[_along(axis, slice(r * m, (r + 1) * m))], 1.0 / lifting.scale[r],
-                    out=phase)
-    _run_steps(reversed(lifting.steps), phases, axis, -1.0)
+        plan.call(np.multiply, src[_along(axis, slice(r * m, (r + 1) * m))],
+                  1.0 / lifting.scale[r], phase)
+    _run_steps(reversed(lifting.steps), phases, axis, -1.0, plan)
     for r, phase in enumerate(phases[:2]):
         s = lifting.shift[r] % m
-        x[_along(axis, slice(2 * s + r, None, 2))] = phase[_along(axis, slice(0, m - s))]
-        x[_along(axis, slice(r, 2 * s, 2))] = phase[_along(axis, slice(m - s, m))]
+        plan.copy(dst[_along(axis, slice(2 * s + r, None, 2))],
+                  phase[_along(axis, slice(0, m - s))])
+        if s:
+            plan.copy(dst[_along(axis, slice(r, 2 * s, 2))], phase[_along(axis, slice(m - s, m))])
 
 
 def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
@@ -386,25 +459,85 @@ def _corner(shape: Tuple[int, ...], level: int) -> tuple:
     return tuple(slice(0, n >> level) for n in shape)
 
 
+def _analysis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
+    """Record dwt_array for one shape: the splits, then the band gather.
+
+    The first split reads the call's input; the bands go from the work
+    array to the call's flat output.
+    """
+    work = np.empty(shape)
+    scratch = np.empty(3 * work.size // 2)
+    plan = _Plan(work.size + scratch.size)
+    for level in range(spec.levels):
+        corner = work[_corner(shape, level)]
+        for axis in reversed(range(len(shape))):
+            src = _CALL if level == 0 and axis == len(shape) - 1 else corner
+            _split(src, corner, axis, spec.lifting, scratch, plan)
+    pos = 0
+    for band in _bands(shape, spec.levels):
+        piece = work[band]
+        plan.copy(_CALL[pos:pos + piece.size], piece)
+        pos += piece.size
+    return plan
+
+
+def _synthesis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
+    """Record idwt_array for one shape: the band scatter, then the merges.
+
+    The bands go from the call's flat input to the work array; the
+    last merge writes the call's output.
+    """
+    work = np.empty(shape)
+    scratch = np.empty(3 * work.size // 2)
+    plan = _Plan(work.size + scratch.size)
+    pos = 0
+    for band in _bands(shape, spec.levels):
+        piece = work[band]
+        plan.copy(piece, _CALL[pos:pos + piece.size])
+        pos += piece.size
+    for level in reversed(range(spec.levels)):
+        corner = work[_corner(shape, level)]
+        for axis in range(len(shape)):
+            dst = _CALL if level == 0 and axis == len(shape) - 1 else corner
+            _merge(corner, dst, axis, spec.lifting, scratch, plan)
+    return plan
+
+
+class _PlanCache(threading.local):
+    """The plans this thread recorded, least recently used first."""
+
+    def __init__(self):
+        self.plans = {}
+
+
+_PLANS = _PlanCache()
+# a thread keeps at most this many plans, of at most this many floats
+# each; a larger plan is recorded for its call alone, whose transform
+# then costs far more than recording it
+_MAX_PLANS = 8
+_MAX_PLAN_SIZE = 2**20
+
+
+def _plan(record, shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
+    """The plan `record` makes for (shape, spec), from this thread's cache."""
+    plans = _PLANS.plans
+    key = (record, shape, spec)
+    plan = plans.pop(key, None)
+    if plan is None:
+        _check_shape(shape, spec)
+        plan = record(shape, spec)
+        if plan.size > _MAX_PLAN_SIZE:
+            return plan
+        if len(plans) >= _MAX_PLANS:
+            del plans[next(iter(plans))]
+    plans[key] = plan
+    return plan
+
+
 def dwt_array(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Forward transform of a 1-d or 2-d array into flat band order."""
     a = check_array(x, "wavelet transform input").astype(np.float64, copy=False)
-    _check_shape(a.shape, spec)
-    work = np.empty(a.shape)
-    scratch = np.empty(3 * a.size // 2)
-    src = a
-    for level in range(spec.levels):
-        corner = _corner(a.shape, level)
-        for axis in reversed(range(a.ndim)):
-            _split(src[corner], work[corner], axis, spec.lifting, scratch)
-            src = work
-    out = np.empty(a.size)
-    pos = 0
-    for band in _bands(a.shape, spec.levels):
-        piece = work[band]
-        out[pos:pos + piece.size].reshape(piece.shape)[...] = piece
-        pos += piece.size
-    return out
+    return _plan(_analysis_plan, a.shape, spec).run(a, np.empty(a.size))
 
 
 def idwt_array(values: np.ndarray, spec: WaveletSpec,
@@ -415,21 +548,10 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
         raise AlignmentError(
             f"coefficients must be a flat 1-d array, got shape {values.shape}")
     shape = tuple(shape)
-    _check_shape(shape, spec)
+    plan = _plan(_synthesis_plan, shape, spec)
     if values.size != prod(shape):
         raise AlignmentError(f"expected {prod(shape)} coefficients, got {values.size}")
-    work = np.empty(shape)
-    pos = 0
-    for band in _bands(shape, spec.levels):
-        piece = work[band]
-        piece[...] = values[pos:pos + piece.size].reshape(piece.shape)
-        pos += piece.size
-    scratch = np.empty(3 * values.size // 2)
-    for level in reversed(range(spec.levels)):
-        corner = _corner(shape, level)
-        for axis in range(len(shape)):
-            _merge(work[corner], axis, spec.lifting, scratch)
-    return work
+    return plan.run(values, np.empty(shape))
 
 
 def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:

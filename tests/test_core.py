@@ -193,7 +193,10 @@ class TestUnitWeightPenalty:
 
     @staticmethod
     def weighted(values, w, p, mu):
-        return float(mu * np.add.reduce(w * np.abs(values) ** p))
+        a = np.abs(values)
+        # float64 and complex128 penalties form |f|**1.5 as |f| * sqrt(|f|)
+        powers = a * np.sqrt(a) if p == 1.5 and a.dtype == np.float64 else a ** p
+        return float(mu * np.add.reduce(w * powers))
 
     def inputs(self, complex_values):
         rng = np.random.default_rng(41)
@@ -226,6 +229,16 @@ class TestUnitWeightPenalty:
             assert not spec.weights._unit
             assert penalty_sum(x, spec) == self.weighted(x, spec.weights.w, p, 0.3)
         assert not WeightSequence(np.array([1.0, 1.0, 2.0]))._unit
+
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_three_halves_terms_within_one_ulp_of_the_power(self, complex_values):
+        x = self.inputs(complex_values)[0]
+        x = np.concatenate([x, np.random.default_rng(43).uniform(0.0, 4.0, 20000)])
+        spec = PenaltySpec.uniform(p=1.5, mu=1.0, n=1)
+        got = np.array([penalty_sum(x[i:i + 1], spec) for i in range(x.size)])
+        ref = np.abs(x) ** 1.5
+        # both are nonnegative, so their bit patterns order like their values
+        assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 1
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_narrow_dtypes_are_widened_before_the_sum(self, p):

@@ -319,6 +319,90 @@ class TestShrinkP:
             assert np.all((0.0 <= y) & (y <= t))
 
 
+def three_halves_guarded(x, w):
+    """The p = 3/2 closed form with its overflow guards and the sqrt(t) bound always on."""
+    t = np.abs(x)
+    h = 0.375 * w
+    r = np.sqrt(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(h * h + t)
+        if np.fmax.reduce(root, axis=None, initial=0.0) == np.inf:
+            root = np.hypot(h, r)
+        s = np.fmin(t / (h + root), r)
+    return np.sign(x) * np.minimum(s * s, t)
+
+
+class TestThreeHalvesForms:
+    """shrink_p at p = 3/2 drops the sqrt(t) bound unless a root reaches 2^511.
+
+    Below that the bound binds only by rounding: outputs stay within one
+    ulp of the guarded form, and signed zeros, subnormals and NaN keep
+    its bits. An input whose root reaches 2^511 (t = inf, t near the
+    float limit, or h^2 + t overflowing for a huge weight) sends the
+    whole call to the guarded form itself.
+    """
+
+    SMALL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, np.nan, -np.nan])
+    HUGE = np.array([np.inf, -np.inf, 1e308, -np.finfo(float).max, 4.6e307, -1.3e154])
+
+    @staticmethod
+    def ulps(a, b):
+        return np.abs(np.abs(a).view(np.int64) - np.abs(b).view(np.int64))
+
+    @pytest.mark.parametrize("w", [1e-300, 0.8, 1e300])
+    def test_special_inputs_keep_the_guarded_bits(self, w):
+        rng = np.random.default_rng(15)
+        ordinary = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-300, 150, 500)
+        for x in (self.SMALL, self.HUGE, np.concatenate([self.SMALL, self.HUGE]),
+                  np.concatenate([ordinary, self.HUGE])):
+            for weight in (w, np.full(x.size, w)):
+                assert shrink_p(x, weight, 1.5).tobytes() == \
+                    three_halves_guarded(x, weight).tobytes()
+        for xi in np.concatenate([self.SMALL[:-2], self.HUGE]):
+            assert np.float64(shrink_p(float(xi), w, 1.5)).tobytes() == \
+                np.float64(three_halves_guarded(xi, w)).tobytes()
+
+    @pytest.mark.parametrize("w", [5e-324, 1e-300, 1e-12, 0.8, 1e300])
+    def test_ordinary_inputs_within_one_ulp(self, w):
+        rng = np.random.default_rng(16)
+        x = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-320, 150, 20000)
+        for weight in (w, np.full(x.size, w)):
+            got, ref = shrink_p(x, weight, 1.5), three_halves_guarded(x, weight)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert self.ulps(got, ref).max() <= 1
+        # the bound binds where 3w/8 is tiny next to sqrt|x|: 0.3 itself is
+        # the root to within an ulp, and the bound gave the float below it
+        assert shrink_p(np.array([0.3]), 1e-300, 1.5)[0] == 0.3
+        assert three_halves_guarded(np.array([0.3]), 1e-300)[0] == np.nextafter(0.3, 0.0)
+
+
+class TestInputsStayUntouched:
+    """Every public shrink leaves its input as it was and returns new memory."""
+
+    CALLS = [("soft_threshold", lambda x, w, p: soft_threshold(x, w)),
+             ("shrink_p", shrink_p),
+             ("shrink_asymmetric", lambda x, w, p: shrink_asymmetric(x, w, 2.0 * w, p)),
+             ("shrink_complex", shrink_complex)]
+
+    @pytest.mark.parametrize("name, call", CALLS, ids=[n for n, _ in CALLS])
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_input_not_written_and_not_shared(self, name, call, p):
+        rng = np.random.default_rng(17)
+        real = np.concatenate([rng.normal(size=50), [0.0, -0.0, np.inf, -np.inf, 1e308]])
+        inputs = [real, real[::2], real.reshape(5, 11), np.array(-2.5)]
+        if name == "shrink_complex":
+            # the imaginary part set on its own: 1j * inf forms inf * 0
+            z = real.astype(complex)
+            z.imag = real[::-1]
+            inputs += [z, z[::3]]
+        for x in inputs:
+            for w in (0.8, np.full(x.shape, 0.8)):
+                before = x.copy()
+                out = call(x, w, p)
+                assert x.tobytes() == before.tobytes()
+                assert not np.shares_memory(out, x)
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
     def test_weight_that_does_not_broadcast(self, p):

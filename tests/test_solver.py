@@ -198,6 +198,74 @@ class TestSteps:
             dist = new_dist
 
 
+class TestWeightRuns:
+    """Weights constant on long runs are shrunk run by run, each with a float."""
+
+    # Besov weights of a 256^2 grid in db2:3 coefficients: one value per scale
+    BESOV = (4096, 12288, 49152)
+
+    @staticmethod
+    def problem(p, lengths, values, mu=0.3, complex_data=False):
+        rng = np.random.default_rng(21)
+        n = sum(lengths)
+        K = DiagonalOperator(rng.uniform(0.1, 0.9, n))
+        g = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_data else 0.0)
+        f = rng.normal(size=n)
+        spec = PenaltySpec(p=p, weights=WeightSequence(np.repeat(values, lengths)), mu=mu)
+        return f, g, K, spec
+
+    @staticmethod
+    def array_step(f, g, K, spec):
+        # the step _Step takes, shrunk with the whole weight array
+        h = f + (K.adjoint(g) - K.normal(f))
+        shrink = shrinkage.shrink_complex if h.dtype.kind == "c" else shrinkage.shrink_p
+        return shrink(h, spec.mu * spec.weights.w, spec.p)
+
+    @staticmethod
+    def counted_step(monkeypatch, f, g, K, spec):
+        weights = []
+
+        def counting(x, w, p):
+            weights.append(w)
+            return shrinkage.shrink_p(x, w, p)
+
+        monkeypatch.setattr(solver, "shrink_p", counting)
+        return iterate_step(f, g, K, spec).values, [type(w) for w in weights]
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_three_runs_give_the_array_bits(self, monkeypatch, p):
+        f, g, K, spec = self.problem(p, self.BESOV, [1.0, 2.0**1.5, 8.0])
+        out, types = self.counted_step(monkeypatch, f, g, K, spec)
+        assert types == [float, float, float]
+        assert out.tobytes() == self.array_step(f, g, K, spec).tobytes()
+        f, g, K, spec = self.problem(p, self.BESOV, [1.0, 2.0**1.5, 8.0], complex_data=True)
+        out = iterate_step(f, g, K, spec).values
+        assert out.tobytes() == self.array_step(f, g, K, spec).tobytes()
+
+    def test_p1_smallest_weight_differs_only_in_the_sign_of_zero(self, monkeypatch):
+        # w/2 rounds to zero at w = 5e-324, and a float weight then turns
+        # an input -0.0 into +0.0 where the array keeps it (shrinkage._soft)
+        f, g, K, spec = self.problem(1.0, self.BESOV, [1.0, 2.0, 4.0], mu=5e-324)
+        out, types = self.counted_step(monkeypatch, f, g, K, spec)
+        assert types == [float, float, float]
+        ref = self.array_step(f, g, K, spec)
+        nonzero = ref != 0.0
+        assert out[nonzero].tobytes() == ref[nonzero].tobytes()
+        assert np.all(out[~nonzero] == 0.0)
+
+    @pytest.mark.parametrize("lengths, types", [
+        ((24576,), [float]),  # uniform: one float, as before
+        ((8192,) * 3, [float] * 3),  # runs of the minimum average length
+        ((2, 24574), [float] * 2),  # a short run rides on a long one
+        ((8191, 8192, 8192), [np.ndarray]),  # runs a little short on average
+        ((16,) * 1536, [np.ndarray])])  # many short runs: one weight array
+    def test_path_follows_the_average_run_length(self, monkeypatch, lengths, types):
+        f, g, K, spec = self.problem(1.5, lengths, 1.0 + np.arange(len(lengths)))
+        out, seen = self.counted_step(monkeypatch, f, g, K, spec)
+        assert seen == types
+        assert out.tobytes() == self.array_step(f, g, K, spec).tobytes()
+
+
 class TestDescent:
     def test_objective_never_increases(self):
         rng = np.random.default_rng(2)

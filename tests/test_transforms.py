@@ -1,8 +1,12 @@
 """Wavelet transforms, scale labels, smoothness weights, conjugation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from sparseland import transforms
 from sparseland.core import PenaltySpec, triple_norm
 from sparseland.errors import AlignmentError, ParameterError
 from sparseland.operators import Convolution2DOperator, DiagonalOperator
@@ -425,3 +429,154 @@ class TestConjugatedOperator:
         res_coeff = solve(g, C, pen, cfg)
         recon = idwt_array(res_coeff.minimizer.values, spec_w, (16,))
         np.testing.assert_allclose(recon, res_pixel.minimizer.values, atol=1e-10)
+
+
+def _band_slices(shape, levels):
+    """Flat band order: the scaling band, then each level's details, coarsest first."""
+    yield tuple(slice(0, n >> levels) for n in shape)
+    for level in range(levels, 0, -1):
+        lo = [slice(0, n >> level) for n in shape]
+        hi = [slice(n >> level, 2 * (n >> level)) for n in shape]
+        if len(shape) == 1:
+            yield (hi[0],)
+        else:
+            # G X H^T, H X G^T, G X G^T: high along axis 0, along axis 1, along both
+            yield from ((hi[0], lo[1]), (lo[0], hi[1]), (hi[0], hi[1]))
+
+
+def _lift(x, spec):
+    """dwt_array written out directly, every periodic read a whole-array np.roll."""
+    L = spec.lifting
+    work = np.array(x, dtype=float)
+    for level in range(spec.levels):
+        corner = tuple(slice(0, n >> level) for n in work.shape)
+        for axis in reversed(range(work.ndim)):
+            block = work[corner]
+            n = block.shape[axis]
+            e, o = (np.roll(np.take(block, np.arange(r, n, 2), axis=axis), -L.shift[r],
+                            axis=axis) for r in (0, 1))
+            for odd, terms in L.steps:
+                for c, s in terms:
+                    if odd:
+                        o = o + np.roll(e, -s, axis=axis) * c
+                    else:
+                        e = e + np.roll(o, -s, axis=axis) * c
+            work[corner] = np.concatenate([e * L.scale[0], o * L.scale[1]], axis=axis)
+    return np.concatenate([work[band].ravel() for band in _band_slices(work.shape, spec.levels)])
+
+
+def _unlift(values, spec, shape):
+    """idwt_array written out directly: _lift's steps undone in reverse."""
+    L = spec.lifting
+    work = np.empty(shape)
+    pos = 0
+    for band in _band_slices(shape, spec.levels):
+        piece = work[band]
+        piece[...] = values[pos:pos + piece.size].reshape(piece.shape)
+        pos += piece.size
+    for level in reversed(range(spec.levels)):
+        corner = tuple(slice(0, n >> level) for n in shape)
+        for axis in range(len(shape)):
+            block = work[corner]
+            m = block.shape[axis] // 2
+            e = np.take(block, np.arange(m), axis=axis) * (1.0 / L.scale[0])
+            o = np.take(block, np.arange(m, 2 * m), axis=axis) * (1.0 / L.scale[1])
+            for odd, terms in reversed(L.steps):
+                for c, s in terms:
+                    if odd:
+                        o = o + np.roll(e, -s, axis=axis) * -c
+                    else:
+                        e = e + np.roll(o, -s, axis=axis) * -c
+            out = np.empty_like(block)
+            for r, phase in enumerate((e, o)):
+                index = [slice(None)] * len(shape)
+                index[axis] = slice(r, None, 2)
+                out[tuple(index)] = np.roll(phase, L.shift[r], axis=axis)
+            work[corner] = out
+    return work
+
+
+class TestRecordedPlans:
+    """Each direction, shape and spec records its ufunc calls once per thread."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bits_of_the_direct_lifting(self, family):
+        # down to bands shorter than the filter, first recorded, then from the cache
+        rng = np.random.default_rng(30)
+        for levels in range(1, 5):
+            spec = WaveletSpec(family, levels)
+            d = 2**levels
+            for shape in ((d,), (8 * d,), (d, d), (2 * d, 4 * d), (16 * d, 8 * d)):
+                x = rng.normal(size=shape)
+                c = rng.normal(size=x.size)
+                for _ in range(2):
+                    assert dwt_array(x, spec).tobytes() == _lift(x, spec).tobytes()
+                    assert idwt_array(c, spec, shape).tobytes() == \
+                        _unlift(c, spec, shape).tobytes()
+                if len(shape) == 2:
+                    xt = rng.normal(size=shape[::-1]).T
+                    assert dwt_array(xt, spec).tobytes() == _lift(xt, spec).tobytes()
+
+    def test_specs_of_one_shape_keep_their_own_plans(self):
+        shape = (16, 16)
+        specs = [WaveletSpec(family, levels) for family in FAMILIES for levels in (1, 2)]
+        plans = [transforms._plan(transforms._analysis_plan, shape, spec) for spec in specs]
+        assert len({id(plan) for plan in plans}) == len(specs)
+        x = np.random.default_rng(31).normal(size=shape)
+        for spec in specs + specs[::-1]:
+            assert dwt_array(x, spec).tobytes() == _lift(x, spec).tobytes()
+
+    def test_threads_get_the_single_thread_bytes(self):
+        spec, shape = WaveletSpec("db2", 2), (32, 32)
+        rng = np.random.default_rng(32)
+        xs = [rng.normal(size=shape) for _ in range(4)]
+        want = [(dwt_array(x, spec).tobytes(), idwt_array(x.ravel(), spec, shape).tobytes())
+                for x in xs]
+        mismatches = []
+
+        def transform(k):
+            try:
+                for i in range(200):
+                    x, (fwd, inv) = xs[(i + k) % 4], want[(i + k) % 4]
+                    if (dwt_array(x, spec).tobytes() != fwd
+                            or idwt_array(x.ravel(), spec, shape).tobytes() != inv):
+                        mismatches.append((k, i))
+            except Exception as exc:  # reported by the assertion below
+                mismatches.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=transform, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_writing_a_returned_array_changes_no_later_call(self):
+        spec, shape = WaveletSpec("db3", 2), (16, 8)
+        rng = np.random.default_rng(33)
+        x, c = rng.normal(size=shape), rng.normal(size=128)
+        fwd, inv = dwt_array(x, spec), idwt_array(c, spec, shape)
+        want = fwd.tobytes(), inv.tobytes()
+        fwd[...] = np.nan
+        inv[...] = np.nan
+        assert (dwt_array(x, spec).tobytes(), idwt_array(c, spec, shape).tobytes()) == want
+        assert not np.shares_memory(dwt_array(x, spec), dwt_array(x, spec))
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        spec = WaveletSpec("haar", 1)
+        for n in range(2, 80, 2):
+            dwt_array(np.ones(n), spec)
+            idwt_array(np.ones(n), spec, (n,))
+            assert len(transforms._PLANS.plans) <= transforms._MAX_PLANS
+        # a plan above the size bound serves its call and is not kept
+        monkeypatch.setattr(transforms, "_MAX_PLAN_SIZE", 100)
+        x = np.random.default_rng(34).normal(size=(8, 8))
+        for _ in range(2):
+            assert dwt_array(x, spec).tobytes() == _lift(x, spec).tobytes()
+            assert (transforms._analysis_plan, (8, 8), spec) not in transforms._PLANS.plans
