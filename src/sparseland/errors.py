@@ -1,5 +1,12 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "AlignmentError",
+    "ParameterError",
+    "ContractViolationError",
+    "DescentViolationError",
+]
+
 
 class AlignmentError(ValueError):
     """Lengths or shapes of paired structures do not match."""

@@ -7,7 +7,10 @@ The iteration theory needs that bound below 1, and one margin, 0.999,
 sets how far below: it is a convolution's peak response, and
 :func:`renormalize` rescales an arbitrary problem to it. The concrete
 kinds are diagonal maps, dense matrices and zero-padded convolutions on
-2-d grids, computed with ``numpy.fft`` or as real GEMMs. Frame synthesis,
+2-d grids, computed with ``numpy.fft`` or as real GEMMs. A convolution's
+response is the autocorrelation of a frequency disk, integer overlap
+counts that one small FFT over the disk's own band gives exactly once
+rounded (see :class:`Convolution2DOperator`). Frame synthesis,
 z -> sum_n z_n psi_n, is the dense operator on the stacked frame
 vectors, ``DenseOperator(vectors.T)``.
 
@@ -195,13 +198,18 @@ class Convolution2DOperator(LinearOperatorHandle):
     operator in an orthogonal basis.
 
     The response is band-limited. If the disk reaches ``m`` columns from
-    frequency zero, its autocorrelation vanishes in exact arithmetic
-    beyond ``2 m`` (circularly), so of the ``pad[1] // 2 + 1`` rfft
-    columns only the first ``band = min(2 m, pad[1] // 2) + 1`` carry
-    response; the rest of ``filter`` is FFT roundoff. The same holds
-    along the rows with ``band_y``. Dropping exact zeros leaves the
-    peak, and hence the norm bound, unchanged. A product takes one of
-    two forms, chosen once at construction from the shapes alone:
+    frequency zero, its autocorrelation vanishes beyond ``2 m``
+    (circularly), so of the ``pad[1] // 2 + 1`` rfft columns only the
+    first ``band = min(2 m, pad[1] // 2) + 1`` carry response. The same
+    holds along the rows with ``band_y``. The response is built from the
+    disk's own rows and columns alone: one real FFT, no larger than the
+    padded grid and at least twice the disk's extent on each axis, gives
+    the autocorrelation, whose entries are overlap counts and are rounded
+    to those integers. They are placed at their circular offsets in
+    ``filter``, which is exactly 0.0 everywhere else. Dropping exact
+    zeros leaves the peak, and hence the norm bound, unchanged. A product
+    takes one of two forms, chosen once at construction from the shapes
+    alone:
 
     * Matrix form, when the band covers at most a quarter of the padded
       spectrum on both axes (``4 (band - 1) <= pad[1]`` and
@@ -250,16 +258,18 @@ class Convolution2DOperator(LinearOperatorHandle):
         self.radius_fraction = radius_fraction
         self.peak_response = _NORM_MARGIN
 
-        fy = np.fft.fftfreq(pad[0])
-        fx = np.fft.fftfreq(pad[1])
         radius = radius_fraction * 0.5  # max frequency is the Nyquist 0.5
+        (fy, self.band_y), (fx, self.band) = (_disk_axis(n, radius) for n in pad)
         disk = (fy[:, None] ** 2 + fx[None, :] ** 2) <= radius**2
-        if not disk.any():
-            raise ParameterError("frequency disk is empty; enlarge pad or radius")
-        spectrum = np.abs(np.fft.fft2(disk.astype(np.float64))) ** 2
-        autocorr = np.fft.ifft2(spectrum).real
-        self.filter = self.peak_response * autocorr / autocorr.max()
-        self.band_y, self.band = _band(disk.any(axis=1)), _band(disk.any(axis=0))
+        # a real FFT at least 2 L - 1 long on an axis of L disk frequencies
+        # (or the pad's length, if shorter) gives the circular autocorrelation
+        # on the pad; its entries are overlap counts, the largest at lag 0
+        size = [min(n, 1 << (2 * len(f) - 2).bit_length()) for n, f in zip(pad, (fy, fx))]
+        counts = np.rint(np.fft.irfft2(np.abs(np.fft.rfft2(disk, s=size)) ** 2, s=size))
+        lag_y, lag_x = (np.arange(n) - n // 2 for n in size)
+        self.filter = np.zeros(pad)
+        self.filter[np.ix_(lag_y % pad[0], lag_x % pad[1])] = (
+            self.peak_response * counts / counts[0, 0])[np.ix_(lag_y, lag_x)]
         self.matrix_form = (4 * (self.band - 1) <= pad[1]
                             and 4 * (self.band_y - 1) <= pad[0])
         if self.matrix_form:
@@ -340,17 +350,20 @@ def _check_geometry(grid: Tuple[int, int], pad, radius_fraction):
     return pad, radius_fraction
 
 
-def _band(reached: np.ndarray) -> int:
-    """Kept frequencies 0..band-1 along an axis of a disk's autocorrelation.
+def _disk_axis(n: int, radius: float):
+    """Frequencies of a padded axis the disk of ``radius`` reaches, and its band.
 
-    ``reached`` marks the indices of the padded axis the disk touches.
-    The autocorrelation vanishes in exact arithmetic beyond twice the
-    disk's reach (circularly), and no band exceeds Nyquist.
+    The disk reaches ``reach`` steps from frequency zero (circularly),
+    the steps whose frequency is at most ``radius``. Returns their
+    frequencies in circular order from ``-reach`` (each once), and the
+    kept frequencies 0..band-1 of the disk's autocorrelation along the
+    axis, which vanishes in exact arithmetic beyond ``2 reach``; no band
+    exceeds Nyquist.
     """
-    n = reached.size
+    f = np.fft.fftfreq(n)
     k = np.arange(n)
-    reach = int(np.minimum(k, n - k)[reached].max())
-    return min(2 * reach, n // 2) + 1
+    reach = int(np.minimum(k, n - k)[f**2 <= radius**2].max())
+    return f[(np.arange(min(2 * reach + 1, n)) - reach) % n], min(2 * reach, n // 2) + 1
 
 
 def _real_dft_basis(band: int, period: int, length: int):
@@ -403,8 +416,9 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
 
     Raises ContractViolationError if <Kf, g> != <f, K*g> or
     normal(f) != adjoint(apply(f)) beyond ``tol`` (relative), or if ||Kf||
-    exceeds norm_bound * ||f|| beyond roundoff slack. Returns the worst
-    observed defects for reporting.
+    exceeds norm_bound * ||f|| beyond roundoff slack. A defect that is not
+    a number (a NaN or infinity in a product) fails its check. Returns the
+    worst observed defects for reporting.
     """
     n_probes = check_count(n_probes, "n_probes")
     tol = check_real(tol, "tol", lower="nonnegative")
@@ -425,28 +439,32 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
         g = draw(K.image_len)
         kf = K.apply(f)
         kg = K.adjoint(g)
-        lhs = np.vdot(g, kf)
-        rhs = np.vdot(kg, f)
+        # Python numbers, so that an infinite product gives a NaN defect
+        # rather than a numpy warning
+        lhs = complex(np.vdot(g, kf))
+        rhs = complex(np.vdot(kg, f))
         scale = max(abs(lhs), abs(rhs), 1.0)
         defect = abs(lhs - rhs) / scale
-        worst_adjoint = max(worst_adjoint, defect)
-        if defect > tol:
+        # max(defect, worst) keeps a NaN defect, and `not (defect <= tol)`
+        # fails on it, where `defect > tol` would pass it
+        worst_adjoint = max(defect, worst_adjoint)
+        if not (defect <= tol):
             raise ContractViolationError(
                 f"adjoint pairing defect {defect:.3e} exceeds {tol:.1e}"
             )
         reference = K.adjoint(kf)
         defect = (float(np.linalg.norm(K.normal(f) - reference))
                   / max(float(np.linalg.norm(reference)), 1.0))
-        worst_normal = max(worst_normal, defect)
-        if defect > tol:
+        worst_normal = max(defect, worst_normal)
+        if not (defect <= tol):
             raise ContractViolationError(
                 f"normal operator differs from adjoint(apply) by {defect:.3e}, "
                 f"beyond {tol:.1e}"
             )
         nf = np.linalg.norm(f)
         excess = float(np.linalg.norm(kf) - K.norm_bound * nf)
-        worst_excess = max(worst_excess, excess)
-        if excess > tol * max(1.0, nf):
+        worst_excess = max(excess, worst_excess)
+        if not (excess <= tol * max(1.0, nf)):
             raise ContractViolationError(
                 f"norm bound {K.norm_bound} violated by {excess:.3e} on a probe"
             )

@@ -196,13 +196,19 @@ class TestConvolution2D:
         ((5, 12), (10, 17), 0.35, 5),    # non-square grid and pad
         ((6, 7), (10, 13), 1.0, 7),      # every rfft column
         ((6, 6), (16, 16), 0.1, 1),      # the zero-frequency column only
+        ((4, 5), (9, 11), 1.0, 6),       # the disk wraps, odd pads
+        ((7, 7), (7, 7), 1.0, 4),        # the disk wraps, pad == grid, odd
+        ((8, 8), (8, 8), 1.0, 5),        # the disk wraps, pad == grid, even
+        ((3, 4), (9, 11), 0.6, 6),       # only the response wraps
     ])
     def test_band_limited_path(self, grid, pad, radius, band):
         K = Convolution2DOperator(grid, pad, radius_fraction=radius)
-        # (a) the response outside the kept columns and their mirror
-        # images is roundoff, which certifies the band
+        # (a) the response is the scaled autocorrelation of the disk, and
+        # exactly zero outside the kept columns and their mirror images
+        np.testing.assert_allclose(K.filter, _disk_response(pad, radius),
+                                   rtol=0.0, atol=1e-15 * K.peak_response)
         outside = K.filter[:, K.band: pad[1] - K.band + 1]
-        assert np.all(np.abs(outside) <= 1e-15 * K.peak_response)
+        assert np.all(outside == 0.0)
         # (b) full padded-grid FFT reference
         rng = np.random.default_rng(11)
         f = rng.normal(size=grid)
@@ -225,15 +231,19 @@ class TestConvolution2D:
         ((9, 8), (16, 15), 0.3, (5, 5), False),       # only the columns too wide
         ((12, 10), (24, 20), 0.45, (11, 9), False),   # wide band
         ((7, 9), (7, 9), 0.3, (3, 3), False),         # pad == grid, odd
+        ((5, 6), (9, 11), 1.0, (5, 6), False),        # the disk wraps, odd pads
+        ((6, 6), (33, 35), 1.0, (17, 18), False),     # the disk wraps, wide grid
     ])
     def test_matrix_form(self, grid, pad, radius, bands, matrix):
         K = Convolution2DOperator(grid, pad, radius_fraction=radius)
         assert (K.band_y, K.band) == bands
         assert K.matrix_form is matrix
-        # the response outside the kept rows and their mirror images is
-        # roundoff, which certifies band_y
+        # the response is the scaled autocorrelation of the disk, and
+        # exactly zero outside the kept rows and their mirror images
+        np.testing.assert_allclose(K.filter, _disk_response(pad, radius),
+                                   rtol=0.0, atol=1e-15 * K.peak_response)
         outside = K.filter[K.band_y: pad[0] - K.band_y + 1, :]
-        assert np.all(np.abs(outside) <= 1e-15 * K.peak_response)
+        assert np.all(outside == 0.0)
         rng = np.random.default_rng(12)
         f = rng.normal(size=grid) + 1j * rng.normal(size=grid)
         padded = np.zeros(pad, dtype=complex)
@@ -291,6 +301,15 @@ class TestConvolution2D:
                                    atol=1e-12)
         np.testing.assert_allclose(z.imag, solve(im, K, spec, cfg).minimizer.values,
                                    atol=1e-12)
+
+
+def _disk_response(pad, radius_fraction):
+    """The full padded-grid FFT autocorrelation of the frequency disk,
+    scaled to the 0.999 peak."""
+    fy, fx = np.fft.fftfreq(pad[0]), np.fft.fftfreq(pad[1])
+    disk = (fy[:, None] ** 2 + fx[None, :] ** 2) <= (0.5 * radius_fraction) ** 2
+    autocorr = np.fft.ifft2(np.abs(np.fft.fft2(disk.astype(np.float64))) ** 2).real
+    return 0.999 * autocorr / autocorr.max()
 
 
 class TestFrameSynthesis:
@@ -439,6 +458,37 @@ class TestValidateOperator:
         assert report["worst_normal_defect"] == 0.0
         with pytest.raises(ContractViolationError, match="normal"):
             validate_operator(Skewed(np.array([0.5, 0.25])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method, check", [("apply", "adjoint pairing"),
+                                               ("adjoint", "adjoint pairing"),
+                                               ("normal", "normal operator")])
+    def test_fails_closed_on_a_non_number(self, method, check, bad):
+        # a NaN compares False with every bound, so a check written as
+        # `defect > tol` would let it through; the first check to see the
+        # fault reports it
+        class Broken(DenseOperator):
+            pass
+
+        def product(self, x):
+            out = getattr(DenseOperator, method)(self, x).copy()
+            out[2] = bad
+            return out
+
+        setattr(Broken, method, product)
+        K = renormalize(Broken(np.random.default_rng(13).normal(size=(5, 5))),
+                        np.ones(5)).operator
+        with pytest.raises(ContractViolationError, match=check):
+            validate_operator(K)
+
+    def test_nan_norm_bound_fails_closed(self):
+        class Unbounded(DenseOperator):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                self.norm_bound = float("nan")
+
+        with pytest.raises(ContractViolationError, match="norm bound"):
+            validate_operator(Unbounded(np.eye(3) * 0.5))
 
 
 class TestSvdModel:
