@@ -9,6 +9,12 @@ flat ``key=value`` config file (UTF-8, ``#`` comments) may give the same
 key, passed through the same converter. Flags win over config entries.
 An option given neither way is left out of the library call, so the
 library's own default applies.
+
+A subcommand imports the modules only it uses (the experiment, the
+bounds calculators, the wavelet transforms) when it runs. The solver
+and the grid readers and writers are bound here at import, so that a
+wrapper installed on this module's names (as perfbench's tracing does)
+sees every call.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .errors import (
     DescentViolationError,
     ParameterError,
 )
-from .experiment import CaseSpec, DEFAULT_CASES, ExperimentConfig, run_experiment
 from .gridio import read_grid, write_grid, write_trace_csv
 from .operators import (
     Convolution2DOperator,
@@ -36,17 +41,7 @@ from .operators import (
     DiagonalOperator,
     renormalize,
 )
-from .regularization import (
-    NoisePrior,
-    SpectralEnvelope,
-    besov_modulus_rate,
-    modulus_bounds,
-    mu_schedule,
-    primed_radii,
-)
 from .solver import SolverConfig, solve
-from .transforms import BesovWeightSpec, WaveletSpec, besov_weights, conjugated_operator
-from .transforms import idwt_array
 
 __all__ = ["main", "parse_config_file"]
 
@@ -107,7 +102,7 @@ _EXPERIMENT_OPTIONS = (
     ("iterations", int, "iterations per case"),
     ("seed", int, "seed of the Poisson draw"),
     ("radius_fraction", float, "low-pass radius as a fraction of Nyquist"),
-    ("cases", str, "comma list from: " + ",".join(c.name for c in DEFAULT_CASES)),
+    ("cases", str, "comma list from: l1,l1_nonneg,l2,l2_nonneg"),
     ("p", float, "run a single custom case at this p"),
     ("mu", float, "multiplier for the custom case"),
     ("project_nonnegative", _parse_bool, "clip the custom case's iterates at zero"),
@@ -153,6 +148,8 @@ def _given(opt: dict, **fields: str) -> dict:
 
 
 def _parse_wavelet(text: str):
+    from .transforms import WaveletSpec
+
     family, sep, levels = text.partition(":")
     if not sep:
         raise ParameterError("wavelet must be given as family:levels, e.g. db2:3")
@@ -205,6 +202,8 @@ def _cmd_solve(opt: dict) -> int:
 
     wavelet = None
     if "wavelet" in opt:
+        from .transforms import BesovWeightSpec, besov_weights, conjugated_operator, idwt_array
+
         wavelet = _parse_wavelet(opt["wavelet"])
         K = conjugated_operator(K, wavelet)
 
@@ -256,6 +255,8 @@ def _cmd_solve(opt: dict) -> int:
 
 
 def _cmd_experiment(opt: dict) -> int:
+    from .experiment import CaseSpec, DEFAULT_CASES, ExperimentConfig, run_experiment
+
     _require(opt, "output_dir")
     fields = _given(opt, radius_fraction="radius_fraction", total_photons="photons",
                     iterations="iterations", seed="seed")
@@ -284,6 +285,9 @@ def _cmd_experiment(opt: dict) -> int:
 
 
 def _cmd_bounds(opt: dict) -> int:
+    from .regularization import (NoisePrior, SpectralEnvelope, besov_modulus_rate,
+                                 modulus_bounds, mu_schedule, primed_radii)
+
     _require(opt, "epsilon", "rho")
     noise = NoisePrior(epsilon=opt["epsilon"], rho=opt["rho"])
     p = opt.get("p", 1.0)

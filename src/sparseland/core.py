@@ -291,31 +291,35 @@ def penalty_value(f, spec: PenaltySpec) -> float:
     return penalty_sum(fv.values, spec)
 
 
-def penalty_sum(values: np.ndarray, spec: PenaltySpec) -> float:
+def penalty_sum(values: np.ndarray, spec: PenaltySpec):
     """:func:`penalty_value` of a raw array, without validation.
 
     The caller guarantees a length matching ``spec`` and real values
-    whenever the weights are asymmetric.
+    whenever the weights are asymmetric. A 1-d array gives a float; the
+    rows of a 2-d array give an array of their penalties, each with the
+    bits of that row's own call.
     """
     p = spec.p
     if spec.asymmetric is not None:
         wp, wm = spec.asymmetric
         pos = np.maximum(values, 0.0)
         neg = np.maximum(-values, 0.0)
-        return float(spec.mu * (np.add.reduce(wp.w * _powers(pos, p))
-                                + np.add.reduce(wm.w * _powers(neg, p))))
-    char = values.dtype.char
-    if char not in "dD":
-        # narrower dtypes keep the power, and the float64 weights widen
-        # them before the sum
-        terms = spec.weights.w * np.abs(values) ** p
+        total = spec.mu * (np.add.reduce(wp.w * _powers(pos, p), axis=-1)
+                           + np.add.reduce(wm.w * _powers(neg, p), axis=-1))
     else:
-        # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
-        terms = values * values if p == 2.0 and char == "d" else _powers(np.abs(values), p)
-        if not spec.weights._unit:
-            np.multiply(spec.weights.w, terms, out=terms)
-    # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
-    return float(spec.mu * np.add.reduce(terms))
+        char = values.dtype.char
+        if char not in "dD":
+            # narrower dtypes keep the power, and the float64 weights widen
+            # them before the sum
+            terms = spec.weights.w * np.abs(values) ** p
+        else:
+            # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
+            terms = values * values if p == 2.0 and char == "d" else _powers(np.abs(values), p)
+            if not spec.weights._unit:
+                np.multiply(spec.weights.w, terms, out=terms)
+        # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
+        total = spec.mu * np.add.reduce(terms, axis=-1)
+    return total if values.ndim > 1 else float(total)
 
 
 def _powers(a: np.ndarray, p: float) -> np.ndarray:

@@ -14,7 +14,12 @@ minimizer exactly when it is a fixed point of the step map.
 
 The loop iterates on the normal operator: one ``K.normal`` call per
 iteration, plus one ``K.apply`` at the returned point that re-anchors
-the discrepancy (see :func:`solve`).
+the discrepancy (see :func:`solve`). An iteration computes only what
+decides the next iterate and the stop rule: the step, its squared norm
+and the normal product. The trace and the descent check are kept in
+blocks of up to 64 iterations and 2^14 stacked entries (one iteration
+above 8,192 entries), over the block's stacked iterates, with the bits
+the iteration-by-iteration sums would have.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ _ANCHOR_SLACK = 1e-10
 # shrunk run by run with float weights (see _constant_runs)
 _MIN_RUN = 8192
 
+# the loop books the discrepancy, penalty, surrogate and descent check
+# once per block of up to this many iterations, stacking at most this
+# many entries per array (see solve)
+_BLOCK_ITERATIONS = 64
+_BLOCK_ENTRIES = 2**14
+
 STATUS_STEP = "converged_step"
 STATUS_MAX = "max_iterations"
 
@@ -97,7 +108,9 @@ class SolveTrace:
 
     objectives/discrepancies/penalties have length n_iterations + 1 and
     start at the initial point; step_norms, surrogates, and wall_times
-    have length n_iterations. step_norms[k] is sqrt(<d, d>) for the step
+    have length n_iterations. wall_times[k] is the time iteration k took,
+    including the block bookkeeping when that iteration closed a block
+    (see :func:`solve`), so the sum over the trace is the loop's time. step_norms[k] is sqrt(<d, d>) for the step
     d = f_{k+1} - f_k (for complex iterates this may differ from
     np.linalg.norm(d) at roundoff). surrogates[k] is the surrogate value
     of iterate k+1 anchored at iterate k, so descent shows up as
@@ -212,6 +225,25 @@ def _constant_runs(weights):
             for start, stop in zip(starts, starts[1:] + [weights.size])]
 
 
+def _block_dots(fs, afs, d, r, b):
+    """A block's iterates as rows, and Re <d, A d> and Re <d, r> of each step.
+
+    fs and afs hold the iterates and their A f from the one the block
+    starts at; d and r = b - A f are its last step and residual. One step
+    is np.vdot on the held arrays. More stack fs and afs once each, take
+    the differences the loop would have taken, and run one batched
+    matmul per dot, which calls the BLAS dot np.vdot calls on each row.
+    """
+    if len(fs) == 2:
+        return (fs[1][None], np.vdot(d, afs[1] - afs[0]).real.reshape(1),
+                np.vdot(d, r).real.reshape(1))
+    F, AF = np.array(fs), np.array(afs)
+    D = F[1:] - F[:-1]
+    D = (D.conj() if D.dtype.kind == "c" else D)[:, None, :]
+    return (F[1:], np.matmul(D, (AF[1:] - AF[:-1])[:, :, None])[:, 0, 0].real,
+            np.matmul(D, (b - AF[:-1])[:, :, None])[:, 0, 0].real)
+
+
 def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
                   config: SolverConfig):
     """Validate one problem and take one step from f; return (f, step)."""
@@ -278,20 +310,30 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     Each iteration calls ``K.normal`` once, on the new iterate; the start
     costs one adjoint (b = K*g), plus one apply and one normal from an
     explicit f0 (from the default zero start K f and A f are zero and
-    cost nothing), and the end one apply. With r = b - A f and the step
-    d = f_new - f, the loop takes A d = A f_new - A f and the objective
-    change
+    cost nothing), and the end one apply. A finite start whose objective
+    overflows (data too large to square) raises ParameterError.
 
-        Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,
+    With r = b - A f and the step d = f_new - f, the objective changes by
+
+        Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,  A d = A f_new - A f,
 
     which the descent check tests, and the surrogate is
     obj_new + ||d||^2 - <d, A d>. The discrepancy is a running sum of
-    those changes from the exact start value. At the returned point one
-    apply re-anchors it: the last trace entry is the exact value, and a
-    running sum that drifted from it by more than 1e-10 (1 + the starting
-    objective) raises ContractViolationError, because only a normal
-    operator that is not K*K drifts that far. The fixed-point residual
-    reuses the held A f and costs no operator call.
+    those changes from the exact start value. These terms are booked
+    once per block of iterations, over the block's stacked iterates and
+    normal products: the row dots are the BLAS dots np.vdot runs, the
+    penalties are those of each row, and the running sum adds in order,
+    so every trace entry has the bits of a per-iteration sum. A block
+    closes when it is full, when the step rule stops the run, and at
+    the iteration cap. The descent check tests every iteration but
+    raises at the end of its block: DescentViolationError names the
+    first increase, and ContractViolationError names K.normal when the
+    non-finite value came from it. At the returned point one apply
+    re-anchors the discrepancy: the last trace entry is the exact value,
+    and a running sum that drifted from it by more than 1e-10 (1 + the
+    starting objective) raises ContractViolationError, because only a
+    normal operator that is not K*K drifts that far. The fixed-point
+    residual reuses the held A f and costs no operator call.
     """
     config = config or SolverConfig()
     gv = as_coefficients(g)
@@ -322,9 +364,17 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     else:
         residual = gvals - K.apply(f)
         Af = K.normal(f)
-    disc = float(np.vdot(residual, residual).real)
-    pen = penalty_sum(f, spec)
-    obj = disc + pen
+    # finite data can still overflow ||g||^2 or the penalty; the descent
+    # bookkeeping means nothing from an infinite start
+    with np.errstate(over="ignore"):
+        disc = float(np.vdot(residual, residual).real)
+        pen = penalty_sum(f, spec)
+        obj = disc + pen
+        if not math.isfinite(obj):
+            raise ParameterError(
+                f"the starting objective overflows ({obj!r}) at the data scale "
+                f"{float(np.abs(gvals).max())!r}; rescale the data and f0"
+            )
     objectives = [obj]
     discrepancies = [disc]
     penalties = [pen]
@@ -333,43 +383,60 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     wall_times = []
 
     status = STATUS_MAX
-    for _ in range(config.max_iterations):
+    block = max(1, min(_BLOCK_ITERATIONS, _BLOCK_ENTRIES // f.size))
+    # the open block: its iterates and their A f from the one it starts
+    # at, and its squared step norms
+    fs, afs, quads = [f], [Af], []
+    for k in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
         f_new, r = step(f, Af)
-        diff = f_new - f
-        quad = float(np.vdot(diff, diff).real)
-        step_norm = math.sqrt(quad)
-
-        Af_new = K.normal(f_new)
-        dAd = float(np.vdot(diff, Af_new - Af).real)
-        pen_new = penalty_sum(f_new, spec)
-        change = dAd - 2.0 * float(np.vdot(diff, r).real)
-        delta = change + (pen_new - pen)
-        disc += change
-        obj_new = disc + pen_new
-
+        d = f_new - f
+        quad = float(np.vdot(d, d).real)
+        f, Af = f_new, K.normal(f_new)
+        fs.append(f)
+        afs.append(Af)
+        quads.append(quad)
+        converged = math.sqrt(quad) <= step_threshold
+        if converged or len(quads) == block or k == config.max_iterations:
+            F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
+            change = dAd - 2.0 * dr
+            pens = penalty_sum(F, spec)
+            # with the values the block starts from: obj == disc + pen
+            P = np.concatenate(([pen], pens))
+            delta = change + (P[1:] - P[:-1])
+            discs = np.add.accumulate(np.concatenate(([disc], change)))
+            O = discs + P
+            before, objs = O[:-1], O[1:]
+            # NaN fails the comparison, and so fails the check
+            falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
+            if not falls.all():
+                j = np.flatnonzero(~falls)[0]
+                at = k - len(quads) + j + 1
+                if not math.isfinite(dAd[j]):
+                    raise ContractViolationError(
+                        f"<d, K.normal(d)> is {float(dAd[j])!r} at iteration {at}; "
+                        f"K.normal returned a non-finite value"
+                    )
+                raise DescentViolationError(
+                    f"objective increased by {float(delta[j])!r} from {float(before[j])!r} "
+                    f"at iteration {at}; the certified norm bound {K.norm_bound} is false"
+                )
+            q = np.array(quads)
+            step_norms.extend(np.sqrt(q).tolist())
+            surrogates.extend((objs + q - dAd).tolist())
+            discrepancies.extend(discs[1:].tolist())
+            penalties.extend(pens.tolist())
+            objectives.extend(objs.tolist())
+            disc, pen, obj = discrepancies[-1], penalties[-1], objectives[-1]
+            fs, afs, quads = [f], [Af], []
         wall_times.append(time.perf_counter() - t0)
-        objectives.append(obj_new)
-        discrepancies.append(disc)
-        penalties.append(pen_new)
-        step_norms.append(step_norm)
-        surrogates.append(obj_new + quad - dAd)
-
-        if delta > _DESCENT_SLACK * (1.0 + abs(obj)):
-            raise DescentViolationError(
-                f"objective increased by {delta!r} from {obj!r} at iteration "
-                f"{len(step_norms)}; the certified norm bound "
-                f"{K.norm_bound} is false"
-            )
-
-        f, Af, obj, pen = f_new, Af_new, obj_new, pen_new
-        if step_norm <= step_threshold:
+        if converged:
             status = STATUS_STEP
             break
 
     residual = gvals - K.apply(f)
     exact = float(np.vdot(residual, residual).real)
-    if abs(disc - exact) > _ANCHOR_SLACK * (1.0 + objectives[0]):
+    if not (abs(disc - exact) <= _ANCHOR_SLACK * (1.0 + objectives[0])):
         raise ContractViolationError(
             f"running discrepancy {disc!r} differs from the exact {exact!r} at the "
             f"returned point; K.normal is not K*K"

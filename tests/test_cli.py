@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from sparseland import __version__, cli, shrinkage
+from sparseland import __version__, cli, experiment, shrinkage
 from sparseland.cli import main, parse_config_file
 from sparseland.errors import ParameterError
-from sparseland.experiment import ExperimentConfig
+from sparseland.experiment import DEFAULT_CASES, ExperimentConfig
 from sparseland.gridio import read_grid, read_trace_csv, write_grid
 from sparseland.operators import Convolution2DOperator
 from sparseland.solver import SolverConfig
@@ -150,7 +150,8 @@ class TestLibraryDefaults:
             seen.append(config)
             raise Captured
 
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        # the experiment subcommand imports run_experiment when it runs
+        monkeypatch.setattr(experiment, "run_experiment", fake_run)
         out = str(tmp_path / "o")
         with pytest.raises(Captured):
             main(["experiment", "--output-dir", out])
@@ -352,6 +353,11 @@ class TestSolve:
 
 
 class TestExperimentCommand:
+    def test_cases_help_names_the_default_cases(self):
+        # the help is written out, so that the parser need not import experiment
+        (text,) = [text for key, _, text in cli._EXPERIMENT_OPTIONS if key == "cases"]
+        assert text.rpartition(" ")[2].split(",") == [c.name for c in DEFAULT_CASES]
+
     def test_small_run_with_selected_cases(self, tmp_path, capsys):
         out = tmp_path / "exp"
         code = main(["experiment", "--grid", "64", "--pad", "128",

@@ -70,6 +70,17 @@ def test_names_load_their_modules_on_first_use():
                                   "'sparseland.operators', 'sparseland.shrinkage']"]
 
 
+def test_cli_loads_a_subcommand_s_modules_when_it_runs():
+    # the solver and grid I/O load with the CLI; the experiment, the
+    # bounds calculators and the transforms only with a subcommand that uses them
+    loaded = "print(sorted(m[11:] for m in sys.modules if m.startswith('sparseland.')))\n"
+    code = ("import contextlib, io, sys, sparseland.cli\n" + loaded
+            + "with contextlib.redirect_stdout(io.StringIO()):\n"
+            + "    sparseland.cli.main(['bounds', '--epsilon', '0.1', '--rho', '1'])\n" + loaded)
+    eager = ['cli', 'core', 'errors', 'gridio', 'operators', 'shrinkage', 'solver']
+    assert _fresh(code) == [str(eager), str(sorted(eager + ['regularization']))]
+
+
 @pytest.mark.parametrize("name, module", sorted(sparseland._HOME.items()))
 def test_each_lazy_name_is_exported_by_its_module(name, module):
     home = importlib.import_module(f"sparseland.{module}")

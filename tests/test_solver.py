@@ -1,17 +1,21 @@
 """Iteration loop: descent, contracts, stopping rules, projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sparseland import shrinkage, solver
-from sparseland.core import PenaltySpec, WeightSequence, objective, surrogate_objective
+from sparseland.core import (PenaltySpec, WeightSequence, objective, penalty_sum,
+                             surrogate_objective)
 from sparseland.errors import (
     AlignmentError,
     ContractViolationError,
     DescentViolationError,
     ParameterError,
 )
-from sparseland.operators import Convolution2DOperator, DenseOperator, DiagonalOperator
+from sparseland.operators import (Convolution2DOperator, DenseOperator, DiagonalOperator,
+                                  renormalize)
 from sparseland.solver import (
     SolverConfig,
     fixed_point_residual,
@@ -323,6 +327,21 @@ class TestDescent:
         bound = objective(f0, g, K, spec).total / (1.0 - K.norm_bound**2)
         assert np.sum(res.trace.step_norms**2) <= bound * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_overflowing_start_refused(self, p, complex_data):
+        # every entry is finite, but ||g||^2 overflows: the descent
+        # bookkeeping would compare infinities, so the solve refuses to start
+        rng = np.random.default_rng(9)
+        M = rng.normal(size=(20, 20))
+        g = 1e160 * (rng.normal(size=20) + (1j * rng.normal(size=20) if complex_data else 0.0))
+        problem = renormalize(DenseOperator(M), g)
+        spec = PenaltySpec.uniform(p=p, mu=0.1 * problem.mu_scale, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="data scale"):
+                solve(problem.data, problem.operator, spec, SolverConfig(max_iterations=20))
+
     def test_broken_norm_certificate_detected(self):
         # operator of true norm 1.5 sold with a 0.9 certificate: the
         # iteration inflates the objective and the solver must abort
@@ -368,6 +387,26 @@ def _solver_kinds():
     }
 
 
+def _nan_on_call(K, method, call):
+    """K, recast so that its ``call``-th call of ``method`` puts NaN in one entry."""
+    calls = []
+
+    class Broken(type(K)):
+        pass
+
+    def broken(self, x):
+        out = getattr(super(Broken, self), method)(x)
+        calls.append(None)
+        if len(calls) == call:
+            out = out.copy()
+            out[3] = np.nan
+        return out
+
+    setattr(Broken, method, broken)
+    K.__class__ = Broken
+    return K
+
+
 class TestNormalOperatorLoop:
     @pytest.mark.parametrize("kind", sorted(_solver_kinds()))
     def test_running_discrepancy_is_exact(self, kind):
@@ -402,6 +441,29 @@ class TestNormalOperatorLoop:
         spec = PenaltySpec.uniform(p=1.0, mu=0.05, n=16)
         with pytest.raises(ContractViolationError, match="normal"):
             solve(g, K, spec, SolverConfig(max_iterations=50, step_tolerance=0.0))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_non_finite_normal_is_blamed_on_normal(self, p):
+        # one NaN from the 5th normal, in the middle of the first block:
+        # the block's <d, A d> is NaN there, and the descent check, which
+        # NaN fails, names normal rather than the norm bound
+        K = _nan_on_call(random_contraction(np.random.default_rng(8), 20), "normal", 5)
+        spec = PenaltySpec.uniform(p=p, mu=0.1, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError,
+                               match=r"nan at iteration 5; K.normal returned a non-finite"):
+                solve(np.linspace(-1.0, 1.0, 20), K, spec,
+                      SolverConfig(max_iterations=50, step_tolerance=0.0))
+
+    def test_non_finite_exact_discrepancy_fails_the_anchor_check(self):
+        # from the zero start the one apply is the re-anchoring one; a NaN
+        # there must not pass the drift check
+        K = _nan_on_call(random_contraction(np.random.default_rng(8), 20), "apply", 1)
+        spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=20)
+        with pytest.raises(ContractViolationError, match="running discrepancy"):
+            solve(np.linspace(-1.0, 1.0, 20), K, spec,
+                  SolverConfig(max_iterations=10, step_tolerance=0.0))
 
     def test_final_residual_reuses_the_held_normal(self):
         # the loop's fixed-point residual equals the standalone one bitwise
@@ -613,3 +675,153 @@ class TestTraceAndConfig:
                     SolverConfig(max_iterations=5, step_tolerance=0.0))
         assert res.minimizer.dims == (4, 4)
         assert res.minimizer.as_grid().shape == (4, 4)
+
+
+def _reference_solve(g, K, spec, config):
+    """solve from zero with the bookkeeping of every iteration in that iteration.
+
+    Each step pays np.vdot for <d, d>, <d, A d> and <d, r>, one penalty
+    and the scalar updates, as the loop did before it kept its books in
+    blocks. Returns what solve returns but the wall times, as a tuple.
+    """
+    step = solver._Step(K, g, spec, config)
+    dtype = np.result_type(np.float64, g.dtype, np.dtype(K.domain_dtype))
+    f = np.zeros(K.domain_len, dtype)
+    Af = np.zeros_like(f)
+    residual = g.astype(dtype, copy=False)
+    disc = float(np.vdot(residual, residual).real)
+    pen = penalty_sum(f, spec)
+    obj = disc + pen
+    objectives, discrepancies, penalties, step_norms, surrogates = [obj], [disc], [pen], [], []
+    status = solver.STATUS_MAX
+    for k in range(1, config.max_iterations + 1):
+        f_new, r = step(f, Af)
+        d = f_new - f
+        quad = float(np.vdot(d, d).real)
+        Af_new = K.normal(f_new)
+        dAd = float(np.vdot(d, Af_new - Af).real)
+        pen_new = penalty_sum(f_new, spec)
+        change = dAd - 2.0 * float(np.vdot(d, r).real)
+        delta = change + (pen_new - pen)
+        disc += change
+        obj_new = disc + pen_new
+        objectives.append(obj_new)
+        discrepancies.append(disc)
+        penalties.append(pen_new)
+        step_norms.append(np.sqrt(quad))
+        surrogates.append(obj_new + quad - dAd)
+        if not delta <= solver._DESCENT_SLACK * (1.0 + abs(obj)):
+            raise DescentViolationError(
+                f"objective increased by {delta!r} from {obj!r} at iteration {k}; "
+                f"the certified norm bound {K.norm_bound} is false")
+        f, Af, obj, pen = f_new, Af_new, obj_new, pen_new
+        if step_norms[-1] <= config.step_tolerance:
+            status = solver.STATUS_STEP
+            break
+    residual = g - K.apply(f)
+    discrepancies[-1] = float(np.vdot(residual, residual).real)
+    objectives[-1] = discrepancies[-1] + pen
+    trace = [np.asarray(a) for a in (objectives, discrepancies, penalties, step_norms,
+                                     surrogates)]
+    return f, trace, status, len(step_norms), float(np.linalg.norm(f - step(f, Af)[0]))
+
+
+def _block_length(n):
+    return max(1, min(solver._BLOCK_ITERATIONS, solver._BLOCK_ENTRIES // n))
+
+
+class TestBlockBookkeeping:
+    """The loop books its trace once per block; every bit is the per-iteration loop's."""
+
+    @staticmethod
+    def problem(case):
+        rng = np.random.default_rng(41)
+        n, p, tol, its = {
+            "cap-not-a-block-multiple": (20, 1.0, 0.0, 150),
+            "step-stop-mid-block": (20, 1.5, 1e-6, 10000),
+            "complex": (20, 1.3, 0.0, 100),
+            "projection": (20, 2.0, 0.0, 70),
+            "asymmetric": (20, 1.5, 0.0, 90),
+            "weights-n300": (300, 1.0, 0.0, 120),
+            "n3000": (3000, 1.5, 0.0, 23),
+            "one-row-band-runs": (2**14, 1.5, 0.0, 5),
+            "one-row-step-stop": (2**14, 2.0, 1e-3, 1000),
+        }[case]
+        if n <= 300:
+            M = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if case == "complex"
+                                           else 0.0)
+            K = DenseOperator(M * 0.9 / np.linalg.norm(M, 2))
+        else:
+            K = DiagonalOperator(rng.uniform(0.1, 0.9, n))
+        g = rng.normal(size=n) + (1j * rng.normal(size=n) if case == "complex" else 0.0)
+        weights = WeightSequence.uniform(n)
+        if case == "weights-n300":
+            weights = WeightSequence(rng.uniform(0.5, 2.0, n))
+        if case == "one-row-band-runs":
+            # two runs of 8,192: shrunk run by run with a float weight each
+            weights = WeightSequence(np.repeat([1.0, 3.0], n // 2))
+        spec = PenaltySpec(p=p, weights=weights, mu=0.05,
+                           asymmetric=((np.full(n, 0.5), np.full(n, 3.0))
+                                       if case == "asymmetric" else None))
+        config = SolverConfig(max_iterations=its, step_tolerance=tol,
+                              projection="nonnegative" if case == "projection" else None)
+        return g, K, spec, config
+
+    @pytest.mark.parametrize("case", ["cap-not-a-block-multiple", "step-stop-mid-block",
+                                      "complex", "projection", "asymmetric", "weights-n300",
+                                      "n3000", "one-row-band-runs", "one-row-step-stop"])
+    def test_same_bits_as_the_per_iteration_loop(self, case):
+        g, K, spec, config = self.problem(case)
+        res = solve(g, K, spec, config)
+        f, trace, status, iterations, fp = _reference_solve(g, K, spec, config)
+        assert (res.status, res.iterations) == (status, iterations)
+        assert res.minimizer.values.dtype == f.dtype
+        assert res.minimizer.values.tobytes() == f.tobytes()
+        assert res.fixed_point_residual == fp
+        for name, ref in zip(("objectives", "discrepancies", "penalties", "step_norms",
+                              "surrogates"), trace):
+            got = getattr(res.trace, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        assert len(res.trace.wall_times) == iterations
+        # the case covers what its name says
+        m = _block_length(K.domain_len)
+        assert (m == 1) == case.startswith("one-row")
+        if m > 1:
+            assert iterations % m != 0
+        assert (status == solver.STATUS_STEP) == ("step-stop" in case)
+
+    @pytest.mark.parametrize("seed, p, iteration", [(3, 1.0, 17), (0, 1.0, 69)])
+    def test_descent_violation_named_as_the_per_iteration_loop_names_it(
+            self, seed, p, iteration):
+        # a 1.42-norm operator sold with a 0.95 certificate first raises
+        # the objective in the middle of a block
+        class Understated(DenseOperator):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                self.norm_bound = 0.95
+
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(20, 20))
+        K = Understated(M * 1.42 / np.linalg.norm(M, 2))
+        g = rng.normal(size=20)
+        spec = PenaltySpec.uniform(p=p, mu=0.05, n=20)
+        config = SolverConfig(max_iterations=300, step_tolerance=0.0)
+        assert iteration % _block_length(20) not in (0, 1)
+        with pytest.raises(DescentViolationError) as reference:
+            _reference_solve(g, K, spec, config)
+        assert f"at iteration {iteration};" in str(reference.value)
+        with pytest.raises(DescentViolationError) as raised:
+            solve(g, K, spec, config)
+        assert str(raised.value) == str(reference.value)
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    def test_penalty_rows_have_the_bits_of_their_own_calls(self, p):
+        rng = np.random.default_rng(42)
+        values = rng.normal(size=(5, 257)) * 10.0 ** rng.uniform(-3, 3, size=(5, 1))
+        weights = WeightSequence(rng.uniform(1, 2, 257))
+        for spec in (PenaltySpec.uniform(p=p, mu=0.3, n=257),
+                     PenaltySpec(p=p, weights=weights, mu=0.3),
+                     PenaltySpec(p=p, weights=weights, mu=0.3,
+                                 asymmetric=(np.full(257, 0.5), np.full(257, 2.0)))):
+            rows = penalty_sum(values, spec)
+            assert rows.tobytes() == np.array([penalty_sum(v, spec) for v in values]).tobytes()
