@@ -237,17 +237,11 @@ def _cmd_solve(opt: dict) -> int:
     }
     solution = result.minimizer.values
     if wavelet is not None:
-        write_grid(out / "solution_coefficients.grid", solution.reshape(1, -1),
-                   metadata=summary)
+        write_grid(out / "solution_coefficients.grid", solution, metadata=summary)
         pixels = idwt_array(solution, wavelet, K.shape)
-        write_grid(out / "solution.grid",
-                   pixels if pixels.ndim == 2 else pixels.reshape(1, -1),
-                   metadata=summary)
     else:
-        shaped = (solution.reshape(result.minimizer.dims)
-                  if result.minimizer.dims and len(result.minimizer.dims) == 2
-                  else solution.reshape(1, -1))
-        write_grid(out / "solution.grid", shaped, metadata=summary)
+        pixels = result.minimizer.as_grid() if result.minimizer.dims else solution
+    write_grid(out / "solution.grid", pixels, metadata=summary)
     write_trace_csv(out / "trace.csv", result.trace,
                     comment=f"version={__version__}")
     print(json.dumps(summary, sort_keys=True))

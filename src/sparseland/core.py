@@ -283,12 +283,18 @@ def penalty_value(f, spec: PenaltySpec) -> float:
 
     With asymmetric weights the positive and negative parts are weighted
     separately: mu * sum_gamma ( w+_gamma [f]+^p + w-_gamma [f]-^p ).
+    A penalty that overflows raises ParameterError.
     """
     fv = as_coefficients(f)
     _check_alignment(len(fv), spec)
     if spec.asymmetric is not None and fv.is_complex:
         raise ParameterError("asymmetric penalty is defined for real coefficients only")
-    return penalty_sum(fv.values, spec)
+    with np.errstate(over="ignore"):
+        pen = penalty_sum(fv.values, spec)
+    if not math.isfinite(pen):
+        raise ParameterError(f"the penalty overflows ({pen!r}) at the coefficient scale "
+                             f"{float(np.abs(fv.values).max())!r}; rescale f")
+    return pen
 
 
 def penalty_sum(values: np.ndarray, spec: PenaltySpec):
@@ -336,12 +342,20 @@ def _powers(a: np.ndarray, p: float) -> np.ndarray:
 
 
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
-    """Evaluate Phi(f) = ||K f - g||^2 + penalty, split into its two terms."""
+    """Evaluate Phi(f) = ||K f - g||^2 + penalty, split into its two terms.
+
+    A term that overflows raises ParameterError.
+    """
     fv = as_coefficients(f)
     gv = as_coefficients(g)
     _check_alignment(len(fv), spec)
-    residual = K.apply(fv.values) - gv.values
-    disc = float(np.real(np.vdot(residual, residual)))
+    with np.errstate(over="ignore"):
+        residual = K.apply(fv.values) - gv.values
+        disc = float(np.real(np.vdot(residual, residual)))
+    if not math.isfinite(disc):
+        g_scale, f_scale = (float(np.abs(v.values).max()) for v in (gv, fv))
+        raise ParameterError(f"the discrepancy overflows ({disc!r}) at the data scale {g_scale!r}"
+                             f" and coefficient scale {f_scale!r}; rescale g and f")
     pen = penalty_value(fv, spec)
     return ObjectiveBreakdown(discrepancy=disc, penalty=pen)
 

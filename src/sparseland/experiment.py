@@ -25,7 +25,7 @@ from . import __version__
 from .core import (PenaltySpec, check_array, check_count, check_exponent, check_real,
                    check_shape)
 from .errors import ParameterError
-from .gridio import write_grid, write_pgm, write_trace_csv
+from .gridio import _write_table, write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator, _check_geometry
 from .solver import SolveResult, SolverConfig, solve
 
@@ -301,17 +301,6 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_profile_csv(path: Path, columns: Dict[str, np.ndarray], comment: str):
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    lines = [f"# {comment}", "index," + ",".join(names)]
-    for i in range(length):
-        lines.append(
-            f"{i}," + ",".join(format(float(columns[n][i]), ".17g") for n in names)
-        )
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline; write files only if output_dir is set."""
     phantom = make_phantom(config)
@@ -413,7 +402,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             manifest["files"].append(f"trace_{case.name}.csv")
         for direction in ("horizontal", "vertical"):
             fname = f"profile_{direction}.csv"
-            _write_profile_csv(out / fname, profiles[direction], stamp)
+            _write_table(out / fname, "index", profiles[direction], stamp)
             manifest["files"].append(fname)
         manifest["files"].append("manifest.json")
         manifest["files"].sort()

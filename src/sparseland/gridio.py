@@ -7,16 +7,18 @@ Three deterministic formats:
 * a raw grid format for lossless float64 exchange: 16-byte header
   (8-byte magic ``SLWFGRID``, two little-endian uint32 dims), row-major
   little-endian float64 payload, then an optional trailing JSON metadata
-  line that readers honoring the header never see;
-* trace CSV with header ``iter,objective,discrepancy,penalty,step_norm``,
-  LF line endings, and one leading ``#`` provenance comment.
+  line that readers honoring the header never see; a 1-d array is one row;
+* CSV tables for solve traces (``iter,objective,discrepancy,penalty,step_norm``)
+  and the experiment's profiles (``index,<column>,...``): an optional
+  leading ``#`` provenance comment, the header, one ``.17g`` row per
+  index, LF line endings.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,19 +156,21 @@ def read_grid_metadata(path) -> Optional[dict]:
     return json.loads(tail.decode("utf-8"))
 
 
+def _write_table(path, index: str, columns: Dict[str, np.ndarray],
+                 comment: Optional[str] = None):
+    """Write equal-length columns as a CSV table (see the module docstring)."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join([index, *columns]))
+    for i, row in enumerate(zip(*columns.values())):
+        lines.append(",".join([str(i), *map(_fmt, row)]))
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def write_trace_csv(path, trace, comment: Optional[str] = None):
     """Write a solve trace as CSV; row 0 is the initial point (step 0)."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("iter,objective,discrepancy,penalty,step_norm")
     steps = np.concatenate([[0.0], trace.step_norms])
-    for i in range(trace.objectives.size):
-        lines.append(
-            f"{i},{_fmt(trace.objectives[i])},{_fmt(trace.discrepancies[i])},"
-            f"{_fmt(trace.penalties[i])},{_fmt(steps[i])}"
-        )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_table(path, "iter", {"objective": trace.objectives, "discrepancy": trace.discrepancies,
+                                "penalty": trace.penalties, "step_norm": steps}, comment)
 
 
 def read_trace_csv(path) -> dict:

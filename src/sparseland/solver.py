@@ -12,20 +12,14 @@ solver treats an observed increase as a broken contract and aborts. The
 iterates converge to a minimizer of the objective, and a point is a
 minimizer exactly when it is a fixed point of the step map.
 
-The loop iterates on the normal operator: one ``K.normal`` call per
-iteration, plus one ``K.apply`` at the returned point that re-anchors
-the discrepancy (see :func:`solve`). An iteration computes only what
-decides the next iterate and the stop rule: the step, its squared norm
-and the normal product. The trace and the descent check are kept in
-blocks of up to 64 iterations and 2^14 stacked entries (one iteration
-above 8,192 entries), over the block's stacked iterates, with the bits
-the iteration-by-iteration sums would have.
+An iteration computes only the step, its squared norm and one
+``K.normal`` product; :func:`solve` keeps the trace and the descent
+check in blocks of iterations, with the bits per-iteration sums have.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,12 +101,11 @@ class SolveTrace:
     """Per-iteration diagnostics.
 
     objectives/discrepancies/penalties have length n_iterations + 1 and
-    start at the initial point; step_norms, surrogates, and wall_times
-    have length n_iterations. wall_times[k] is the time iteration k took,
-    including the block bookkeeping when that iteration closed a block
-    (see :func:`solve`), so the sum over the trace is the loop's time. step_norms[k] is sqrt(<d, d>) for the step
-    d = f_{k+1} - f_k (for complex iterates this may differ from
-    np.linalg.norm(d) at roundoff). surrogates[k] is the surrogate value
+    start at the initial point; step_norms and surrogates have length
+    n_iterations; two solves of one problem give the same bytes.
+    step_norms[k] is sqrt(<d, d>) for the step d = f_{k+1} - f_k (for
+    complex iterates this may differ from np.linalg.norm(d) at
+    roundoff). surrogates[k] is the surrogate value
     of iterate k+1 anchored at iterate k, so descent shows up as
     objectives[k+1] <= surrogates[k] <= objectives[k]. The first and
     last discrepancies are evaluated exactly; those in between are the
@@ -124,7 +117,6 @@ class SolveTrace:
     penalties: np.ndarray
     step_norms: np.ndarray
     surrogates: np.ndarray
-    wall_times: np.ndarray
 
     def __len__(self) -> int:
         return self.step_norms.size
@@ -311,7 +303,8 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     costs one adjoint (b = K*g), plus one apply and one normal from an
     explicit f0 (from the default zero start K f and A f are zero and
     cost nothing), and the end one apply. A finite start whose objective
-    overflows (data too large to square) raises ParameterError.
+    overflows (data too large to square) raises ParameterError, as does
+    an f0 with a negative entry under the nonnegative projection.
 
     With r = b - A f and the step d = f_new - f, the objective changes by
 
@@ -352,6 +345,10 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     dtype = np.result_type(start.dtype, gvals.dtype, np.dtype(K.domain_dtype))
     f = start.astype(dtype, copy=True)
     _validate_problem(gvals, K, spec, config, dtype.kind == "c")
+    # a projected step need not descend from a start outside the cone
+    if config.projection == "nonnegative" and (f < 0).any():
+        raise ParameterError(f"the nonnegative projection needs f0 >= 0, "
+                             f"got {float(f.min())!r}")
 
     step = _Step(K, gvals, spec, config)
     step_threshold = config.step_tolerance * (float(np.linalg.norm(start)) + 1.0)
@@ -380,7 +377,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     penalties = [pen]
     step_norms = []
     surrogates = []
-    wall_times = []
 
     status = STATUS_MAX
     block = max(1, min(_BLOCK_ITERATIONS, _BLOCK_ENTRIES // f.size))
@@ -388,7 +384,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     # at, and its squared step norms
     fs, afs, quads = [f], [Af], []
     for k in range(1, config.max_iterations + 1):
-        t0 = time.perf_counter()
         f_new, r = step(f, Af)
         d = f_new - f
         quad = float(np.vdot(d, d).real)
@@ -401,7 +396,7 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
             F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
             change = dAd - 2.0 * dr
             pens = penalty_sum(F, spec)
-            # with the values the block starts from: obj == disc + pen
+            # O[0] = disc + pen is the objective the block starts from
             P = np.concatenate(([pen], pens))
             delta = change + (P[1:] - P[:-1])
             discs = np.add.accumulate(np.concatenate(([disc], change)))
@@ -427,9 +422,8 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
             discrepancies.extend(discs[1:].tolist())
             penalties.extend(pens.tolist())
             objectives.extend(objs.tolist())
-            disc, pen, obj = discrepancies[-1], penalties[-1], objectives[-1]
+            disc, pen = discrepancies[-1], penalties[-1]
             fs, afs, quads = [f], [Af], []
-        wall_times.append(time.perf_counter() - t0)
         if converged:
             status = STATUS_STEP
             break
@@ -451,7 +445,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
         penalties=np.asarray(penalties),
         step_norms=np.asarray(step_norms),
         surrogates=np.asarray(surrogates),
-        wall_times=np.asarray(wall_times),
     )
     minimizer = CoefficientVector(values=f, dims=dims)
     return SolveResult(

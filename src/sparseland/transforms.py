@@ -228,7 +228,7 @@ def _factor(h: np.ndarray, g: np.ndarray) -> _Lifting:
     _split(np.eye(n), lifted, 0, lifting, np.empty(3 * n * n // 2), plan)
     plan.run(None, None)
     defect = float(np.max(np.abs(lifted - direct)))
-    if defect > _FILTER_TOL:
+    if not (defect <= _FILTER_TOL):  # a NaN defect fails
         raise ParameterError(f"lifting steps miss the filter bank by {defect:.2e}")
     return lifting
 
@@ -258,10 +258,10 @@ class WaveletSpec:
         defects = [abs(np.dot(h, h) - 1.0), abs(h.sum() - np.sqrt(2.0))]
         for lag in range(2, h.size, 2):
             defects.append(abs(np.dot(h[:-lag], h[lag:])))
-        if max(defects) > _FILTER_TOL:
+        defect = float(np.max(defects))  # np.max keeps a NaN, and a NaN fails
+        if not (defect <= _FILTER_TOL):
             raise ParameterError(
-                f"filter bank for {family!r} fails orthonormality by {max(defects):.2e}"
-            )
+                f"filter bank for {family!r} fails orthonormality by {defect:.2e}")
         h.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "lowpass", h)

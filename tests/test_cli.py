@@ -191,6 +191,14 @@ class TestBounds:
         assert code == 2
         assert str(env) in capsys.readouterr().err
 
+    def test_envelope_file_needs_three_columns(self, capsys, tmp_path):
+        env = tmp_path / "env.txt"
+        np.savetxt(env, np.column_stack([[0.25], [0.25]]))
+        code = main(["bounds", "--epsilon", "0.1", "--rho", "2.0",
+                     "--envelope-file", str(env)])
+        assert code == 2
+        assert "three columns" in capsys.readouterr().err
+
     def test_partial_rate_options_rejected(self, capsys):
         code = main(["bounds", "--epsilon", "0.1", "--rho", "1.0",
                      "--alpha", "1.0"])
@@ -275,6 +283,19 @@ class TestSolve:
         assert code == 0
         assert read_grid(out / "solution.grid").min() >= 0.0
 
+    def test_projection_off_in_config_file(self, tmp_path):
+        op, _ = self._write_inputs(tmp_path)
+        data = tmp_path / "neg.txt"
+        data.write_text("-1.0 1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("project_nonnegative=off\nmu=0.1\n")
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(cfg), "--operator", "diagonal",
+                     "--operator-file", str(op), "--data", str(data),
+                     "--iterations", "100", "--output-dir", str(out)])
+        assert code == 0
+        assert read_grid(out / "solution.grid").min() < 0.0
+
     def test_wavelet_mode_writes_both_grids(self, tmp_path, capsys):
         op = tmp_path / "op.txt"
         op.write_text(" ".join(["0.8"] * 8) + "\n")
@@ -335,6 +356,19 @@ class TestSolve:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "family:levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--wavelet", "db2:two"], "wavelet levels must be an integer"),
+        (["--besov-s", "0.5"], "--besov-s needs --wavelet"),
+        (["--operator", "convolution"], "needs 2-d data"),
+    ], ids=["levels", "besov", "convolution"])
+    def test_inconsistent_options_exit_2(self, tmp_path, capsys, extra, message):
+        op, data = self._write_inputs(tmp_path)
+        code = main(["solve", "--operator", "diagonal",
+                     "--operator-file", str(op), "--data", str(data),
+                     "--mu", "0.1", *extra, "--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_operator_file(self, tmp_path, capsys):
         _, data = self._write_inputs(tmp_path)

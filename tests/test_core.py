@@ -1,5 +1,8 @@
 """Value types and objective calculators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,11 @@ class TestWeightSequence:
             WeightSequence(np.array([1.0, 0.0]))
         with pytest.raises(ParameterError):
             WeightSequence(np.array([-1.0]))
+
+    @pytest.mark.parametrize("w", [np.ones((2, 2)), np.ones(0)])
+    def test_rejects_grid_and_empty(self, w):
+        with pytest.raises(ParameterError, match="nonempty 1-d"):
+            WeightSequence(w)
 
     def test_uniform(self):
         ws = WeightSequence.uniform(4)
@@ -182,6 +190,49 @@ class TestPenaltyValue:
     def test_complex_uses_modulus(self):
         spec = PenaltySpec.uniform(p=2.0, mu=1.0, n=1)
         assert penalty_value(np.array([3.0 + 4.0j]), spec) == pytest.approx(25.0)
+
+
+class TestOverflowRefused:
+    """penalty_value and objective refuse a term that overflows, and leak no warning."""
+
+    @staticmethod
+    def _values(scale, kind):
+        return np.full(2, scale * (1.0 + 1.0j) if kind == "complex" else scale)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_penalty(self, p, kind):
+        spec = PenaltySpec.uniform(p=p, mu=1.0, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="penalty overflows"):
+                penalty_value(self._values(1e308, kind), spec)
+            if p == 2.0:
+                with pytest.raises(ParameterError, match="1e\\+200"):
+                    penalty_value(np.array([1e200, 1.0]), spec)
+            pen = penalty_value(self._values(1e150, kind), spec)
+        assert math.isfinite(pen)
+        assert pen == pytest.approx(2.0 * abs(self._values(1e150, kind)[0]) ** p)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_objective(self, p, kind):
+        rng = np.random.default_rng(2)
+        M = rng.normal(size=(20, 20))
+        K = DenseOperator(M * (0.9 / np.linalg.norm(M, 2)))
+        g = rng.normal(size=20)
+        if kind == "complex":
+            g = g + 1j * rng.normal(size=20)
+        spec = PenaltySpec.uniform(p=p, mu=1.0, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="discrepancy overflows"):
+                objective(np.zeros(20), 1e160 * g, K, spec)
+            with pytest.raises(ParameterError, match="coefficient scale 1e\\+160"):
+                objective(np.full(20, 1e160), g, K, spec)
+            b = objective(np.zeros(20), 1e150 * g, K, spec)
+        assert math.isfinite(b.total)
+        assert b.discrepancy == pytest.approx(1e300 * np.vdot(g, g).real)
 
 
 class TestUnitWeightPenalty:
@@ -286,6 +337,12 @@ class TestSurrogate:
             with pytest.raises(ContractViolationError):
                 surrogate_objective(np.array([1.0]), np.array([0.0]),
                                     np.array([0.0]), DiagonalOperator(np.array([bound])), spec)
+
+    def test_anchor_length_checked(self):
+        K = DiagonalOperator(np.array([0.5, 0.5]))
+        spec = PenaltySpec.uniform(p=2.0, mu=1.0, n=2)
+        with pytest.raises(AlignmentError, match="anchor"):
+            surrogate_objective(np.ones(2), np.ones(3), np.zeros(2), K, spec)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

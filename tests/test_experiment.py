@@ -325,6 +325,20 @@ class TestPipeline:
         meta = read_grid_metadata(out / "recon_l1.grid")
         assert meta["config_hash"] == manifest["config_hash"]
 
+    def test_profile_csv_bytes(self, tmp_path):
+        out = tmp_path / "run"
+        result = run_experiment(self._config(str(out)))
+        manifest = result.manifest
+        for direction in ("horizontal", "vertical"):
+            columns = result.profiles[direction]
+            lines = [f"# config={manifest['config_hash']} version={manifest['version']}",
+                     "index,reference,blurred,data,l1,l2_nonneg"]
+            lines += [f"{i}," + ",".join(format(float(v), ".17g") for v in row)
+                      for i, row in enumerate(zip(*columns.values()))]
+            assert len(lines) == 2 + 64
+            assert (out / f"profile_{direction}.csv").read_bytes() == \
+                ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
         cfg = self._config(str(out))

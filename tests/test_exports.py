@@ -55,6 +55,12 @@ def _fresh(code):
     return lines
 
 
+def test_dir_lists_every_public_name():
+    # a fresh process, where no name has loaded its module yet
+    code = "print(set(sparseland.__all__) <= set(dir(sparseland)))\n"
+    assert _fresh(code) == ["True"]
+
+
 def test_import_loads_no_scipy():
     # a fresh process, since this one has loaded scipy for other tests
     code = ("import sys, sparseland.cli\n"

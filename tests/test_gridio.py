@@ -57,6 +57,12 @@ class TestPgm:
         with pytest.raises(ParameterError):
             gridio.read_pgm(bad)
 
+    def test_rejects_other_maxval(self, tmp_path):
+        path = tmp_path / "byte.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
+        with pytest.raises(ParameterError, match="maxval 65535, got 255"):
+            gridio.read_pgm(path)
+
     def test_rejects_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"
         gridio.write_pgm(path, np.ones((3, 4)))
@@ -92,6 +98,10 @@ class TestGridFormat:
         out = gridio.read_grid(path)
         assert out.shape == (1, 3)
         assert np.array_equal(out[0], [1.0, 2.0, 3.0])
+
+    def test_rejects_three_axes(self, tmp_path):
+        with pytest.raises(ParameterError, match="1-d or 2-d"):
+            gridio.write_grid(tmp_path / "c.slw", np.ones((2, 2, 2)))
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.slw"
@@ -176,6 +186,24 @@ class TestTraceCsv:
         cols = gridio.read_trace_csv(path)
         assert cols["iter"].size == result.trace.objectives.size
         assert np.all(np.diff(cols["objective"]) <= 1e-12)
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "t.csv"
+        gridio.write_trace_csv(path, self._fake_trace(), comment="demo")
+        assert path.read_bytes() == (b"# demo\n"
+                                     b"iter,objective,discrepancy,penalty,step_norm\n"
+                                     b"0,3,2.5,0.5,0\n"
+                                     b"1,2,1.5,0.5,0.69999999999999996\n"
+                                     b"2,1.5,1,0.5,0.29999999999999999\n")
+
+    def test_profile_table_bytes_pinned(self, tmp_path):
+        path = tmp_path / "p.csv"
+        gridio._write_table(path, "index", {"reference": np.array([0.1, 2.0]),
+                                            "data": np.array([1e-300, -3.0])}, "config=abc")
+        assert path.read_bytes() == (b"# config=abc\n"
+                                     b"index,reference,data\n"
+                                     b"0,0.10000000000000001,1e-300\n"
+                                     b"1,2,-3\n")
 
     def test_missing_header_rejected(self, tmp_path):
         empty = tmp_path / "e.csv"

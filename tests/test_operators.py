@@ -26,6 +26,12 @@ class TestDiagonalOperator:
         np.testing.assert_array_equal(D.adjoint([1.0, 1.0]), [2.0, -3.0])
         assert D.norm_bound == 3.0
 
+    def test_grid_input_is_flattened(self):
+        D = DiagonalOperator(np.array([1.0, 2.0, 3.0, 4.0]))
+        grid = np.array([[1.0, -1.0], [0.5, 2.0]])
+        np.testing.assert_array_equal(D.apply(grid), D.apply(grid.ravel()))
+        np.testing.assert_array_equal(D.adjoint(grid), [1.0, -2.0, 1.5, 8.0])
+
     def test_complex_adjoint_conjugates(self):
         D = DiagonalOperator(np.array([1.0 + 1.0j]))
         assert D.adjoint([1.0])[0] == 1.0 - 1.0j
@@ -75,6 +81,15 @@ class TestDenseOperator:
     ])
     def test_rejects_non_numeric_entries(self, matrix):
         with pytest.raises(ParameterError, match="must be numbers"):
+            DenseOperator(matrix)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones(3), "nonempty 2-d"), (np.ones((0, 2)), "nonempty 2-d"),
+        (np.ones((2, 2, 2)), "nonempty 2-d"), ([[1.0, np.inf]], "finite"),
+        ([[np.nan]], "finite"),
+    ])
+    def test_rejects_bad_matrix(self, matrix, message):
+        with pytest.raises(ParameterError, match=message):
             DenseOperator(matrix)
 
     def test_accepts_unsigned_entries(self):
@@ -499,6 +514,8 @@ class TestSvdModel:
             SvdModel(np.array([1.0]))  # not below 1
         with pytest.raises(ParameterError):
             SvdModel(np.array([-0.1]))
+        with pytest.raises(ParameterError, match="1-d"):
+            SvdModel(np.full((2, 2), 0.5))
         m = SvdModel(np.array([0.9, 0.5, 0.0]))
         assert len(m) == 3
         assert isinstance(m.operator(), DiagonalOperator)

@@ -36,6 +36,11 @@ class TestSpectralEnvelope:
         with pytest.raises(AlignmentError):
             SpectralEnvelope(np.ones(2), np.ones(3))
 
+    @pytest.mark.parametrize("b, B", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_bounds_rejected(self, b, B):
+        with pytest.raises(ParameterError, match="finite"):
+            SpectralEnvelope(np.array([b]), np.array([B]))
+
 
 class TestMuSchedule:
     def test_balanced_values(self):
@@ -69,6 +74,13 @@ class TestCheckMuRequirements:
         assert not rep.passed
         assert not rep.mu_decreasing
         assert any("does not decrease" in note for note in rep.notes)
+
+    def test_growing_ratio_flagged(self):
+        # mu = eps^3 falls faster than eps^2, so eps^2/mu = 1/eps grows
+        rep = check_mu_requirements(lambda e: e**3, np.array([0.4, 0.2, 0.1]))
+        assert not rep.passed
+        assert rep.mu_decreasing and not rep.ratio_decreasing
+        assert rep.notes == ("eps^2/mu does not decrease toward 0 across the grid",)
 
     def test_sequence_input(self):
         rep = check_mu_requirements([0.2, 0.1, 0.05],
@@ -105,6 +117,11 @@ class TestPrimedRadii:
             eps_p, rho_p = primed_radii(noise, mu, p)
             assert eps_p == pytest.approx(np.sqrt(2.0) * noise.epsilon, rel=1e-12)
             assert rho_p == pytest.approx(2.0 ** (1.0 / p) * noise.rho, rel=1e-12)
+
+    def test_overflowing_radius_refused(self):
+        # epsilon^2 overflows a Python float
+        with pytest.raises(ParameterError, match="eps_primed"):
+            primed_radii(NoisePrior(1e200, 1.0), 1.0, 1.0)
 
     def test_mu_checked(self):
         with pytest.raises(ParameterError):

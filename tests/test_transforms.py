@@ -51,6 +51,34 @@ class TestWaveletSpec:
         with pytest.raises(ParameterError):
             WaveletSpec("haar", levels=0)
 
+    @pytest.mark.parametrize("defect", [np.nan, 1e-12])
+    def test_filter_defect_refused(self, monkeypatch, defect):
+        h = transforms._lowpass_filter("db2")
+        h[1] += defect
+        monkeypatch.setattr(transforms, "_lowpass_filter", lambda family: h.copy())
+        with pytest.raises(ParameterError, match="fails orthonormality"):
+            WaveletSpec("db2")
+
+    @pytest.mark.parametrize("delta", [np.nan, 1e-9])
+    def test_lifting_defect_refused(self, monkeypatch, delta):
+        euclid = transforms._euclid
+
+        def perturbed(*args):
+            run = euclid(*args)
+            if run is None:
+                return run
+            (odd, ((c, lag), *terms)), *steps = run.steps
+            return run._replace(steps=((odd, ((c + delta, lag), *terms)), *steps))
+
+        monkeypatch.setattr(transforms, "_euclid", perturbed)
+        with pytest.raises(ParameterError, match="miss the filter bank"):
+            WaveletSpec("db2")
+
+    def test_no_lifting_refused(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_euclid", lambda *args: None)
+        with pytest.raises(ParameterError, match="no lifting factorization"):
+            WaveletSpec("db2")
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lifting_reproduces_polyphase_matrix(self, family):
         spec = WaveletSpec(family)
@@ -363,6 +391,12 @@ class TestBesovWeights:
 
 
 class TestConjugatedOperator:
+    def test_base_dims_must_match_its_length(self):
+        K = DiagonalOperator(np.full(8, 0.5))
+        K.domain_dims = (4, 4)
+        with pytest.raises(AlignmentError, match="domain length"):
+            conjugated_operator(K, WaveletSpec("haar", 1))
+
     def test_identity_base_round_trips(self):
         K = DiagonalOperator(np.ones(16))
         C = conjugated_operator(K, WaveletSpec("db2", 2))
