@@ -20,19 +20,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import AlignmentError, ContractViolationError, ParameterError
 
-__all__ = [
-    "CoefficientVector",
-    "WeightSequence",
-    "PenaltySpec",
-    "ObjectiveBreakdown",
-    "as_coefficients",
-    "triple_norm",
-    "penalty_value",
-    "objective",
-    "surrogate_objective",
-]
+__all__ = list(_EXPORTS["core"])
 
 
 def check_exponent(p) -> float:
@@ -259,10 +250,36 @@ class ObjectiveBreakdown:
         object.__setattr__(self, "total", self.discrepancy + self.penalty)
 
 
-def _check_alignment(n_values: int, spec: PenaltySpec):
-    if n_values != len(spec):
+# the consistency rules of a problem (f, g, K, spec), shared by the
+# objective, the surrogate, renormalize and the solver's one start
+
+def check_domain(n: int, spec: PenaltySpec, K=None):
+    """Raise AlignmentError unless n coefficients, the weights and K's domain agree."""
+    if n != len(spec) or (K is not None and K.domain_len != n):
+        domain = "" if K is None else f", operator domain {K.domain_len}"
         raise AlignmentError(
-            f"coefficient vector has {n_values} entries, weights have {len(spec)}"
+            f"coefficient vector has {n} entries, weights have {len(spec)}{domain}"
+        )
+
+
+def check_image(n: int, K):
+    """Raise AlignmentError unless n data entries fill K's image."""
+    if n != K.image_len:
+        raise AlignmentError(f"data length {n} does not match operator image {K.image_len}")
+
+
+def check_asymmetric(spec: PenaltySpec, dtype):
+    """Raise ParameterError if asymmetric weights would meet values of a complex dtype."""
+    if spec.asymmetric is not None and np.dtype(dtype).kind == "c":
+        raise ParameterError("asymmetric weights require real values")
+
+
+def check_contraction(K):
+    """Raise ContractViolationError unless K certifies a norm bound below 1."""
+    if not (K.norm_bound < 1.0):
+        raise ContractViolationError(
+            f"the iteration and its surrogate require a certified norm bound < 1 "
+            f"(got {K.norm_bound}); renormalize the problem first"
         )
 
 
@@ -273,7 +290,7 @@ def triple_norm(f, spec: PenaltySpec) -> float:
     dominates the Euclidean norm: ||f|| <= c^(-1/p) * triple_norm(f).
     """
     fv = as_coefficients(f)
-    _check_alignment(len(fv), spec)
+    check_domain(len(fv), spec)
     moduli = np.abs(fv.values)
     return float(np.sum(spec.weights.w * moduli**spec.p) ** (1.0 / spec.p))
 
@@ -286,9 +303,8 @@ def penalty_value(f, spec: PenaltySpec) -> float:
     A penalty that overflows raises ParameterError.
     """
     fv = as_coefficients(f)
-    _check_alignment(len(fv), spec)
-    if spec.asymmetric is not None and fv.is_complex:
-        raise ParameterError("asymmetric penalty is defined for real coefficients only")
+    check_domain(len(fv), spec)
+    check_asymmetric(spec, fv.values.dtype)
     with np.errstate(over="ignore"):
         pen = penalty_sum(fv.values, spec)
     if not math.isfinite(pen):
@@ -344,11 +360,14 @@ def _powers(a: np.ndarray, p: float) -> np.ndarray:
 def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
     """Evaluate Phi(f) = ||K f - g||^2 + penalty, split into its two terms.
 
-    A term that overflows raises ParameterError.
+    f, spec and K's domain must agree in length and g must fill K's
+    image (AlignmentError); a term that overflows raises ParameterError.
+    No norm bound is needed.
     """
     fv = as_coefficients(f)
     gv = as_coefficients(g)
-    _check_alignment(len(fv), spec)
+    check_domain(len(fv), spec, K)
+    check_image(len(gv), K)
     with np.errstate(over="ignore"):
         residual = K.apply(fv.values) - gv.values
         disc = float(np.real(np.vdot(residual, residual)))
@@ -368,17 +387,14 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     it at f = a. Minimizing over f for fixed anchor a is what one iteration
     step does.
     """
-    if not (K.norm_bound < 1.0):
-        raise ContractViolationError(
-            f"surrogate requires a certified norm bound < 1, got {K.norm_bound}"
-        )
+    check_contraction(K)
     fv = as_coefficients(f)
     av = as_coefficients(a)
     if len(fv) != len(av):
         raise AlignmentError("f and anchor a must have equal length")
+    total = objective(fv, g, K, spec).total
     diff = fv.values - av.values
     kdiff = K.apply(diff)
-    total = objective(fv, g, K, spec).total
     return float(
         total + np.real(np.vdot(diff, diff)) - np.real(np.vdot(kdiff, kdiff))
     )

@@ -1,11 +1,8 @@
 """Exception types shared across the library."""
 
-__all__ = [
-    "AlignmentError",
-    "ParameterError",
-    "ContractViolationError",
-    "DescentViolationError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class AlignmentError(ValueError):

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .core import (PenaltySpec, check_array, check_count, check_exponent, check_real,
                    check_shape)
 from .errors import ParameterError
@@ -29,17 +29,7 @@ from .gridio import _write_table, write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator, _check_geometry
 from .solver import SolveResult, SolverConfig, solve
 
-__all__ = [
-    "CaseSpec",
-    "DEFAULT_CASES",
-    "ExperimentConfig",
-    "NoisyData",
-    "make_phantom",
-    "add_poisson_noise",
-    "count_profile_peaks",
-    "run_experiment",
-    "ExperimentResult",
-]
+__all__ = list(_EXPORTS["experiment"])
 
 
 @dataclass(frozen=True)

@@ -32,22 +32,13 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import CoefficientVector, check_array, check_count, check_real, check_shape
+from . import _EXPORTS
+from .core import (CoefficientVector, check_array, check_count, check_image, check_real,
+                   check_shape)
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
-__all__ = [
-    "LinearOperatorHandle",
-    "DiagonalOperator",
-    "DenseOperator",
-    "Convolution2DOperator",
-    "ScaledOperator",
-    "renormalize",
-    "RenormalizedProblem",
-    "validate_operator",
-    "SvdModel",
-    "thresholded_svd_solve",
-]
+__all__ = list(_EXPORTS["operators"])
 
 # the certified norm bound a convolution is built with and renormalize
 # rescales to: below 1, as the iteration needs
@@ -400,9 +391,10 @@ def renormalize(K: LinearOperatorHandle, g) -> RenormalizedProblem:
     ||K'f - g'||^2 + (mu/scale^2) * penalty(f) over the returned pair
     reproduces the minimizer of the original problem. An operator
     already bounded by 0.999 (the zero operator included) passes
-    through unchanged.
+    through unchanged. g must fill K's image (AlignmentError).
     """
     g = check_array(g, "data", complex_ok=True)
+    check_image(g.size, K)
     if K.norm_bound <= _NORM_MARGIN:
         return RenormalizedProblem(K, g, 1.0)
     scale = K.norm_bound / _NORM_MARGIN

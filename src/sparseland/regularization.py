@@ -17,19 +17,11 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import WeightSequence, check_array, check_exponent, check_real
 from .errors import AlignmentError, ParameterError
 
-__all__ = [
-    "NoisePrior",
-    "SpectralEnvelope",
-    "MuScheduleReport",
-    "mu_schedule",
-    "check_mu_requirements",
-    "primed_radii",
-    "modulus_bounds",
-    "besov_modulus_rate",
-]
+__all__ = list(_EXPORTS["regularization"])
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,11 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import check_array, check_exponent
 from .errors import AlignmentError, ContractViolationError, ParameterError
 
-__all__ = [
-    "soft_threshold",
-    "shrink_p",
-    "shrink_complex",
-    "shrink_asymmetric",
-]
+__all__ = list(_EXPORTS["shrinkage"])
 
 # exponents within this distance of 1, 3/2 or 2 use the closed form
 _P_SNAP = 1e-12

@@ -25,31 +25,24 @@ from typing import Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (
     CoefficientVector,
     PenaltySpec,
     as_coefficients,
+    check_asymmetric,
+    check_contraction,
     check_count,
+    check_domain,
+    check_image,
     check_real,
     penalty_sum,
 )
-from .errors import (
-    AlignmentError,
-    ContractViolationError,
-    DescentViolationError,
-    ParameterError,
-)
+from .errors import ContractViolationError, DescentViolationError, ParameterError
 from .operators import LinearOperatorHandle
 from .shrinkage import shrink_asymmetric, shrink_complex, shrink_p
 
-__all__ = [
-    "SolverConfig",
-    "SolveTrace",
-    "SolveResult",
-    "iterate_step",
-    "solve",
-    "fixed_point_residual",
-]
+__all__ = list(_EXPORTS["solver"])
 
 # relative slack applied to the monotonicity check; anything beyond this
 # is treated as a contract violation, not roundoff
@@ -124,6 +117,16 @@ class SolveTrace:
 
 @dataclass
 class SolveResult:
+    """What :func:`solve` returns.
+
+    minimizer is the last iterate, with the grid dims of f0 or else of
+    K's domain; trace holds its diagnostics (see :class:`SolveTrace`);
+    status is "converged_step" when the step rule stopped the run and
+    "max_iterations" when the cap did; iterations is the number of steps
+    taken; fixed_point_residual is ||f - T(f)|| at the minimizer under
+    the configured step map T.
+    """
+
     minimizer: CoefficientVector
     trace: SolveTrace
     status: str
@@ -134,7 +137,7 @@ class SolveResult:
 class _Step:
     """The step map f -> P(S(f + b - A f)) of one problem, b = K*g, A = K*K.
 
-    Built once per problem. It holds b, the effective shrinkage weights
+    Built once per problem. It holds g, b, the effective shrinkage weights
     mu * w (a (plus, minus) pair for asymmetric weights) and the optional
     nonnegativity projection P. Effective weights that are all one
     finite positive number are held as that Python float, which the
@@ -154,6 +157,7 @@ class _Step:
 
     def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
                  config: SolverConfig):
+        self.g = g
         self.b = K.adjoint(g)
         self.p = spec.p
         self.nonnegative = config.projection == "nonnegative"
@@ -183,6 +187,10 @@ class _Step:
         if self.nonnegative:
             out = np.maximum(out, 0.0)
         return out, r
+
+    def distance(self, f: np.ndarray, Af: np.ndarray) -> float:
+        """The fixed-point residual ||f - T(f)||."""
+        return float(np.linalg.norm(f - self(f, Af)[0]))
 
 
 def _effective_weights(mu: float, w: np.ndarray):
@@ -236,59 +244,81 @@ def _block_dots(fs, afs, d, r, b):
             np.matmul(D, (b - AF[:-1])[:, :, None])[:, 0, 0].real)
 
 
-def _checked_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
-                  config: SolverConfig):
-    """Validate one problem and take one step from f; return (f, step)."""
-    fv = as_coefficients(f)
-    gv = as_coefficients(g)
-    dtype = np.result_type(fv.values.dtype, gv.values.dtype, np.dtype(K.domain_dtype))
-    _validate_problem(gv.values, K, spec, config, dtype.kind == "c")
-    step = _Step(K, gv.values, spec, config)
-    out, _ = step(fv.values, K.normal(fv.values))
-    return fv, out
+def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, f0=None):
+    """Check one problem and set up its iteration from f0 (default 0).
+
+    Returns (f, dims, step, Af, disc, pen, norm): the start as a fresh
+    array of the iterates' dtype, the grid dims of the result, the step
+    map, A f, and the start's discrepancy, penalty and norm. From the
+    default zero start K f and A f are zero and cost no operator call;
+    from an explicit one they cost one apply and one normal. A start
+    whose norm or objective overflows raises ParameterError: its norm is
+    taken before any operator runs (a finite ||f|| keeps K f and A f
+    finite), and its objective before b = K*g.
+    """
+    g = as_coefficients(g).values
+    if f0 is None:
+        dims = K.domain_dims
+        start = np.zeros(K.domain_len)
+    else:
+        f0v = as_coefficients(f0)
+        dims = f0v.dims or K.domain_dims
+        start = f0v.values
+    check_domain(start.size, spec, K)
+    check_image(g.size, K)
+    check_contraction(K)
+    dtype = np.result_type(start.dtype, g.dtype, np.dtype(K.domain_dtype))
+    check_asymmetric(spec, dtype)
+    if dtype.kind == "c" and config.projection == "nonnegative":
+        raise ParameterError("nonnegativity projection requires real iterates")
+    f = start.astype(dtype, copy=True)
+    # a projected step need not descend from a start outside the cone
+    if config.projection == "nonnegative" and (f < 0).any():
+        raise ParameterError(f"the nonnegative projection needs a start f0 >= 0, "
+                             f"got {float(f.min())!r}")
+    # finite data and start can still overflow ||f||^2, ||g - K f||^2 or
+    # the penalty; the descent bookkeeping means nothing from an infinite start
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(f))
+    obj = math.inf
+    if math.isfinite(norm):
+        # K 0 = 0: the residual is g, in the dtype g - K f would have
+        residual = g.astype(dtype, copy=False) if f0 is None else g - K.apply(f)
+        with np.errstate(over="ignore"):
+            disc = float(np.vdot(residual, residual).real)
+            pen = penalty_sum(f, spec)
+            obj = disc + pen
+    if not math.isfinite(obj):
+        raise ParameterError(
+            f"the start's norm or objective overflows at the data scale "
+            f"{float(np.abs(g).max())!r} and start scale {float(np.abs(f).max())!r}; "
+            f"rescale the data and the start"
+        )
+    step = _Step(K, g, spec, config)
+    Af = np.zeros_like(f) if f0 is None else K.normal(f)
+    return f, dims, step, Af, disc, pen, norm
 
 
 def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
                  config: Optional[SolverConfig] = None) -> CoefficientVector:
     """One shrinkage-thresholded Landweber step, the step :func:`solve` takes.
 
-    Honors the config's nonnegativity projection. With a tiny mu the
-    result approaches the plain Landweber step f + K*(g - K f).
+    Checks the problem and the start f as :func:`solve` checks them and
+    f0, and honors the config's nonnegativity projection. With a tiny mu
+    the result approaches the plain Landweber step f + K*(g - K f).
     """
-    fv, out = _checked_step(f, g, K, spec, config or SolverConfig())
-    return CoefficientVector(values=out, dims=fv.dims)
+    f, dims, step, Af, *_ = _start(g, K, spec, config or SolverConfig(), f)
+    return CoefficientVector(values=step(f, Af)[0], dims=dims)
 
 
 def fixed_point_residual(f, g, K: LinearOperatorHandle, spec: PenaltySpec) -> float:
     """Distance ||f - S(f + K*(g - K f))||; zero exactly at minimizers.
 
-    Takes the step :func:`solve` takes and validates the problem as
-    iterate_step does.
+    Takes the step :func:`solve` takes and checks the problem and f as
+    :func:`solve` checks them and f0.
     """
-    fv, stepped = _checked_step(f, g, K, spec, SolverConfig())
-    return float(np.linalg.norm(fv.values - stepped))
-
-
-def _validate_problem(g: np.ndarray, K: LinearOperatorHandle, spec: PenaltySpec,
-                      config: SolverConfig, complex_iterates: bool):
-    if len(spec) != K.domain_len:
-        raise AlignmentError(
-            f"penalty spec length {len(spec)} does not match operator domain {K.domain_len}"
-        )
-    if g.size != K.image_len:
-        raise AlignmentError(
-            f"data length {g.size} does not match operator image {K.image_len}"
-        )
-    if not (K.norm_bound < 1.0):
-        raise ContractViolationError(
-            f"iteration requires a certified norm bound < 1 "
-            f"(got {K.norm_bound}); renormalize the problem first"
-        )
-    if complex_iterates:
-        if config.projection == "nonnegative":
-            raise ParameterError("nonnegativity projection requires real iterates")
-        if spec.asymmetric is not None:
-            raise ParameterError("asymmetric weights require real iterates")
+    f, _, step, Af, *_ = _start(g, K, spec, SolverConfig(), f)
+    return step.distance(f, Af)
 
 
 def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
@@ -302,9 +332,10 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     Each iteration calls ``K.normal`` once, on the new iterate; the start
     costs one adjoint (b = K*g), plus one apply and one normal from an
     explicit f0 (from the default zero start K f and A f are zero and
-    cost nothing), and the end one apply. A finite start whose objective
-    overflows (data too large to square) raises ParameterError, as does
-    an f0 with a negative entry under the nonnegative projection.
+    cost nothing), and the end one apply. A finite start whose norm or
+    objective overflows (data or f0 too large to square) raises
+    ParameterError, as does an f0 with a negative entry under the
+    nonnegative projection.
 
     With r = b - A f and the step d = f_new - f, the objective changes by
 
@@ -329,50 +360,9 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     residual reuses the held A f and costs no operator call.
     """
     config = config or SolverConfig()
-    gv = as_coefficients(g)
-    gvals = gv.values
-
-    if f0 is not None:
-        f0v = as_coefficients(f0)
-        if len(f0v) != K.domain_len:
-            raise AlignmentError("initial point length does not match operator domain")
-        dims = f0v.dims or K.domain_dims
-        start = f0v.values
-    else:
-        dims = K.domain_dims
-        start = np.zeros(K.domain_len)
-
-    dtype = np.result_type(start.dtype, gvals.dtype, np.dtype(K.domain_dtype))
-    f = start.astype(dtype, copy=True)
-    _validate_problem(gvals, K, spec, config, dtype.kind == "c")
-    # a projected step need not descend from a start outside the cone
-    if config.projection == "nonnegative" and (f < 0).any():
-        raise ParameterError(f"the nonnegative projection needs f0 >= 0, "
-                             f"got {float(f.min())!r}")
-
-    step = _Step(K, gvals, spec, config)
-    step_threshold = config.step_tolerance * (float(np.linalg.norm(start)) + 1.0)
-
-    if f0 is None:
-        # K 0 = 0: the residual is g (in the dtype g - K f would have) and
-        # A f is zero, with no operator call
-        residual = gvals.astype(dtype, copy=False)
-        Af = np.zeros_like(f)
-    else:
-        residual = gvals - K.apply(f)
-        Af = K.normal(f)
-    # finite data can still overflow ||g||^2 or the penalty; the descent
-    # bookkeeping means nothing from an infinite start
-    with np.errstate(over="ignore"):
-        disc = float(np.vdot(residual, residual).real)
-        pen = penalty_sum(f, spec)
-        obj = disc + pen
-        if not math.isfinite(obj):
-            raise ParameterError(
-                f"the starting objective overflows ({obj!r}) at the data scale "
-                f"{float(np.abs(gvals).max())!r}; rescale the data and f0"
-            )
-    objectives = [obj]
+    f, dims, step, Af, disc, pen, norm = _start(g, K, spec, config, f0)
+    step_threshold = config.step_tolerance * (norm + 1.0)
+    objectives = [disc + pen]
     discrepancies = [disc]
     penalties = [pen]
     step_norms = []
@@ -428,7 +418,7 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
             status = STATUS_STEP
             break
 
-    residual = gvals - K.apply(f)
+    residual = step.g - K.apply(f)
     exact = float(np.vdot(residual, residual).real)
     if not (abs(disc - exact) <= _ANCHOR_SLACK * (1.0 + objectives[0])):
         raise ContractViolationError(
@@ -438,7 +428,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     discrepancies[-1] = exact
     objectives[-1] = exact + pen
 
-    fp_residual = float(np.linalg.norm(f - step(f, Af)[0]))
     trace = SolveTrace(
         objectives=np.asarray(objectives),
         discrepancies=np.asarray(discrepancies),
@@ -452,5 +441,5 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
         trace=trace,
         status=status,
         iterations=len(step_norms),
-        fixed_point_residual=fp_residual,
+        fixed_point_residual=step.distance(f, Af),
     )

@@ -50,20 +50,13 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import (CoefficientVector, WeightSequence, check_array, check_count,
                    check_exponent, check_real)
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
-__all__ = [
-    "WaveletSpec",
-    "WaveletCoefficients",
-    "dwt",
-    "idwt",
-    "BesovWeightSpec",
-    "besov_weights",
-    "conjugated_operator",
-]
+__all__ = list(_EXPORTS["transforms"])
 
 # bound on the orthonormality defects of a filter pair and on the
 # difference between its lifted and its direct analysis; lifting

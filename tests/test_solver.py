@@ -8,7 +8,7 @@ import pytest
 
 from sparseland import shrinkage, solver
 from sparseland.core import (PenaltySpec, WeightSequence, objective, penalty_sum,
-                             surrogate_objective)
+                             penalty_value, surrogate_objective)
 from sparseland.errors import (
     AlignmentError,
     ContractViolationError,
@@ -344,6 +344,22 @@ class TestDescent:
             with pytest.raises(ParameterError, match="data scale"):
                 solve(problem.data, problem.operator, spec, SolverConfig(max_iterations=20))
 
+    def test_start_whose_norm_alone_overflows_refused(self):
+        # g = K f0 and p = 1 keep the objective finite, but ||f0||^2
+        # overflows, and the step rule and the residual take ||f||
+        K = DiagonalOperator(np.array([0.5, 0.25, 0.8]))
+        f0 = np.array([1e155, -2e155, 3e155])
+        g = K.apply(f0)
+        spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=3)
+        assert np.isfinite(objective(f0, g, K, spec).total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: solve(g, K, spec, f0=f0),
+                         lambda: iterate_step(f0, g, K, spec),
+                         lambda: fixed_point_residual(f0, g, K, spec)):
+                with pytest.raises(ParameterError, match="start scale 3e\\+155"):
+                    call()
+
     def test_broken_norm_certificate_detected(self):
         # operator of true norm 1.5 sold with a 0.9 certificate: the
         # iteration inflates the objective and the solver must abort
@@ -595,6 +611,15 @@ class TestProjection:
         # without the projection the same start solves
         solve(g, K, spec, SolverConfig(max_iterations=50), f0=f0)
 
+    def test_iterate_step_refuses_a_negative_start(self):
+        # iterate_step starts as solve does: the same f0 is refused
+        K, g, f0 = self._infeasible_start()
+        spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=3)
+        config = SolverConfig(projection="nonnegative")
+        with pytest.raises(ParameterError, match="f0 >= 0"):
+            iterate_step(f0, g, K, spec, config)
+        assert iterate_step(np.abs(f0), g, K, spec, config).values.min() >= 0.0
+
     def test_nonnegative_start_solves(self):
         K, g, f0 = self._infeasible_start()
         f0 = np.abs(f0)
@@ -610,6 +635,117 @@ class TestProjection:
         with pytest.raises(ParameterError, match="real iterates"):
             solve(np.ones(1), K, spec, SolverConfig(projection="nonnegative"),
                   f0=np.array([-1.0 + 1.0j]))
+
+
+# every entry that takes a whole problem (f, g, K, spec), as one signature
+PROBLEM_ENTRIES = {
+    "objective": objective,
+    "surrogate_objective": lambda f, g, K, spec: surrogate_objective(f, f, g, K, spec),
+    "solve": lambda f, g, K, spec: solve(g, K, spec, SolverConfig(max_iterations=2), f0=f),
+    "iterate_step": iterate_step,
+    "fixed_point_residual": fixed_point_residual,
+}
+
+
+class TestOneProblemCheck:
+    """The objective, the surrogate, renormalize and the solver share one set of rules."""
+
+    K = DiagonalOperator(np.array([0.5, 0.25, 0.8]))
+    SPEC = PenaltySpec.uniform(p=1.0, mu=0.1, n=3)
+
+    @pytest.mark.parametrize("n_data", [1, 4])
+    @pytest.mark.parametrize("entry", [*PROBLEM_ENTRIES, "renormalize", "solve-zero-start"])
+    def test_data_must_fill_the_image(self, entry, n_data):
+        # a 1-entry g must not broadcast, and a long one must not be scaled
+        g = np.ones(n_data)
+        with pytest.raises(AlignmentError, match="operator image 3"):
+            if entry == "renormalize":
+                renormalize(DiagonalOperator(np.full(3, 2.0)), g)
+            elif entry == "solve-zero-start":
+                solve(g, self.K, self.SPEC)
+            else:
+                PROBLEM_ENTRIES[entry](np.ones(3), g, self.K, self.SPEC)
+
+    @pytest.mark.parametrize("n_f, n_spec", [(4, 3), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
+    def test_coefficients_weights_and_domain_agree(self, entry, n_f, n_spec):
+        spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=n_spec)
+        with pytest.raises(AlignmentError, match=f"{n_f} entries, weights have {n_spec}"):
+            PROBLEM_ENTRIES[entry](np.ones(n_f), np.ones(3), self.K, spec)
+
+    @pytest.mark.parametrize("complex_part", ["f", "g"])
+    @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
+    def test_asymmetric_weights_need_real_values(self, entry, complex_part):
+        spec = PenaltySpec(p=1.0, weights=WeightSequence.uniform(3), mu=0.1,
+                           asymmetric=(np.ones(3), np.full(3, 2.0)))
+        f, g = np.ones(3), np.ones(3)
+        if complex_part == "f":
+            f = f + 1j
+        else:
+            g = g + 1j
+        if entry in ("objective", "surrogate_objective") and complex_part == "g":
+            # the penalty sees only f, so real f with complex data is allowed
+            PROBLEM_ENTRIES[entry](f, g, self.K, spec)
+            return
+        with pytest.raises(ParameterError, match="asymmetric weights require real values"):
+            PROBLEM_ENTRIES[entry](f, g, self.K, spec)
+
+    @pytest.mark.parametrize("bound", [1.0, 1.2])
+    @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
+    def test_bound_below_one_except_for_the_objective(self, entry, bound):
+        K = DiagonalOperator(np.full(3, bound))
+        if entry == "objective":
+            assert objective(np.ones(3), np.ones(3), K, self.SPEC).total > 0.0
+            return
+        with pytest.raises(ContractViolationError, match="certified norm bound < 1"):
+            PROBLEM_ENTRIES[entry](np.ones(3), np.ones(3), K, self.SPEC)
+
+
+class TestScaleSweep:
+    """Data and start scaled by 10^k answer with finite values or a library error."""
+
+    SCALES = [*range(-320, 309, 8), 154, 155]
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_no_warning_escapes(self, p, complex_data):
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(6, 6))
+        if complex_data:
+            M = M + 1j * rng.normal(size=(6, 6))
+        K = DenseOperator(M * (0.9 / np.linalg.norm(M, 2)))
+        g, f, a = (rng.normal(size=6) + (1j * rng.normal(size=6) if complex_data else 0.0)
+                   for _ in range(3))
+        spec = PenaltySpec.uniform(p=p, mu=0.1, n=6)
+        config = SolverConfig(max_iterations=3)
+        answered, failures = set(), []
+        for k in self.SCALES:
+            with np.errstate(over="ignore"):
+                gc, fc, ac = (10.0**k * v for v in (g, f, a))
+            calls = {
+                "objective": lambda: objective(fc, gc, K, spec).total,
+                "penalty_value": lambda: penalty_value(fc, spec),
+                "surrogate_objective": lambda: surrogate_objective(fc, ac, gc, K, spec),
+                "iterate_step": lambda: iterate_step(fc, gc, K, spec).values,
+                "fixed_point_residual": lambda: fixed_point_residual(fc, gc, K, spec),
+                "solve": lambda: solve(gc, K, spec, config).trace.objectives,
+                "solve-f0": lambda: solve(gc, K, spec, config, f0=fc).trace.objectives,
+            }
+            for name, call in calls.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        if not np.isfinite(call()).all():
+                            failures.append((k, name, "non-finite answer"))
+                        answered.add(k)
+                    except (AlignmentError, ParameterError, ContractViolationError,
+                            DescentViolationError):
+                        pass
+                    except Exception as exc:  # a numpy warning raised as an error
+                        failures.append((k, name, repr(exc)))
+        assert failures == []
+        # every scale from 10^-320 to 10^152 gets an answer from something
+        assert answered >= set(range(-320, 153, 8))
 
 
 class TestComplexAndAsymmetric:
