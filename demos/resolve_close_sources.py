@@ -7,8 +7,9 @@ without a nonnegativity projection. Along the line through the two
 close sources the blurred data shows a single bump; the p = 1
 reconstruction splits it back into two peaks.
 
-At the default 256x256 size the four solves take a couple of minutes.
-Pass a directory to also write images, traces, and profiles:
+At the default 256x256 size the four solves take about 14 s on a
+2-core Xeon. Pass a directory to also write images, traces, and
+profiles:
 
     python3 demos/resolve_close_sources.py out/
 """

@@ -85,13 +85,38 @@ def check_array(values, name: str, complex_ok: bool = False) -> np.ndarray:
     """values as an array of int, uint or float dtype, or complex if complex_ok.
 
     Bool, string and object arrays raise ParameterError. The array is
-    not cast and not checked for finiteness: each caller keeps its own
-    cast and its own rule for inf and NaN.
+    not cast, copied or checked for finiteness: the per-iteration inputs
+    (shrinkage, operator products, the array transforms) and the grid
+    writers take it as it is, and every other value array goes through
+    :func:`check_values`.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
         what = "numbers" if complex_ok else "real numbers"
         raise ParameterError(f"{name} must be {what}, got dtype {arr.dtype}")
+    return arr
+
+
+def check_values(values, name: str, ndim: Optional[int] = 1, lower: Optional[str] = None,
+                 complex_ok: bool = False) -> np.ndarray:
+    """values as a fresh read-only float64 array, or complex128 if complex.
+
+    The dtype rule is :func:`check_array`'s. The array must be nonempty,
+    have ``ndim`` axes (any number if None) and finite entries, and each
+    entry must meet :func:`check_real`'s ``lower`` rule; anything else
+    raises ParameterError. The copy is the caller's to keep: changing the
+    input afterwards changes nothing that was built from it.
+    """
+    arr = check_array(values, name, complex_ok)
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+    if arr.size == 0 or (ndim is not None and arr.ndim != ndim):
+        axes = "" if ndim is None else f"{ndim}-d "
+        raise ParameterError(f"{name} must form a nonempty {axes}array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite")
+    if lower is not None:
+        check_real(float(arr.min()), f"the least of the {name}", lower)
+    arr.flags.writeable = False
     return arr
 
 
@@ -113,8 +138,9 @@ class CoefficientVector:
     Parameters
     ----------
     values : array_like
-        Finite numeric entries. Multidimensional input is flattened and its
-        shape recorded in ``dims``.
+        Finite numeric entries, kept as a read-only float64 or complex128
+        copy. Multidimensional input is flattened and its shape recorded
+        in ``dims``.
     dims : tuple of int, optional
         Grid shape for image-valued vectors; the product must equal the
         number of entries.
@@ -124,13 +150,7 @@ class CoefficientVector:
     dims: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        arr = check_array(self.values, "coefficient values", complex_ok=True)
-        if arr.dtype.kind in "iu":
-            arr = arr.astype(np.float64)
-        if arr.size == 0:
-            raise ParameterError("coefficient vector must have at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("coefficient values must be finite")
+        arr = check_values(self.values, "coefficient values", ndim=None, complex_ok=True)
         dims = self.dims
         if arr.ndim > 1:
             if dims is None:
@@ -142,8 +162,6 @@ class CoefficientVector:
                 raise AlignmentError(
                     f"dims {dims} imply {int(np.prod(dims))} entries, vector has {arr.size}"
                 )
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "dims", dims)
 
@@ -182,12 +200,7 @@ class WeightSequence:
     _unit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = check_array(self.w, "weights").astype(np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ParameterError("weights must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ParameterError("weights must be finite and strictly positive")
-        w.flags.writeable = False
+        w = check_values(self.w, "weights", lower="positive")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", float(w.min()))
         object.__setattr__(self, "_unit", bool((w == 1.0).all()))
@@ -287,12 +300,10 @@ def triple_norm(f, spec: PenaltySpec) -> float:
     """Weighted lp norm ( sum_gamma w_gamma |f_gamma|^p )^(1/p).
 
     Uses the symmetric weights and ignores the multiplier mu. For p < 2 it
-    dominates the Euclidean norm: ||f|| <= c^(-1/p) * triple_norm(f).
+    dominates the Euclidean norm: ||f|| <= c^(-1/p) * triple_norm(f). A
+    sum that overflows raises ParameterError, as in :func:`penalty_value`.
     """
-    fv = as_coefficients(f)
-    check_domain(len(fv), spec)
-    moduli = np.abs(fv.values)
-    return float(np.sum(spec.weights.w * moduli**spec.p) ** (1.0 / spec.p))
+    return penalty_value(f, PenaltySpec(spec.p, spec.weights)) ** (1.0 / spec.p)
 
 
 def penalty_value(f, spec: PenaltySpec) -> float:
@@ -308,9 +319,18 @@ def penalty_value(f, spec: PenaltySpec) -> float:
     with np.errstate(over="ignore"):
         pen = penalty_sum(fv.values, spec)
     if not math.isfinite(pen):
-        raise ParameterError(f"the penalty overflows ({pen!r}) at the coefficient scale "
-                             f"{float(np.abs(fv.values).max())!r}; rescale f")
+        raise overflow_error("penalty", pen, coefficient=fv.values)
     return pen
+
+
+def overflow_error(what: str, value: float, **scales) -> ParameterError:
+    """The ParameterError for a ``what`` that overflowed to ``value`` from finite inputs.
+
+    Each keyword names an input and gives its values, whose largest
+    modulus the message reports as that input's scale.
+    """
+    at = " and ".join(f"{name} scale {float(np.abs(v).max())!r}" for name, v in scales.items())
+    return ParameterError(f"the {what} overflows ({value!r}) at the {at}; rescale the inputs")
 
 
 def penalty_sum(values: np.ndarray, spec: PenaltySpec):
@@ -361,8 +381,8 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
     """Evaluate Phi(f) = ||K f - g||^2 + penalty, split into its two terms.
 
     f, spec and K's domain must agree in length and g must fill K's
-    image (AlignmentError); a term that overflows raises ParameterError.
-    No norm bound is needed.
+    image (AlignmentError); a term, or their sum, that overflows raises
+    ParameterError. No norm bound is needed.
     """
     fv = as_coefficients(f)
     gv = as_coefficients(g)
@@ -372,11 +392,12 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
         residual = K.apply(fv.values) - gv.values
         disc = float(np.real(np.vdot(residual, residual)))
     if not math.isfinite(disc):
-        g_scale, f_scale = (float(np.abs(v.values).max()) for v in (gv, fv))
-        raise ParameterError(f"the discrepancy overflows ({disc!r}) at the data scale {g_scale!r}"
-                             f" and coefficient scale {f_scale!r}; rescale g and f")
-    pen = penalty_value(fv, spec)
-    return ObjectiveBreakdown(discrepancy=disc, penalty=pen)
+        raise overflow_error("discrepancy", disc, data=gv.values, coefficient=fv.values)
+    breakdown = ObjectiveBreakdown(discrepancy=disc, penalty=penalty_value(fv, spec))
+    if not math.isfinite(breakdown.total):
+        raise overflow_error("objective", breakdown.total, data=gv.values,
+                             coefficient=fv.values)
+    return breakdown
 
 
 def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
@@ -385,7 +406,7 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     Requires a certified operator norm below 1, which makes the added
     quadratic nonnegative, so the value dominates Phi(f) and coincides with
     it at f = a. Minimizing over f for fixed anchor a is what one iteration
-    step does.
+    step does. A value that overflows raises ParameterError.
     """
     check_contraction(K)
     fv = as_coefficients(f)
@@ -393,8 +414,11 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     if len(fv) != len(av):
         raise AlignmentError("f and anchor a must have equal length")
     total = objective(fv, g, K, spec).total
-    diff = fv.values - av.values
-    kdiff = K.apply(diff)
-    return float(
-        total + np.real(np.vdot(diff, diff)) - np.real(np.vdot(kdiff, kdiff))
-    )
+    # a distant anchor overflows ||f - a||^2, and inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = fv.values - av.values
+        kdiff = K.apply(diff)
+        value = float(total + np.real(np.vdot(diff, diff)) - np.real(np.vdot(kdiff, kdiff)))
+    if not math.isfinite(value):
+        raise overflow_error("surrogate", value, anchor=av.values, coefficient=fv.values)
+    return value

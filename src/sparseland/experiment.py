@@ -22,8 +22,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import _EXPORTS, __version__
-from .core import (PenaltySpec, check_array, check_count, check_exponent, check_real,
-                   check_shape)
+from .core import (PenaltySpec, check_count, check_exponent, check_real, check_shape,
+                   check_values)
 from .errors import ParameterError
 from .gridio import _write_table, write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator, _check_geometry
@@ -209,7 +209,7 @@ def add_poisson_noise(image, total_photons: float, seed: int) -> NoisyData:
     earlier convolution) are clamped to zero with a warning; genuinely
     negative intensities are an error.
     """
-    image = check_array(image, "image").astype(np.float64, copy=False)
+    image = check_values(image, "image", ndim=None)
     if np.any(image < 0.0):
         peak = float(np.abs(image).max())
         worst = float(image.min())
@@ -243,7 +243,7 @@ def add_poisson_noise(image, total_photons: float, seed: int) -> NoisyData:
 def count_profile_peaks(profile, window: Optional[Tuple[int, int]] = None,
                         rel_height: float = 0.5) -> int:
     """Count strict local maxima above rel_height * window maximum."""
-    profile = check_array(profile, "profile").astype(np.float64, copy=False)
+    profile = check_values(profile, "profile")
     rel_height = check_real(rel_height, "rel_height")
     lo, hi = (0, profile.size) if window is None else check_shape(window, "window", 0)
     segment = profile[lo:hi]

@@ -17,8 +17,9 @@ vectors, ``DenseOperator(vectors.T)``.
 Besides apply and adjoint, every operator has ``normal(f) = K*K f``, the
 one product the iteration needs per step. It defaults to
 ``adjoint(apply(f))``; a diagonal operator multiplies by ``conj(d) d``
-once, a dense matrix with no more columns than rows multiplies by its
-stored Gram matrix ``K^H K`` (a wide one keeps the default), a
+once, a dense matrix (kept as float64 or complex128, whatever dtype it
+came in) multiplies by its stored Gram matrix ``K^H K`` whenever it has
+no more columns than rows (a wide one keeps the default), a
 convolution in matrix form computes it from the Gram matrices of its
 truncated DFT bases in one pass (see :class:`Convolution2DOperator`), a
 circular one with the squared response, and a scaled operator as
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (CoefficientVector, check_array, check_count, check_image, check_real,
-                   check_shape)
+                   check_shape, check_values)
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
@@ -94,19 +95,14 @@ class DiagonalOperator(LinearOperatorHandle):
     """Componentwise multiplication by a fixed sequence."""
 
     def __init__(self, entries):
-        entries = check_array(entries, "diagonal entries", complex_ok=True)
-        if entries.ndim != 1 or entries.size == 0:
-            raise ParameterError("diagonal entries must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(entries)):
-            raise ParameterError("diagonal entries must be finite")
+        entries = check_values(entries, "diagonal entries", complex_ok=True)
         self.entries = entries
         self._conj_entries = np.conj(entries)
         # conj(d) d keeps the entries' dtype, so normal returns the dtype
         # adjoint(apply(f)) does; its imaginary part is exactly zero
         self._normal_entries = self._conj_entries * entries
-        dtype = np.complex128 if entries.dtype.kind == "c" else np.float64
         super().__init__(entries.size, entries.size,
-                         float(np.max(np.abs(entries))), domain_dtype=dtype)
+                         float(np.max(np.abs(entries))), domain_dtype=entries.dtype)
 
     def apply(self, f):
         return self.entries * self._check(f, self.domain_len, "operator domain")
@@ -121,30 +117,24 @@ class DiagonalOperator(LinearOperatorHandle):
 class DenseOperator(LinearOperatorHandle):
     """Explicit matrix; norm bound from an exact spectral norm.
 
-    A float64 or complex128 matrix with no more columns than rows stores
-    its Gram matrix ``K^H K``, no larger than the matrix itself, and
-    ``normal`` is one product with it. A wide matrix (frame synthesis
-    ``DenseOperator(vectors.T)`` is one) or one of another dtype keeps
+    The matrix is kept as a float64 or complex128 copy. One with no more
+    columns than rows stores its Gram matrix ``K^H K``, no larger than
+    the matrix itself, and ``normal`` is one product with it. A wide
+    matrix (frame synthesis ``DenseOperator(vectors.T)`` is one) keeps
     ``adjoint(apply(f))``. Products use ``ndarray.dot``, which costs less
     per call than ``@`` on small vectors and computes the same product.
     """
 
     def __init__(self, matrix):
-        matrix = check_array(matrix, "matrix entries", complex_ok=True)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ParameterError("dense operator needs a nonempty 2-d matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise ParameterError("matrix entries must be finite")
+        matrix = check_values(matrix, "matrix entries", ndim=2, complex_ok=True)
         self.matrix = matrix
         self._adjoint = matrix.conj().T
-        self._gram = (self._adjoint.dot(matrix)
-                      if matrix.dtype.char in "dD" and matrix.shape[1] <= matrix.shape[0]
+        self._gram = (self._adjoint.dot(matrix) if matrix.shape[1] <= matrix.shape[0]
                       else None)
         # exact up to roundoff; tiny inflation keeps it an upper bound
         norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
-        dtype = np.complex128 if matrix.dtype.kind == "c" else np.float64
         super().__init__(matrix.shape[1], matrix.shape[0], norm_bound,
-                         domain_dtype=dtype)
+                         domain_dtype=matrix.dtype)
 
     def apply(self, f):
         return self.matrix.dot(self._check(f, self.domain_len, "operator domain"))
@@ -393,7 +383,7 @@ def renormalize(K: LinearOperatorHandle, g) -> RenormalizedProblem:
     already bounded by 0.999 (the zero operator included) passes
     through unchanged. g must fill K's image (AlignmentError).
     """
-    g = check_array(g, "data", complex_ok=True)
+    g = check_values(g, "data", ndim=None, complex_ok=True)
     check_image(g.size, K)
     if K.norm_bound <= _NORM_MARGIN:
         return RenormalizedProblem(K, g, 1.0)
@@ -476,16 +466,11 @@ class SvdModel:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        s = check_array(self.singular_values, "singular values").astype(np.float64)
-        if s.ndim != 1 or s.size == 0:
-            raise ParameterError("singular values must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(s)) or np.any(s < 0.0):
-            raise ParameterError("singular values must be finite and nonnegative")
+        s = check_values(self.singular_values, "singular values", lower="nonnegative")
         if np.any(np.diff(s) > 0.0):
             raise ParameterError("singular values must be nonincreasing")
         if s[0] >= 1.0:
             raise ParameterError("singular values must lie below 1; renormalize first")
-        s.flags.writeable = False
         object.__setattr__(self, "singular_values", s)
 
     def operator(self) -> DiagonalOperator:
@@ -504,7 +489,7 @@ def thresholded_svd_solve(model: SvdModel, g, mu: float) -> CoefficientVector:
     soft spectral cutoff instead of a smooth damping.
     """
     mu = check_real(mu, "mu", lower="positive")
-    g = check_array(g, "data coefficients").astype(np.float64, copy=False)
+    g = check_values(g, "data coefficients")
     s = model.singular_values
     if g.shape != s.shape:
         raise AlignmentError("data coefficients must align with the singular values")

@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 from . import _EXPORTS
-from .core import WeightSequence, check_array, check_exponent, check_real
+from .core import WeightSequence, check_exponent, check_real, check_values
 from .errors import AlignmentError, ParameterError
 
 __all__ = list(_EXPORTS["regularization"])
@@ -51,18 +51,12 @@ class SpectralEnvelope:
     B: np.ndarray
 
     def __post_init__(self):
-        b = check_array(self.b, "envelope bound b").astype(np.float64)
-        B = check_array(self.B, "envelope bound B").astype(np.float64)
-        if b.ndim != 1 or b.size == 0 or b.shape != B.shape:
-            raise AlignmentError("envelope bounds must be matching nonempty 1-d sequences")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(B))):
-            raise ParameterError("envelope bounds must be finite")
-        if np.any(b <= 0.0) or np.any(B <= 0.0):
-            raise ParameterError("envelope bounds must be strictly positive")
+        b = check_values(self.b, "lower envelope bounds b", lower="positive")
+        B = check_values(self.B, "upper envelope bounds B", lower="positive")
+        if b.shape != B.shape:
+            raise AlignmentError("envelope bounds b and B must have equal lengths")
         if np.any(b > B * (1.0 + 1e-12)):
             raise ParameterError("lower envelope b must not exceed upper envelope B")
-        b.flags.writeable = False
-        B.flags.writeable = False
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "B", B)
 
@@ -103,21 +97,15 @@ def check_mu_requirements(schedule: Union[Callable[[float], float], Sequence[flo
     check and is flagged in the notes: convergence guarantees need mu to
     vanish slower than eps^2.
     """
-    eps = check_array(eps_grid, "epsilon grid").astype(np.float64)
-    if eps.ndim != 1 or eps.size < 2:
-        raise ParameterError("epsilon grid needs at least two values")
-    if np.any(eps <= 0.0) or not np.all(np.isfinite(eps)):
-        raise ParameterError("epsilon grid must be positive and finite")
-    if np.any(np.diff(eps) >= 0.0):
-        raise ParameterError("epsilon grid must be strictly decreasing")
+    eps = check_values(eps_grid, "epsilon grid", lower="positive")
+    if eps.size < 2 or np.any(np.diff(eps) >= 0.0):
+        raise ParameterError("epsilon grid must hold two or more strictly decreasing values")
 
     if callable(schedule):
         schedule = [schedule(e) for e in eps]
-    mu = check_array(schedule, "schedule values").astype(np.float64)
+    mu = check_values(schedule, "schedule values", lower="positive")
     if mu.shape != eps.shape:
         raise AlignmentError("schedule values must align with the epsilon grid")
-    if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
-        raise ParameterError("schedule values must be positive and finite")
 
     ratio = eps**2 / mu
 

@@ -36,6 +36,7 @@ from .core import (
     check_domain,
     check_image,
     check_real,
+    overflow_error,
     penalty_sum,
 )
 from .errors import ContractViolationError, DescentViolationError, ParameterError
@@ -289,11 +290,7 @@ def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, 
             pen = penalty_sum(f, spec)
             obj = disc + pen
     if not math.isfinite(obj):
-        raise ParameterError(
-            f"the start's norm or objective overflows at the data scale "
-            f"{float(np.abs(g).max())!r} and start scale {float(np.abs(f).max())!r}; "
-            f"rescale the data and the start"
-        )
+        raise overflow_error("start's norm or objective", obj, data=g, start=f)
     step = _Step(K, g, spec, config)
     Af = np.zeros_like(f) if f0 is None else K.normal(f)
     return f, dims, step, Af, disc, pen, norm

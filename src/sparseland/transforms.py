@@ -52,7 +52,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (CoefficientVector, WeightSequence, check_array, check_count,
-                   check_exponent, check_real)
+                   check_exponent, check_real, check_values)
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -557,9 +557,7 @@ def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
     if isinstance(signal, CoefficientVector):
         arr = signal.as_grid() if signal.dims is not None else signal.values
     else:
-        arr = check_array(signal, "wavelet transform input")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("wavelet transform input must be finite")
+        arr = check_values(signal, "wavelet transform input", ndim=None)
     values = dwt_array(arr, spec)
     return WaveletCoefficients(
         values=values,
@@ -574,9 +572,7 @@ def idwt(coefficients: WaveletCoefficients) -> np.ndarray:
 
     The coefficient values must be finite.
     """
-    values = check_array(coefficients.values, "wavelet coefficients")
-    if not np.all(np.isfinite(values)):
-        raise ParameterError("wavelet coefficients must be finite")
+    values = check_values(coefficients.values, "wavelet coefficients", ndim=None)
     return idwt_array(values, coefficients.spec, coefficients.shape)
 
 
@@ -610,12 +606,8 @@ class BesovWeightSpec:
 
 def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
     """Scale weights w = 2^(sigma * p * |lambda|) for the given labels."""
-    labels = check_array(scale_labels, "scale labels")
-    if labels.ndim != 1 or labels.size == 0:
-        raise ParameterError("scale labels must form a nonempty 1-d sequence")
-    if np.any(labels < 0):
-        raise ParameterError("scale labels must be nonnegative")
-    w = np.power(2.0, spec.sigma * spec.p * labels.astype(np.float64))
+    labels = check_values(scale_labels, "scale labels", lower="nonnegative")
+    w = np.power(2.0, spec.sigma * spec.p * labels)
     return WeightSequence(w=w)
 
 

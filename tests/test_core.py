@@ -193,7 +193,8 @@ class TestPenaltyValue:
 
 
 class TestOverflowRefused:
-    """penalty_value and objective refuse a term that overflows, and leak no warning."""
+    """penalty_value, triple_norm, objective and surrogate_objective refuse a term
+    or a sum that overflows, and leak no warning."""
 
     @staticmethod
     def _values(scale, kind):
@@ -233,6 +234,49 @@ class TestOverflowRefused:
             b = objective(np.zeros(20), 1e150 * g, K, spec)
         assert math.isfinite(b.total)
         assert b.discrepancy == pytest.approx(1e300 * np.vdot(g, g).real)
+
+    def test_objective_sum(self):
+        # each term is finite (1e308 and 1.69e308), their sum is not
+        K = DiagonalOperator(np.array([0.5]))
+        f = np.array([1.3e154])
+        g = K.apply(f) - 1e154
+        spec = PenaltySpec.uniform(p=2.0, mu=1.0, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="objective overflows"):
+                objective(f, g, K, spec)
+            with pytest.raises(ParameterError, match="objective overflows"):
+                surrogate_objective(f, f, g, K, spec)
+            b = objective(f / 2.0, g / 2.0, K, spec)
+        assert b.total == pytest.approx(0.25e308 + 0.25 * 1.69e308)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_surrogate_distant_anchor(self, kind):
+        K = DiagonalOperator(np.array([0.5, 0.25]))
+        spec = PenaltySpec.uniform(p=1.5, mu=1.0, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e160, 1e200, 1e308):
+                with pytest.raises(ParameterError, match="surrogate overflows.*anchor scale"):
+                    surrogate_objective(np.zeros(2), self._values(scale, kind), np.ones(2),
+                                        K, spec)
+            value = surrogate_objective(np.zeros(2), self._values(1e150, kind), np.ones(2),
+                                        K, spec)
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_triple_norm(self, p, kind):
+        spec = PenaltySpec.uniform(p=p, mu=1.0, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="penalty overflows"):
+                triple_norm(self._values(1e308, kind), spec)
+            if p == 2.0:
+                with pytest.raises(ParameterError, match="1e\\+200"):
+                    triple_norm(np.array([1e200, 1.0]), spec)
+            norm = triple_norm(self._values(1e150, kind), spec)
+        assert norm == pytest.approx(2.0 ** (1.0 / p) * abs(self._values(1e150, kind)[0]))
 
 
 class TestUnitWeightPenalty:

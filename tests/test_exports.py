@@ -1,6 +1,6 @@
-"""Every name a module lists in __all__, or a demo imports, resolves,
-importing the package loads no scipy and no module it does not use, and
-the public settings are pinned."""
+"""Every name a module lists in __all__, or a demo imports, resolves, the
+fast demos run cleanly, importing the package loads no scipy and no
+module it does not use, and the public settings are pinned."""
 
 import ast
 import dataclasses
@@ -19,7 +19,10 @@ MODULES = [sparseland] + [
     importlib.import_module(f"sparseland.{info.name}")
     for info in pkgutil.iter_modules(sparseland.__path__)
 ]
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+# a child process imports this sparseland
+ENV = dict(os.environ, PYTHONPATH=str(Path(sparseland.__file__).resolve().parents[1]))
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -30,7 +33,7 @@ def test_all_names_resolve(module):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(demo):
-    # parsed, not run: the demos are slow and write files
+    # parsed, so that a demo that is not run below is checked too
     missing = []
     for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sparseland":
@@ -44,12 +47,26 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
+# the demos that take well under a second and write no file;
+# resolve_close_sources runs the full experiment and writes its outputs
+FAST_DEMOS = ["shrinkage_tour", "spectral_filters", "wavelet_scales",
+              "error_bound_calculator"]
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_fast_demo_runs_cleanly(name, tmp_path):
+    # any warning is an error, and a clean run prints nothing on stderr
+    done = subprocess.run([sys.executable, "-W", "error", str(DEMO_DIR / f"{name}.py")],
+                          cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _fresh(code):
     """Output lines of ``code`` run in a fresh process on this sparseland."""
-    env = dict(os.environ, PYTHONPATH=str(Path(sparseland.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", "import sparseland\n"
                            "print(sparseland.__file__)\n" + code],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
+                          env=ENV, capture_output=True, text=True, timeout=120, check=True)
     path, *lines = done.stdout.splitlines()
     assert Path(path).resolve() == Path(sparseland.__file__).resolve()
     return lines

@@ -5,12 +5,13 @@ arguments and the kind of each number parameter. Each such parameter
 is fed a string, a bool, NaN and +-inf (and 2.5 for counts), and every
 call must raise ParameterError: nothing is parsed, truncated or run on
 a non-finite value. A second table does the same for array parameters
-with string, bool and object arrays. A companion test walks the public
-names of the package and of gridio and fails when a callable has a
-parameter that may hold a number and is in neither table: one whose
-annotation names ``float`` or ``int`` (``Optional[Tuple[int, int]]``
-included), or one with no annotation whose name is not listed in
-NOT_NUMBERS.
+with string, bool and object arrays, and a third feeds NaN, +inf, empty
+and wrong-shaped arrays to every value array that check_values admits.
+A companion test walks the public names of the package and of gridio
+and fails when a callable has a parameter that may hold a number and is
+in neither of the first two tables: one whose annotation names
+``float`` or ``int`` (``Optional[Tuple[int, int]]`` included), or one
+with no annotation whose name is not listed in NOT_NUMBERS.
 """
 
 import inspect
@@ -23,7 +24,7 @@ import pytest
 import sparseland
 from sparseland import gridio
 from sparseland.core import check_array, check_count, check_exponent, check_real
-from sparseland.errors import ParameterError
+from sparseland.errors import AlignmentError, ParameterError
 
 REAL = ("1", True, math.nan, math.inf, -math.inf)
 COUNT = REAL + (2.5,)
@@ -221,6 +222,114 @@ def test_wavelet_transforms_reject_non_finite(bad):
     coefficients.values[2] = bad
     with pytest.raises(ParameterError, match="finite"):
         sparseland.idwt(coefficients)
+
+
+def _coefficients(values):
+    coefficients = sparseland.dwt(np.ones(8), sparseland.WaveletSpec("haar", 1))
+    coefficients.values = values
+    return sparseland.idwt(coefficients)
+
+
+def _model():
+    return sparseland.SvdModel(np.array([0.5, 0.2]))
+
+
+# every value array that check_values admits: (the call on that array, a
+# valid array, the number of axes it must have or None for any)
+GATED = {
+    "CoefficientVector-values": (sparseland.CoefficientVector, np.ones(3), None),
+    "WeightSequence-w": (sparseland.WeightSequence, np.ones(3), 1),
+    "DiagonalOperator-entries": (sparseland.DiagonalOperator, np.ones(3), 1),
+    "DenseOperator-matrix": (sparseland.DenseOperator, np.eye(3), 2),
+    "SvdModel-singular_values": (sparseland.SvdModel, np.array([0.5, 0.2]), 1),
+    "thresholded_svd_solve-g": (lambda g: sparseland.thresholded_svd_solve(_model(), g, 0.1),
+                                np.ones(2), 1),
+    "renormalize-g": (lambda g: sparseland.renormalize(_diagonal(), g), np.ones(3), None),
+    "dwt-signal": (lambda x: sparseland.dwt(x, sparseland.WaveletSpec("haar", 1)),
+                   np.ones(8), None),
+    "idwt-values": (_coefficients, np.ones(8), None),
+    "besov_weights-scale_labels": (
+        lambda labels: sparseland.besov_weights(sparseland.BesovWeightSpec(1.0, 1.5), labels),
+        np.array([0.0, 1.0, 1.0]), 1),
+    "SpectralEnvelope-b": (lambda b: sparseland.SpectralEnvelope(b, np.ones(3)), np.ones(3), 1),
+    "SpectralEnvelope-B": (lambda B: sparseland.SpectralEnvelope(np.ones(3), B), np.ones(3), 1),
+    "check_mu_requirements-eps_grid": (
+        lambda eps: sparseland.check_mu_requirements(np.array([0.5, 0.4, 0.3]), eps),
+        np.array([0.3, 0.2, 0.1]), 1),
+    "check_mu_requirements-schedule": (
+        lambda mu: sparseland.check_mu_requirements(mu, np.array([0.3, 0.2, 0.1])),
+        np.array([0.5, 0.4, 0.3]), 1),
+    "count_profile_peaks-profile": (sparseland.count_profile_peaks, np.ones(5), 1),
+    "add_poisson_noise-image": (lambda image: sparseland.add_poisson_noise(image, 100.0, 0),
+                                np.ones((4, 4)), None),
+}
+
+
+def _defective(valid, ndim):
+    """(defect, array) pairs: a NaN, a +inf, an empty array and, where the
+    number of axes is fixed, the valid entries with one axis too many or too few."""
+    nan, inf = valid.astype(np.float64), valid.astype(np.float64)
+    nan.flat[0], inf.flat[-1] = np.nan, np.inf
+    yield "nan", nan
+    yield "inf", inf
+    yield "empty", np.empty((0,) * (ndim or 1))
+    if ndim == 1:
+        yield "ndim", valid[None]
+    elif ndim == 2:
+        yield "ndim", valid.ravel()
+
+
+GATE_PROBES = [(row, defect, bad) for row, (_, valid, ndim) in GATED.items()
+               for defect, bad in _defective(valid, ndim)]
+
+
+@pytest.mark.parametrize("row, defect, bad", GATE_PROBES,
+                         ids=[f"{row}-{defect}" for row, defect, _ in GATE_PROBES])
+def test_defective_value_array_raises(row, defect, bad):
+    call = GATED[row][0]
+    with pytest.raises((ParameterError, AlignmentError)):
+        call(bad)
+
+
+def test_every_gated_array_is_accepted():
+    # the probes would pass vacuously if the valid call itself raised
+    for call, valid, _ in GATED.values():
+        call(valid.copy())
+
+
+def _products(K):
+    return K.apply(np.ones(3)), K.adjoint(np.ones(3)), K.normal(np.ones(3)), K.norm_bound
+
+
+# constructor -> (what it derives from its array: products, bounds and
+# the like, the attributes that store the array)
+KEPT = {
+    "DiagonalOperator": (_products, ("entries",)),
+    "DenseOperator": (_products, ("matrix",)),
+    "WeightSequence": (lambda ws: (ws.c,), ("w",)),
+    "SvdModel": (lambda m: _products(m.operator()), ("singular_values",)),
+    "SpectralEnvelope": (lambda env: (), ("b", "B")),
+    "CoefficientVector": (lambda cv: (), ("values",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_constructed_object_ignores_its_callers_array(name):
+    values = (np.array([[0.5, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, 0.3, 0.6]])
+              if name == "DenseOperator" else np.array([0.8, 0.5, 0.25]))
+    args = (values, values.copy()) if name == "SpectralEnvelope" else (values,)
+    built = getattr(sparseland, name)(*args)
+    derived, stored = KEPT[name]
+
+    def kept():
+        return [np.array(v).tobytes() for v in (*derived(built),
+                                                *(getattr(built, a) for a in stored))]
+
+    before = kept()
+    values *= 0.5
+    assert kept() == before
+    for attr in stored:
+        assert not getattr(built, attr).flags.writeable
 
 
 def _public_callables():

@@ -634,10 +634,12 @@ class TestNormalOperator:
         assert wide._gram is None
         f = rng.normal(size=6)
         np.testing.assert_array_equal(wide.normal(f), wide.adjoint(wide.apply(f)))
-        # an integer matrix keeps adjoint(apply): its Gram could wrap around
+        # an integer matrix is kept as float64, so its Gram cannot wrap around
         ints = DenseOperator(np.array([[2, 1], [0, 3], [1, 1]]))
-        assert ints._gram is None
-        assert ints.normal(np.ones(2, dtype=int)).dtype == np.int_
+        assert ints._gram is not None
+        f = np.array([1, -2])
+        np.testing.assert_allclose(ints.normal(f), ints.adjoint(ints.apply(f)),
+                                   rtol=0, atol=1e-14)
 
     def test_dense_products_match_matmul(self):
         # ndarray.dot and @ run the same product

@@ -8,7 +8,7 @@ import pytest
 
 from sparseland import shrinkage, solver
 from sparseland.core import (PenaltySpec, WeightSequence, objective, penalty_sum,
-                             penalty_value, surrogate_objective)
+                             penalty_value, surrogate_objective, triple_norm)
 from sparseland.errors import (
     AlignmentError,
     ContractViolationError,
@@ -718,14 +718,23 @@ class TestScaleSweep:
                    for _ in range(3))
         spec = PenaltySpec.uniform(p=p, mu=0.1, n=6)
         config = SolverConfig(max_iterations=3)
+        # a unit residual u and a start v whose p = 2 penalty at mu = 1 is
+        # 1.69: at 10^154 each term of Phi(10^k v) with data K 10^k v -
+        # 10^k u is finite and their sum is not
+        u, v = g / np.linalg.norm(g), f * (1.3 / np.linalg.norm(f))
+        unit_mu = PenaltySpec.uniform(p=p, mu=1.0, n=6)
         answered, failures = set(), []
         for k in self.SCALES:
             with np.errstate(over="ignore"):
-                gc, fc, ac = (10.0**k * v for v in (g, f, a))
+                gc, fc, ac, uc, vc = (10.0**k * v for v in (g, f, a, u, v))
             calls = {
                 "objective": lambda: objective(fc, gc, K, spec).total,
+                "objective-sum": lambda: objective(vc, K.apply(vc) - uc, K, unit_mu).total,
                 "penalty_value": lambda: penalty_value(fc, spec),
+                "triple_norm": lambda: triple_norm(fc, spec),
                 "surrogate_objective": lambda: surrogate_objective(fc, ac, gc, K, spec),
+                # the anchor scaled on its own
+                "surrogate-anchor": lambda: surrogate_objective(f, ac, g, K, spec),
                 "iterate_step": lambda: iterate_step(fc, gc, K, spec).values,
                 "fixed_point_residual": lambda: fixed_point_residual(fc, gc, K, spec),
                 "solve": lambda: solve(gc, K, spec, config).trace.objectives,
