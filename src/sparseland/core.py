@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -138,9 +138,9 @@ class CoefficientVector:
     Parameters
     ----------
     values : array_like
-        Finite numeric entries, kept as a read-only float64 or complex128
-        copy. Multidimensional input is flattened and its shape recorded
-        in ``dims``.
+        Finite numeric entries, kept as a read-only flat float64 or
+        complex128 copy. A scalar is one entry; input with more than one
+        axis is flattened and its shape recorded in ``dims``.
     dims : tuple of int, optional
         Grid shape for image-valued vectors; the product must equal the
         number of entries.
@@ -152,11 +152,13 @@ class CoefficientVector:
     def __post_init__(self):
         arr = check_values(self.values, "coefficient values", ndim=None, complex_ok=True)
         dims = self.dims
-        if arr.ndim > 1:
-            if dims is None:
+        if arr.ndim != 1:
+            if dims is None and arr.ndim > 1:
                 dims = arr.shape
             arr = arr.ravel()
         if dims is not None:
+            if not np.iterable(dims):
+                raise ParameterError(f"dims must be a sequence of integers, got {dims!r}")
             dims = tuple(check_count(d, "dims") for d in dims)
             if int(np.prod(dims)) != arr.size:
                 raise AlignmentError(
@@ -191,19 +193,19 @@ class WeightSequence:
 
     The lower bound ``c`` is ``min(w)``, derived and read-only. It is what
     turns the weighted penalty into a norm that controls the plain
-    Euclidean norm. Whether every weight is 1.0 is recorded once, so the
-    penalty of unit weights skips the multiply by ones.
+    Euclidean norm. The one value all weights share, if any, is recorded
+    once (None otherwise); the penalty and the solver's shrink read it.
     """
 
     w: np.ndarray
     c: float = field(init=False)
-    _unit: bool = field(init=False, repr=False, compare=False)
+    _value: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = check_values(self.w, "weights", lower="positive")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", float(w.min()))
-        object.__setattr__(self, "_unit", bool((w == 1.0).all()))
+        object.__setattr__(self, "_value", float(w[0]) if (w == w[0]).all() else None)
 
     @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
@@ -231,11 +233,15 @@ class PenaltySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_exponent(self.p))
+        object.__setattr__(self, "weights", _as_weights(self.weights))
         object.__setattr__(self, "mu", check_real(self.mu, "penalty multiplier mu",
                                                   lower="positive"))
         if self.asymmetric is not None:
-            wp, wm = (w if isinstance(w, WeightSequence) else WeightSequence(w)
-                      for w in self.asymmetric)
+            try:
+                wp, wm = map(_as_weights, self.asymmetric)
+            except (TypeError, ValueError):
+                raise ParameterError(f"asymmetric weights must be a pair (w_plus, w_minus), "
+                                     f"got {self.asymmetric!r}") from None
             if len(wp) != len(wm) or len(wp) != len(self.weights):
                 raise AlignmentError(
                     "asymmetric weight pair must match the symmetric weights in length"
@@ -249,6 +255,11 @@ class PenaltySpec:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _as_weights(w) -> WeightSequence:
+    """A WeightSequence as it is, any other array_like through WeightSequence(w)."""
+    return w if isinstance(w, WeightSequence) else WeightSequence(w)
 
 
 @dataclass(frozen=True)
@@ -265,6 +276,22 @@ class ObjectiveBreakdown:
 
 # the consistency rules of a problem (f, g, K, spec), shared by the
 # objective, the surrogate, renormalize and the solver's one start
+
+def check_kinds(K, spec, config=None):
+    """Raise ParameterError unless K is a LinearOperatorHandle, spec a PenaltySpec
+    and config, if given, a SolverConfig."""
+    # operators and solver import this module, so their classes load here
+    from .operators import LinearOperatorHandle
+
+    kinds = [(K, LinearOperatorHandle, "operator K"), (spec, PenaltySpec, "penalty spec")]
+    if config is not None:
+        from .solver import SolverConfig
+
+        kinds.append((config, SolverConfig, "solver config"))
+    for value, kind, name in kinds:
+        if not isinstance(value, kind):
+            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+
 
 def check_domain(n: int, spec: PenaltySpec, K=None):
     """Raise AlignmentError unless n coefficients, the weights and K's domain agree."""
@@ -336,10 +363,10 @@ def overflow_error(what: str, value: float, **scales) -> ParameterError:
 def penalty_sum(values: np.ndarray, spec: PenaltySpec):
     """:func:`penalty_value` of a raw array, without validation.
 
-    The caller guarantees a length matching ``spec`` and real values
-    whenever the weights are asymmetric. A 1-d array gives a float; the
-    rows of a 2-d array give an array of their penalties, each with the
-    bits of that row's own call.
+    The caller guarantees float64 or complex128 values, a length matching
+    ``spec`` and real values whenever the weights are asymmetric. A 1-d
+    array gives a float; the rows of a 2-d array give an array of their
+    penalties, each with the bits of that row's own call.
     """
     p = spec.p
     if spec.asymmetric is not None:
@@ -349,30 +376,25 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec):
         total = spec.mu * (np.add.reduce(wp.w * _powers(pos, p), axis=-1)
                            + np.add.reduce(wm.w * _powers(neg, p), axis=-1))
     else:
-        char = values.dtype.char
-        if char not in "dD":
-            # narrower dtypes keep the power, and the float64 weights widen
-            # them before the sum
-            terms = spec.weights.w * np.abs(values) ** p
-        else:
-            # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
-            terms = values * values if p == 2.0 and char == "d" else _powers(np.abs(values), p)
-            if not spec.weights._unit:
-                np.multiply(spec.weights.w, terms, out=terms)
+        # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
+        terms = (values * values if p == 2.0 and values.dtype.char == "d"
+                 else _powers(np.abs(values), p))
+        if spec.weights._value != 1.0:
+            np.multiply(spec.weights.w, terms, out=terms)
         # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
         total = spec.mu * np.add.reduce(terms, axis=-1)
     return total if values.ndim > 1 else float(total)
 
 
 def _powers(a: np.ndarray, p: float) -> np.ndarray:
-    """a**p of a nonnegative array that the caller owns, in its buffer.
+    """a**p of a nonnegative float64 array that the caller owns, in its buffer.
 
-    a**1.0 is a itself. At p = 3/2 a float64 array becomes a * sqrt(a),
-    which is within one ulp of a**1.5 and takes half its time.
+    a**1.0 is a itself. At p = 3/2 a becomes a * sqrt(a), which is within
+    one ulp of a**1.5 and takes half its time.
     """
     if p == 1.0:
         return a
-    if p == 1.5 and a.dtype.char == "d":
+    if p == 1.5:
         return np.multiply(a, np.sqrt(a), out=a)
     return np.power(a, p, out=a)
 
@@ -384,6 +406,7 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
     image (AlignmentError); a term, or their sum, that overflows raises
     ParameterError. No norm bound is needed.
     """
+    check_kinds(K, spec)
     fv = as_coefficients(f)
     gv = as_coefficients(g)
     check_domain(len(fv), spec, K)
@@ -408,6 +431,7 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     it at f = a. Minimizing over f for fixed anchor a is what one iteration
     step does. A value that overflows raises ParameterError.
     """
+    check_kinds(K, spec)
     check_contraction(K)
     fv = as_coefficients(f)
     av = as_coefficients(a)

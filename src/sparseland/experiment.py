@@ -107,7 +107,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"smoothing_sigma {smoothing_sigma} gives a Gaussian radius beyond "
                 f"the grid's larger side {max(grid)}")
-        cases = tuple(self.cases)
+        cases = tuple(self.cases) if np.iterable(self.cases) else ()
         if not cases or not all(isinstance(case, CaseSpec) for case in cases):
             raise ParameterError("cases must be a nonempty sequence of CaseSpec")
         object.__setattr__(self, "grid", grid)

@@ -74,9 +74,9 @@ class LinearOperatorHandle:
     def _check(self, x, length: int, side: str) -> np.ndarray:
         """x as a flat vector of ``length`` numbers, by check_array's dtype rule."""
         x = check_array(x, side, complex_ok=True)
-        if x.ndim > 1:
+        if x.ndim != 1:
             x = x.ravel()
-        if x.shape != (length,):
+        if x.size != length:
             raise AlignmentError(f"{side} has length {length}, got {x.size}")
         return x
 

@@ -29,12 +29,14 @@ from . import _EXPORTS
 from .core import (
     CoefficientVector,
     PenaltySpec,
+    WeightSequence,
     as_coefficients,
     check_asymmetric,
     check_contraction,
     check_count,
     check_domain,
     check_image,
+    check_kinds,
     check_real,
     overflow_error,
     penalty_sum,
@@ -159,15 +161,14 @@ class _Step:
     def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
                  config: SolverConfig):
         self.g = g
-        self.b = K.adjoint(g)
+        self.b = _finite(K, "adjoint", g)
         self.p = spec.p
         self.nonnegative = config.projection == "nonnegative"
         if spec.asymmetric is not None:
             wp, wm = spec.asymmetric
-            self.weights = (_effective_weights(spec.mu, wp.w),
-                            _effective_weights(spec.mu, wm.w))
+            self.weights = (_effective_weights(spec.mu, wp), _effective_weights(spec.mu, wm))
         else:
-            self.weights = _constant_runs(_effective_weights(spec.mu, spec.weights.w))
+            self.weights = _constant_runs(_effective_weights(spec.mu, spec.weights))
 
     def __call__(self, f: np.ndarray, Af: np.ndarray):
         r = self.b - Af
@@ -194,15 +195,13 @@ class _Step:
         return float(np.linalg.norm(f - self(f, Af)[0]))
 
 
-def _effective_weights(mu: float, w: np.ndarray):
-    """mu * w, or one Python float when every entry is that finite positive value."""
-    # an overflow to inf fails the check below, and the shrink rejects it
+def _effective_weights(mu: float, ws: WeightSequence):
+    """mu * w, or the float mu * v (numpy's bits) when every weight is v and 0 < mu * v < inf."""
+    if ws._value is not None and 0.0 < mu * ws._value < math.inf:
+        return mu * ws._value
+    # an overflow to inf reaches the shrink, which rejects it
     with np.errstate(over="ignore"):
-        weights = mu * w
-    first = float(weights[0])
-    if 0.0 < first < math.inf and (weights == first).all():
-        return first
-    return weights
+        return mu * ws.w
 
 
 def _constant_runs(weights):
@@ -255,8 +254,11 @@ def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, 
     from an explicit one they cost one apply and one normal. A start
     whose norm or objective overflows raises ParameterError: its norm is
     taken before any operator runs (a finite ||f|| keeps K f and A f
-    finite), and its objective before b = K*g.
+    finite), and its objective before b = K*g (a finite ||g|| keeps b
+    finite). So a non-finite K f, A f or b is the operator's fault, and
+    raises ContractViolationError naming the method that returned it.
     """
+    check_kinds(K, spec, config)
     g = as_coefficients(g).values
     if f0 is None:
         dims = K.domain_dims
@@ -283,17 +285,26 @@ def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, 
         norm = float(np.linalg.norm(f))
     obj = math.inf
     if math.isfinite(norm):
-        # K 0 = 0: the residual is g, in the dtype g - K f would have
-        residual = g.astype(dtype, copy=False) if f0 is None else g - K.apply(f)
         with np.errstate(over="ignore"):
+            # K 0 = 0 = A 0: the residual is g, in the dtype g - K f would have
+            residual = g.astype(dtype, copy=False) if f0 is None else g - _finite(K, "apply", f)
+            Af = np.zeros_like(f) if f0 is None else _finite(K, "normal", f)
             disc = float(np.vdot(residual, residual).real)
             pen = penalty_sum(f, spec)
             obj = disc + pen
     if not math.isfinite(obj):
         raise overflow_error("start's norm or objective", obj, data=g, start=f)
-    step = _Step(K, g, spec, config)
-    Af = np.zeros_like(f) if f0 is None else K.normal(f)
-    return f, dims, step, Af, disc, pen, norm
+    return f, dims, _Step(K, g, spec, config), Af, disc, pen, norm
+
+
+def _finite(K: LinearOperatorHandle, method: str, x: np.ndarray) -> np.ndarray:
+    """K.method(x) of a finite x; a non-finite value raises ContractViolationError."""
+    y = getattr(K, method)(x)
+    if not np.isfinite(y).all():
+        bad = y[~np.isfinite(y)][0].item()
+        raise ContractViolationError(
+            f"K.{method} returned a non-finite value ({bad!r}) on a finite input")
+    return y
 
 
 def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
@@ -304,7 +315,8 @@ def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
     f0, and honors the config's nonnegativity projection. With a tiny mu
     the result approaches the plain Landweber step f + K*(g - K f).
     """
-    f, dims, step, Af, *_ = _start(g, K, spec, config or SolverConfig(), f)
+    config = SolverConfig() if config is None else config
+    f, dims, step, Af, *_ = _start(g, K, spec, config, as_coefficients(f))
     return CoefficientVector(values=step(f, Af)[0], dims=dims)
 
 
@@ -314,7 +326,7 @@ def fixed_point_residual(f, g, K: LinearOperatorHandle, spec: PenaltySpec) -> fl
     Takes the step :func:`solve` takes and checks the problem and f as
     :func:`solve` checks them and f0.
     """
-    f, _, step, Af, *_ = _start(g, K, spec, SolverConfig(), f)
+    f, _, step, Af, *_ = _start(g, K, spec, SolverConfig(), as_coefficients(f))
     return step.distance(f, Af)
 
 
@@ -332,7 +344,8 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     cost nothing), and the end one apply. A finite start whose norm or
     objective overflows (data or f0 too large to square) raises
     ParameterError, as does an f0 with a negative entry under the
-    nonnegative projection.
+    nonnegative projection; a non-finite b, K f0 or A f0 raises
+    ContractViolationError naming the method that returned it.
 
     With r = b - A f and the step d = f_new - f, the objective changes by
 
@@ -353,13 +366,13 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     re-anchors the discrepancy: the last trace entry is the exact value,
     and a running sum that drifted from it by more than 1e-10 (1 + the
     starting objective) raises ContractViolationError, because only a
-    normal operator that is not K*K drifts that far. The fixed-point
+    normal operator that is not K*K drifts that far (an apply that is
+    not finite there is named instead). The fixed-point
     residual reuses the held A f and costs no operator call.
     """
-    config = config or SolverConfig()
+    config = SolverConfig() if config is None else config
     f, dims, step, Af, disc, pen, norm = _start(g, K, spec, config, f0)
     step_threshold = config.step_tolerance * (norm + 1.0)
-    objectives = [disc + pen]
     discrepancies = [disc]
     penalties = [pen]
     step_norms = []
@@ -370,65 +383,71 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     # the open block: its iterates and their A f from the one it starts
     # at, and its squared step norms
     fs, afs, quads = [f], [Af], []
-    for k in range(1, config.max_iterations + 1):
-        f_new, r = step(f, Af)
-        d = f_new - f
-        quad = float(np.vdot(d, d).real)
-        f, Af = f_new, K.normal(f_new)
-        fs.append(f)
-        afs.append(Af)
-        quads.append(quad)
-        converged = math.sqrt(quad) <= step_threshold
-        if converged or len(quads) == block or k == config.max_iterations:
-            F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
-            change = dAd - 2.0 * dr
-            pens = penalty_sum(F, spec)
-            # O[0] = disc + pen is the objective the block starts from
-            P = np.concatenate(([pen], pens))
-            delta = change + (P[1:] - P[:-1])
-            discs = np.add.accumulate(np.concatenate(([disc], change)))
-            O = discs + P
-            before, objs = O[:-1], O[1:]
-            # NaN fails the comparison, and so fails the check
-            falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
-            if not falls.all():
-                j = np.flatnonzero(~falls)[0]
-                at = k - len(quads) + j + 1
-                if not math.isfinite(dAd[j]):
-                    raise ContractViolationError(
-                        f"<d, K.normal(d)> is {float(dAd[j])!r} at iteration {at}; "
-                        f"K.normal returned a non-finite value"
+    # a broken normal operator makes the iterates non-finite; the block
+    # check, which NaN fails, reports it without numpy's warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, config.max_iterations + 1):
+            f_new, r = step(f, Af)
+            d = f_new - f
+            quad = float(np.vdot(d, d).real)
+            f, Af = f_new, K.normal(f_new)
+            fs.append(f)
+            afs.append(Af)
+            quads.append(quad)
+            # <d, d> of a step below about 1e-140 may underflow, even to
+            # zero; hypot sums the squares of such a step without it
+            converged = (math.sqrt(quad) if quad >= 1e-280
+                         else float(np.hypot.reduce(np.abs(d)))) <= step_threshold
+            if converged or len(quads) == block or k == config.max_iterations:
+                F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
+                change = dAd - 2.0 * dr
+                pens = penalty_sum(F, spec)
+                # O[0] = disc + pen is the objective the block starts from
+                P = np.concatenate(([pen], pens))
+                delta = change + (P[1:] - P[:-1])
+                discs = np.add.accumulate(np.concatenate(([disc], change)))
+                O = discs + P
+                before, objs = O[:-1], O[1:]
+                # NaN fails the comparison, and so fails the check
+                falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
+                if not falls.all():
+                    j = np.flatnonzero(~falls)[0]
+                    at = k - len(quads) + j + 1
+                    if not math.isfinite(dAd[j]):
+                        raise ContractViolationError(
+                            f"<d, K.normal(d)> is {float(dAd[j])!r} at iteration {at}; "
+                            f"K.normal returned a non-finite value"
+                        )
+                    raise DescentViolationError(
+                        f"objective increased by {float(delta[j])!r} from {float(before[j])!r} "
+                        f"at iteration {at}; the certified norm bound {K.norm_bound} is false"
                     )
-                raise DescentViolationError(
-                    f"objective increased by {float(delta[j])!r} from {float(before[j])!r} "
-                    f"at iteration {at}; the certified norm bound {K.norm_bound} is false"
-                )
-            q = np.array(quads)
-            step_norms.extend(np.sqrt(q).tolist())
-            surrogates.extend((objs + q - dAd).tolist())
-            discrepancies.extend(discs[1:].tolist())
-            penalties.extend(pens.tolist())
-            objectives.extend(objs.tolist())
-            disc, pen = discrepancies[-1], penalties[-1]
-            fs, afs, quads = [f], [Af], []
-        if converged:
-            status = STATUS_STEP
-            break
+                q = np.array(quads)
+                step_norms.extend(np.sqrt(q).tolist())
+                surrogates.extend((objs + q - dAd).tolist())
+                discrepancies.extend(discs[1:].tolist())
+                penalties.extend(pens.tolist())
+                disc, pen = discrepancies[-1], penalties[-1]
+                fs, afs, quads = [f], [Af], []
+            if converged:
+                status = STATUS_STEP
+                break
 
     residual = step.g - K.apply(f)
     exact = float(np.vdot(residual, residual).real)
-    if not (abs(disc - exact) <= _ANCHOR_SLACK * (1.0 + objectives[0])):
+    if not (abs(disc - exact) <= _ANCHOR_SLACK * (1.0 + (discrepancies[0] + penalties[0]))):
+        blame = ("K.normal is not K*K" if math.isfinite(exact)
+                 else "K.apply returned a non-finite value")
         raise ContractViolationError(
             f"running discrepancy {disc!r} differs from the exact {exact!r} at the "
-            f"returned point; K.normal is not K*K"
+            f"returned point; {blame}"
         )
     discrepancies[-1] = exact
-    objectives[-1] = exact + pen
-
+    discrepancies, penalties = np.asarray(discrepancies), np.asarray(penalties)
     trace = SolveTrace(
-        objectives=np.asarray(objectives),
-        discrepancies=np.asarray(discrepancies),
-        penalties=np.asarray(penalties),
+        objectives=discrepancies + penalties,
+        discrepancies=discrepancies,
+        penalties=penalties,
         step_norms=np.asarray(step_norms),
         surrogates=np.asarray(surrogates),
     )

@@ -72,6 +72,17 @@ class TestCoefficientVector:
         with pytest.raises(ParameterError):
             CoefficientVector(np.ones(3)).as_grid()
 
+    @pytest.mark.parametrize("value", [2.0, np.array(2.0), np.float32(2.0), 2.0 + 1.0j])
+    def test_scalar_is_one_entry(self, value):
+        v = CoefficientVector(value)
+        assert v.values.shape == (1,) and v.values[0] == value
+        assert v.dims is None and len(v) == 1
+
+    @pytest.mark.parametrize("dims", [4, 4.0, True])
+    def test_dims_must_be_a_sequence(self, dims):
+        with pytest.raises(ParameterError, match="dims must be a sequence of integers"):
+            CoefficientVector(np.ones(4), dims=dims)
+
     def test_as_coefficients_passthrough(self):
         v = CoefficientVector(np.ones(2))
         assert as_coefficients(v) is v
@@ -127,6 +138,24 @@ class TestPenaltySpec:
                            asymmetric=(np.array([1.0, 2.0]), np.array([3.0, 4.0])))
         wp, wm = spec.asymmetric
         assert isinstance(wp, WeightSequence) and isinstance(wm, WeightSequence)
+
+
+    @pytest.mark.parametrize("weights", [np.ones(3), [1, 1, 1], (0.5, 1.0, 2.0)])
+    def test_array_weights_are_gated_into_a_sequence(self, weights):
+        spec = PenaltySpec(p=1.0, weights=weights, mu=0.1)
+        assert isinstance(spec.weights, WeightSequence)
+        np.testing.assert_array_equal(spec.weights.w, np.asarray(weights, dtype=float))
+        assert penalty_value(np.ones(3), spec) == pytest.approx(0.1 * sum(weights))
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [1.0, np.nan, 1.0], "abc", None])
+    def test_bad_array_weights_refused(self, weights):
+        with pytest.raises(ParameterError, match="weights"):
+            PenaltySpec(p=1.0, weights=weights, mu=0.1)
+
+    @pytest.mark.parametrize("pair", [([1, 1, 1],), 5, (np.ones(3),) * 3])
+    def test_asymmetric_must_be_a_pair(self, pair):
+        with pytest.raises(ParameterError, match=r"asymmetric weights must be a pair"):
+            PenaltySpec(p=1.0, weights=WeightSequence.uniform(3), mu=0.1, asymmetric=pair)
 
 
 class TestTripleNorm:
@@ -311,7 +340,7 @@ class TestUnitWeightPenalty:
     def test_same_bits_as_the_weighted_form(self, p, complex_values):
         for x in self.inputs(complex_values):
             spec = PenaltySpec.uniform(p=p, mu=0.3, n=x.size)
-            assert spec.weights._unit
+            assert spec.weights._value == 1.0
             got = penalty_sum(x, spec)
             ref = self.weighted(x, np.ones(x.size), p, 0.3)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
@@ -321,9 +350,9 @@ class TestUnitWeightPenalty:
         x = self.inputs(False)[1]
         for value in (2.0, 0.5, 1.0 + 2.0**-52):
             spec = PenaltySpec(p=p, weights=WeightSequence(np.full(x.size, value)), mu=0.3)
-            assert not spec.weights._unit
+            assert spec.weights._value == value != 1.0
             assert penalty_sum(x, spec) == self.weighted(x, spec.weights.w, p, 0.3)
-        assert not WeightSequence(np.array([1.0, 1.0, 2.0]))._unit
+        assert WeightSequence(np.array([1.0, 1.0, 2.0]))._value is None
 
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     def test_three_halves_terms_within_one_ulp_of_the_power(self, complex_values):
@@ -334,14 +363,6 @@ class TestUnitWeightPenalty:
         ref = np.abs(x) ** 1.5
         # both are nonnegative, so their bit patterns order like their values
         assert np.abs(got.view(np.int64) - ref.view(np.int64)).max() <= 1
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    def test_narrow_dtypes_are_widened_before_the_sum(self, p):
-        rng = np.random.default_rng(42)
-        for x in (rng.normal(size=10000).astype(np.float32),
-                  (rng.normal(size=300) + 1j * rng.normal(size=300)).astype(np.complex64)):
-            spec = PenaltySpec.uniform(p=p, mu=0.3, n=x.size)
-            assert penalty_sum(x, spec) == self.weighted(x, np.ones(x.size), p, 0.3)
 
 
 class TestObjective:

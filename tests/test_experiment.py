@@ -100,6 +100,11 @@ class TestConfig:
             with pytest.raises(ParameterError):
                 ExperimentConfig(cases=cases)
 
+    @pytest.mark.parametrize("cases", [5, DEFAULT_CASES[0]])
+    def test_cases_must_be_a_sequence(self, cases):
+        with pytest.raises(ParameterError, match="cases must be a nonempty sequence"):
+            ExperimentConfig(cases=cases)
+
     def test_numpy_reals_accepted(self):
         cfg = ExperimentConfig(total_photons=np.float32(1e4), smoothing_sigma=np.int64(0),
                                radius_fraction=np.float64(1.0))

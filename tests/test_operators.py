@@ -43,6 +43,16 @@ class TestDiagonalOperator:
         with pytest.raises(AlignmentError):
             D.adjoint(np.ones(2))
 
+    def test_scalar_input_is_one_entry(self):
+        # the message of a mismatch reports sizes, so it cannot read "1, got 1"
+        np.testing.assert_array_equal(DiagonalOperator([0.5]).apply(2.0), [1.0])
+        np.testing.assert_array_equal(DiagonalOperator([0.5]).normal(np.array(2.0)), [0.5])
+        # a dot with a 0-d array would scale the whole matrix
+        for method in ("apply", "adjoint", "normal"):
+            assert getattr(DenseOperator([[0.5]]), method)(2.0).shape == (1,)
+        with pytest.raises(AlignmentError, match="operator image has length 2, got 1"):
+            DiagonalOperator([0.5, 0.5]).adjoint(2.0)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             DiagonalOperator(np.array([np.inf]))

@@ -405,8 +405,9 @@ def _solver_kinds():
     }
 
 
-def _nan_on_call(K, method, call):
-    """K, recast so that its ``call``-th call of ``method`` puts NaN in one entry."""
+def _broken(K, method, call=None, value=np.nan):
+    """K, recast so that its ``call``-th call of ``method`` (every call if None)
+    puts ``value`` in one entry."""
     calls = []
 
     class Broken(type(K)):
@@ -415,9 +416,9 @@ def _nan_on_call(K, method, call):
     def broken(self, x):
         out = getattr(super(Broken, self), method)(x)
         calls.append(None)
-        if len(calls) == call:
+        if call is None or len(calls) == call:
             out = out.copy()
-            out[3] = np.nan
+            out[3] = value
         return out
 
     setattr(Broken, method, broken)
@@ -465,7 +466,7 @@ class TestNormalOperatorLoop:
         # one NaN from the 5th normal, in the middle of the first block:
         # the block's <d, A d> is NaN there, and the descent check, which
         # NaN fails, names normal rather than the norm bound
-        K = _nan_on_call(random_contraction(np.random.default_rng(8), 20), "normal", 5)
+        K = _broken(random_contraction(np.random.default_rng(8), 20), "normal", 5)
         spec = PenaltySpec.uniform(p=p, mu=0.1, n=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -477,7 +478,7 @@ class TestNormalOperatorLoop:
     def test_non_finite_exact_discrepancy_fails_the_anchor_check(self):
         # from the zero start the one apply is the re-anchoring one; a NaN
         # there must not pass the drift check
-        K = _nan_on_call(random_contraction(np.random.default_rng(8), 20), "apply", 1)
+        K = _broken(random_contraction(np.random.default_rng(8), 20), "apply", 1)
         spec = PenaltySpec.uniform(p=1.0, mu=0.1, n=20)
         with pytest.raises(ContractViolationError, match="running discrepancy"):
             solve(np.linspace(-1.0, 1.0, 20), K, spec,
@@ -492,6 +493,56 @@ class TestNormalOperatorLoop:
         res = solve(g, K, spec, SolverConfig(max_iterations=30, step_tolerance=0.0))
         assert res.fixed_point_residual == fixed_point_residual(
             res.minimizer.values, g, K, spec)
+
+
+# the problem of the broken-operator fixtures: a 20 x 20 contraction of norm
+# 0.9, p = 1, mu = 0.1, and a nonnegative start
+BROKEN_G = np.linspace(-1.0, 1.0, 20)
+BROKEN_F0 = np.abs(np.random.default_rng(3).normal(size=20))
+BROKEN_SPEC = PenaltySpec.uniform(p=1.0, mu=0.1, n=20)
+# entry -> (its call on (f, K), the K methods it calls); a None start is the
+# zero one, which iterate_step and fixed_point_residual take explicitly
+BROKEN_ENTRIES = {
+    "solve": (lambda f, K: solve(BROKEN_G, K, BROKEN_SPEC,
+                                 SolverConfig(max_iterations=50, step_tolerance=0.0), f0=f),
+              ("apply", "adjoint", "normal")),
+    "iterate_step": (lambda f, K: iterate_step(np.zeros(20) if f is None else f, BROKEN_G, K,
+                                               BROKEN_SPEC),
+                     ("apply", "adjoint", "normal")),
+    "fixed_point_residual": (lambda f, K: fixed_point_residual(
+        np.zeros(20) if f is None else f, BROKEN_G, K, BROKEN_SPEC),
+        ("apply", "adjoint", "normal")),
+    # the objective calls neither adjoint nor normal; it needs no norm bound
+    # and refuses a non-finite K f as an overflow
+    "objective": (lambda f, K: objective(np.zeros(20) if f is None else f, BROKEN_G, K,
+                                         BROKEN_SPEC),
+                  ("apply",)),
+}
+
+
+class TestBrokenOperator:
+    """A method that returns NaN or +-inf on a finite input is named, with no numpy warning."""
+
+    @pytest.mark.parametrize("start", ["zero", "f0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["apply", "adjoint", "normal"])
+    @pytest.mark.parametrize("entry", BROKEN_ENTRIES)
+    def test_broken_method_is_named(self, entry, method, value, start):
+        call, calls = BROKEN_ENTRIES[entry]
+        f = None if start == "zero" else BROKEN_F0
+        K = _broken(random_contraction(np.random.default_rng(8), 20), method, value=value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if method not in calls:
+                usual = call(f, random_contraction(np.random.default_rng(8), 20))
+                assert call(f, K) == usual
+            elif entry == "objective":
+                with pytest.raises((ParameterError, ContractViolationError)):
+                    call(f, K)
+            else:
+                with pytest.raises(ContractViolationError,
+                                   match=rf"K\.{method} returned a non-finite value"):
+                    call(f, K)
 
 
 class TestStopping:
@@ -700,6 +751,48 @@ class TestOneProblemCheck:
         with pytest.raises(ContractViolationError, match="certified norm bound < 1"):
             PROBLEM_ENTRIES[entry](np.ones(3), np.ones(3), K, self.SPEC)
 
+    @pytest.mark.parametrize("wrong", ["K", "spec", "spec-string", "f"])
+    @pytest.mark.parametrize("entry", PROBLEM_ENTRIES)
+    def test_wrong_kinds_refused(self, entry, wrong):
+        # a string spec of the data's length must not pass as three weights
+        f, K, spec = np.ones(3), self.K, self.SPEC
+        if wrong == "K":
+            K, match = "K", "operator K must be a LinearOperatorHandle"
+        elif wrong == "f":
+            if entry == "solve":
+                # f0=None is solve's zero start
+                PROBLEM_ENTRIES[entry](None, np.ones(3), K, spec)
+                return
+            f, match = None, "coefficient values must be numbers"
+        else:
+            spec, match = ("abc" if wrong == "spec" else "spec"), "spec must be a PenaltySpec"
+        with pytest.raises(ParameterError, match=match):
+            PROBLEM_ENTRIES[entry](f, np.ones(3), K, spec)
+
+    @pytest.mark.parametrize("config", [5, 0, "config"])
+    @pytest.mark.parametrize("entry", ["solve", "iterate_step"])
+    def test_config_must_be_a_solver_config(self, entry, config):
+        with pytest.raises(ParameterError, match="solver config must be a SolverConfig"):
+            if entry == "solve":
+                solve(np.ones(3), self.K, self.SPEC, config)
+            else:
+                iterate_step(np.ones(3), np.ones(3), self.K, self.SPEC, config)
+
+    @pytest.mark.parametrize("entry", [*PROBLEM_ENTRIES, "solve-zero-start"])
+    def test_scalar_problem_is_one_entry(self, entry):
+        # a 0-d f and g are the one-entry problem
+        K, spec = DiagonalOperator([0.5]), PenaltySpec.uniform(p=1.0, mu=0.1, n=1)
+        if entry == "solve-zero-start":
+            got, want = (solve(g, K, spec).minimizer.values for g in (1.0, np.ones(1)))
+        else:
+            got, want = (PROBLEM_ENTRIES[entry](f, g, K, spec)
+                         for f, g in ((2.0, 1.0), (np.full(1, 2.0), np.ones(1))))
+            if entry == "solve":
+                got, want = got.minimizer.values, want.minimizer.values
+            elif entry == "iterate_step":
+                got, want = got.values, want.values
+        np.testing.assert_array_equal(got, want)
+
 
 class TestScaleSweep:
     """Data and start scaled by 10^k answer with finite values or a library error."""
@@ -755,6 +848,37 @@ class TestScaleSweep:
         assert failures == []
         # every scale from 10^-320 to 10^152 gets an answer from something
         assert answered >= set(range(-320, 153, 8))
+
+
+class TestHomogeneity:
+    """At p = 2 the minimizer is linear in the data: data c g give c times the minimizer."""
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_scaled_data_scale_the_minimizer(self, complex_data):
+        rng = np.random.default_rng(17)
+        M = rng.normal(size=(12, 12))
+        g = rng.normal(size=12)
+        if complex_data:
+            M = M + 1j * rng.normal(size=(12, 12))
+            g = g + 1j * rng.normal(size=12)
+        K = DenseOperator(M * (0.9 / np.linalg.norm(M, 2)))
+        spec = PenaltySpec(p=2.0, weights=WeightSequence(rng.uniform(0.5, 2.0, 12)), mu=0.5)
+        # a fixed number of steps from the zero start: the step rule would
+        # stop at a scale-dependent point
+        config = SolverConfig(max_iterations=200, step_tolerance=0.0)
+        base = solve(g, K, spec, config).minimizer.values
+        # the exact minimizer (K*K + mu W) f = K*g, to check the base
+        A = K.matrix.conj().T @ K.matrix + np.diag(spec.mu * spec.weights.w)
+        np.testing.assert_allclose(base, np.linalg.solve(A, K.matrix.conj().T @ g),
+                                   rtol=0, atol=1e-12)
+        # from 10^-150 down, <d, d> of a step underflows and must not stop
+        # the run; below 10^-300 the minimizer's entries turn subnormal and
+        # lose digits, and at 10^154 the start's squares overflow
+        for k in [*range(-300, 151, 10), 152]:
+            c = 10.0**k
+            got = solve(c * g, K, spec, config).minimizer.values
+            assert np.all(np.isfinite(got))
+            assert np.abs(got - c * base).max() <= 1e-12 * c * np.abs(base).max(), k
 
 
 class TestComplexAndAsymmetric:
