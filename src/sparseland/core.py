@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -105,10 +106,14 @@ def check_values(values, name: str, ndim: Optional[int] = 1, lower: Optional[str
     have ``ndim`` axes (any number if None) and finite entries, and each
     entry must meet :func:`check_real`'s ``lower`` rule; anything else
     raises ParameterError. The copy is the caller's to keep: changing the
-    input afterwards changes nothing that was built from it.
+    input afterwards changes nothing that was built from it. An array
+    this function returned, still read-only, is checked again but not
+    copied, as no caller owns it; a caller's read-only array is copied,
+    since its owner can make it writeable again.
     """
     arr = check_array(values, name, complex_ok)
-    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+    if _GATED.get(id(arr)) is not arr or arr.flags.writeable:
+        arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
     if arr.size == 0 or (ndim is not None and arr.ndim != ndim):
         axes = "" if ndim is None else f"{ndim}-d "
         raise ParameterError(f"{name} must form a nonempty {axes}array, got shape {arr.shape}")
@@ -117,7 +122,12 @@ def check_values(values, name: str, ndim: Optional[int] = 1, lower: Optional[str
     if lower is not None:
         check_real(float(arr.min()), f"the least of the {name}", lower)
     arr.flags.writeable = False
+    _GATED[id(arr)] = arr
     return arr
+
+
+# the arrays check_values returned, by id, while they live
+_GATED = weakref.WeakValueDictionary()
 
 
 def check_shape(shape, name: str, minimum: int = 1) -> Tuple[int, int]:
@@ -323,6 +333,25 @@ def check_contraction(K):
         )
 
 
+def finite_product(K, method: str, x: np.ndarray) -> np.ndarray:
+    """K.method(x) of a finite x, refusing a non-finite value K's norm bound rules out.
+
+    While ``K.norm_bound * ||x||`` is finite (the bound squared for
+    ``normal``), a correct K cannot overflow, so a non-finite value raises
+    ContractViolationError naming the method. Otherwise the value is
+    returned, for the caller's overflow rule to refuse.
+    """
+    y = getattr(K, method)(x)
+    if not np.isfinite(y).all():
+        with np.errstate(over="ignore"):
+            bound = K.norm_bound * float(np.hypot.reduce(np.abs(x)))
+        if math.isfinite(bound * K.norm_bound if method == "normal" else bound):
+            bad = y[~np.isfinite(y)][0].item()
+            raise ContractViolationError(
+                f"K.{method} returned a non-finite value ({bad!r}) on a finite input")
+    return y
+
+
 def triple_norm(f, spec: PenaltySpec) -> float:
     """Weighted lp norm ( sum_gamma w_gamma |f_gamma|^p )^(1/p).
 
@@ -404,7 +433,9 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
 
     f, spec and K's domain must agree in length and g must fill K's
     image (AlignmentError); a term, or their sum, that overflows raises
-    ParameterError. No norm bound is needed.
+    ParameterError. No norm bound is needed, but a non-finite K f that
+    K's bound rules out raises ContractViolationError
+    (:func:`finite_product`).
     """
     check_kinds(K, spec)
     fv = as_coefficients(f)
@@ -412,7 +443,7 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
     check_domain(len(fv), spec, K)
     check_image(len(gv), K)
     with np.errstate(over="ignore"):
-        residual = K.apply(fv.values) - gv.values
+        residual = finite_product(K, "apply", fv.values) - gv.values
         disc = float(np.real(np.vdot(residual, residual)))
     if not math.isfinite(disc):
         raise overflow_error("discrepancy", disc, data=gv.values, coefficient=fv.values)
@@ -429,7 +460,8 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     Requires a certified operator norm below 1, which makes the added
     quadratic nonnegative, so the value dominates Phi(f) and coincides with
     it at f = a. Minimizing over f for fixed anchor a is what one iteration
-    step does. A value that overflows raises ParameterError.
+    step does. A value that overflows raises ParameterError, and a
+    non-finite K product that K's bound rules out ContractViolationError.
     """
     check_kinds(K, spec)
     check_contraction(K)
@@ -441,7 +473,7 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     # a distant anchor overflows ||f - a||^2, and inf - inf is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         diff = fv.values - av.values
-        kdiff = K.apply(diff)
+        kdiff = finite_product(K, "apply", diff)
         value = float(total + np.real(np.vdot(diff, diff)) - np.real(np.vdot(kdiff, kdiff)))
     if not math.isfinite(value):
         raise overflow_error("surrogate", value, anchor=av.values, coefficient=fv.values)

@@ -7,22 +7,23 @@ The iteration theory needs that bound below 1, and one margin, 0.999,
 sets how far below: it is a convolution's peak response, and
 :func:`renormalize` rescales an arbitrary problem to it. The concrete
 kinds are diagonal maps, dense matrices and zero-padded convolutions on
-2-d grids, computed with ``numpy.fft`` or as real GEMMs. A convolution's
-response is the autocorrelation of a frequency disk, integer overlap
-counts that one small FFT over the disk's own band gives exactly once
-rounded (see :class:`Convolution2DOperator`). Frame synthesis,
-z -> sum_n z_n psi_n, is the dense operator on the stacked frame
-vectors, ``DenseOperator(vectors.T)``.
+2-d grids, computed as real GEMMs when padded and with ``numpy.fft``
+when circular. A convolution's response is the autocorrelation of a
+frequency disk, integer overlap counts that one small FFT over the
+disk's own band gives exactly once rounded (see
+:class:`Convolution2DOperator`). Frame synthesis, z -> sum_n z_n psi_n,
+is the dense operator on the stacked frame vectors,
+``DenseOperator(vectors.T)``.
 
 Besides apply and adjoint, every operator has ``normal(f) = K*K f``, the
 one product the iteration needs per step. It defaults to
 ``adjoint(apply(f))``; a diagonal operator multiplies by ``conj(d) d``
 once, a dense matrix (kept as float64 or complex128, whatever dtype it
 came in) multiplies by its stored Gram matrix ``K^H K`` whenever it has
-no more columns than rows (a wide one keeps the default), a
-convolution in matrix form computes it from the Gram matrices of its
-truncated DFT bases in one pass (see :class:`Convolution2DOperator`), a
-circular one with the squared response, and a scaled operator as
+no more columns than rows (a wide one keeps the default), a padded
+convolution computes it from the Gram matrices of its truncated DFT
+bases in one pass (see :class:`Convolution2DOperator`), a circular one
+with the squared response, and a scaled operator as
 ``factor**2`` times its base's.
 """
 
@@ -188,42 +189,32 @@ class Convolution2DOperator(LinearOperatorHandle):
     the autocorrelation, whose entries are overlap counts and are rounded
     to those integers. They are placed at their circular offsets in
     ``filter``, which is exactly 0.0 everywhere else. Dropping exact
-    zeros leaves the peak, and hence the norm bound, unchanged. A product
-    takes one of two forms, chosen once at construction from the shapes
-    alone:
+    zeros leaves the peak, and hence the norm bound, unchanged. The
+    geometry picks the form of a product:
 
-    * Matrix form, when the band covers at most a quarter of the padded
-      spectrum on both axes (``4 (band - 1) <= pad[1]`` and
-      ``4 (band_y - 1) <= pad[0]``). The response is real and even along
-      each axis, so the product of a ``grid``-shaped X is
-      ``Fy^T (H * (Fy X Fx^T)) Fx`` (``*`` elementwise) with truncated
-      real DFT bases: ``Fy`` holds the rows ``[cos; -sin](2 pi k m /
-      pad[0])`` for ``k < band_y`` and ``m < grid[0]``, ``Fx`` the same
-      for ``pad[1]``, ``band`` and ``grid[1]``, and ``H`` is the kept
-      response tiled 2 x 2, weighted 2 for each ``k > 0`` (standing for
-      ``+-k``) and divided by ``pad[0] * pad[1]``. That is four small
-      real GEMMs and no FFT; the band stops short of Nyquist, so no
-      Nyquist weight is needed. The normal operator K*K (= K K, the
-      operator is self-adjoint) is ``Fy^T (H * (Gy (H * (Fy X Fx^T))
-      Gx)) Fx`` with the Gram matrices ``Gy = Fy Fy^T`` and ``Gx = Fx
-      Fx^T`` stored at construction: six GEMMs instead of eight. The
-      Gram matrices carry the crop between the two convolutions, so K*K
-      is *not* the convolution with the squared response.
-    * Pruned FFT form otherwise, with ``numpy.fft``: rfft of the
-      ``grid[0]`` data rows (padding to ``pad[1]`` implicitly), column
-      FFTs of the band only, the ``pad[0] x band`` response, and inverse
-      transforms keeping just the ``grid[0]`` rows and ``grid[1]``
-      columns that survive the crop.
-      It stays for wide bands, where the GEMMs' cost grows with the band
-      and the FFTs' does not. The circular convolution at ``pad == grid``
-      usually has one: at 256 x 256 and radius 0.3 it keeps 77 of 129
-      rfft columns and rows, and the FFT form is the faster there. With
-      ``pad == grid`` nothing is cropped, so the normal operator is one
-      pass with the squared response; with a larger pad it is
-      ``adjoint(apply(f))``.
-
-    ``matrix_form`` tells which one the operator uses. Both compute the
-    same map up to roundoff.
+    * A padded grid (``pad != grid``) takes the matrix form. The
+      response is real and even along each axis, so the product of a
+      ``grid``-shaped X is ``Fy^T (H * (Fy X Fx^T)) Fx`` (``*``
+      elementwise) with truncated real DFT bases: ``Fy`` holds the rows
+      ``[cos; -sin](2 pi k m / pad[0])`` for ``k < band_y`` and ``m <
+      grid[0]``, ``Fx`` the same for ``pad[1]``, ``band`` and
+      ``grid[1]``, and ``H`` is the response at each row's and column's
+      frequency, weighted 2 for each ``k > 0`` (standing for ``+-k``)
+      and divided by ``pad[0] * pad[1]``. At an even pad the band can
+      reach Nyquist (``2 k == pad``), which stands for itself: its
+      cosine has weight 1, and its sine, zero but for roundoff, is
+      dropped as the sine of k = 0 is. That is four small real GEMMs and
+      no FFT. The normal operator K*K (= K K, the operator is
+      self-adjoint) is ``Fy^T (H * (Gy (H * (Fy X Fx^T)) Gx)) Fx`` with
+      the Gram matrices ``Gy = Fy Fy^T`` and ``Gx = Fx Fx^T`` stored at
+      construction: six GEMMs instead of eight. The Gram matrices carry
+      the crop between the two convolutions, so K*K is *not* the
+      convolution with the squared response.
+    * A circular grid (``pad == grid``) takes the pruned FFT form, with
+      ``numpy.fft``: rfft of the rows, column FFTs of the band only, the
+      ``pad[0] x band`` response, and the inverse transforms. Nothing is
+      cropped, so the normal operator is one pass with the squared
+      response.
 
     Input and output are flat vectors of length grid[0]*grid[1]; the
     point spread function is nonnegative (an intensity pattern), so the
@@ -251,36 +242,31 @@ class Convolution2DOperator(LinearOperatorHandle):
         self.filter = np.zeros(pad)
         self.filter[np.ix_(lag_y % pad[0], lag_x % pad[1])] = (
             self.peak_response * counts / counts[0, 0])[np.ix_(lag_y, lag_x)]
-        self.matrix_form = (4 * (self.band - 1) <= pad[1]
-                            and 4 * (self.band_y - 1) <= pad[0])
-        if self.matrix_form:
+        if pad == grid:
+            self._rfilter = self.filter[:, : self.band].copy()
+            self._rfilter_sq = self._rfilter * self._rfilter
+        else:
             ky, self._fy = _real_dft_basis(self.band_y, pad[0], grid[0])
             kx, self._fx = _real_dft_basis(self.band, pad[1], grid[1])
-            # each kept frequency k > 0 stands for the pair +-k
-            wy = np.where(ky == 0, 1.0, 2.0)
-            wx = np.where(kx == 0, 1.0, 2.0)
-            self._hhat = (self.filter[np.ix_(ky, kx)] * np.outer(wy, wx)
-                          / (pad[0] * pad[1]))
+            # a kept k stands for the pair +-k, but 0 and Nyquist for themselves
+            wy, wx = (np.where((k == 0) | (2 * k == n), 1.0, 2.0) for k, n in zip((ky, kx), pad))
+            self._hhat = self.filter[np.ix_(ky, kx)] * np.outer(wy, wx) / (pad[0] * pad[1])
             self._gy = self._fy @ self._fy.T
             self._gx = self._fx @ self._fx.T
-        else:
-            self._rfilter = self.filter[:, : self.band].copy()
-            if pad == grid:
-                self._rfilter_sq = self._rfilter * self._rfilter
         super().__init__(grid[0] * grid[1], grid[0] * grid[1], self.peak_response,
                          domain_dims=grid)
 
     def _convolve(self, f: np.ndarray, normal: bool = False) -> np.ndarray:
-        """K f, or K*K f when ``normal`` (matrix form or ``pad == grid`` only)."""
+        """K f, or K*K f when ``normal``."""
         if f.dtype.kind == "c":
             # the response is real, so it filters both parts separately
             return self._convolve(f.real, normal) + 1j * self._convolve(f.imag, normal)
         x = f.reshape(self.grid)
-        if self.matrix_form:
-            # a strided view (the real part of a complex array) would take
-            # a non-BLAS matmul whose roundoff differs from the contiguous one
-            return self._convolve_matrix(np.ascontiguousarray(x), normal).ravel()
-        return self._convolve_fft(x, normal).ravel()
+        if self.pad == self.grid:
+            return self._convolve_fft(x, normal).ravel()
+        # a strided view (the real part of a complex array) would take
+        # a non-BLAS matmul whose roundoff differs from the contiguous one
+        return self._convolve_matrix(np.ascontiguousarray(x), normal).ravel()
 
     def _convolve_matrix(self, x: np.ndarray, normal: bool = False) -> np.ndarray:
         spectrum = self._fy @ x @ self._fx.T
@@ -291,12 +277,11 @@ class Convolution2DOperator(LinearOperatorHandle):
         return self._fy.T @ spectrum @ self._fx
 
     def _convolve_fft(self, x: np.ndarray, normal: bool = False) -> np.ndarray:
-        rows = np.fft.rfft(x, n=self.pad[1], axis=1)
-        spectrum = np.fft.fft(rows[:, : self.band], n=self.pad[0], axis=0)
+        rows = np.fft.rfft(x, axis=1)
+        spectrum = np.fft.fft(rows[:, : self.band], axis=0)
         spectrum *= self._rfilter_sq if normal else self._rfilter
-        rows = np.fft.ifft(spectrum, axis=0)[: self.grid[0]]
-        out = np.fft.irfft(rows, n=self.pad[1], axis=1)
-        return out[:, : self.grid[1]]
+        rows = np.fft.ifft(spectrum, axis=0)
+        return np.fft.irfft(rows, n=self.grid[1], axis=1)
 
     def apply(self, f):
         return self._convolve(self._check(f, self.domain_len, "operator domain"))
@@ -307,8 +292,6 @@ class Convolution2DOperator(LinearOperatorHandle):
         return self._convolve(self._check(g, self.image_len, "operator image"))
 
     def normal(self, f):
-        if not (self.matrix_form or self.pad == self.grid):
-            return super().normal(f)
         return self._convolve(self._check(f, self.domain_len, "operator domain"), True)
 
     def point_spread_function(self) -> np.ndarray:
@@ -350,11 +333,12 @@ def _disk_axis(n: int, radius: float):
 def _real_dft_basis(band: int, period: int, length: int):
     """Frequencies and rows ``[cos; -sin](2 pi k m / period)``, m < length.
 
-    k runs over 0..band-1 for the cosines and 1..band-1 for the sines
-    (the sine of k = 0 vanishes). The angle is built from the exact
-    integer ``(k m) mod period``, so it stays in [0, 2 pi) at any size.
+    k runs over 0..band-1 for the cosines and over 1..band-1 short of
+    Nyquist (``2 k < period``) for the sines: the sines of k = 0 and of
+    Nyquist vanish. The angle is built from the exact integer ``(k m) mod
+    period``, so it stays in [0, 2 pi) at any size.
     """
-    k = np.concatenate([np.arange(band), np.arange(1, band)])
+    k = np.concatenate([np.arange(band), np.arange(1, min(band, (period + 1) // 2))])
     angle = (2.0 * np.pi / period) * (np.outer(k, np.arange(length)) % period)
     basis = np.cos(angle)
     basis[band:] = -np.sin(angle[band:])

@@ -38,6 +38,7 @@ from .core import (
     check_image,
     check_kinds,
     check_real,
+    finite_product,
     overflow_error,
     penalty_sum,
 )
@@ -99,13 +100,15 @@ class SolveTrace:
     objectives/discrepancies/penalties have length n_iterations + 1 and
     start at the initial point; step_norms and surrogates have length
     n_iterations; two solves of one problem give the same bytes.
-    step_norms[k] is sqrt(<d, d>) for the step d = f_{k+1} - f_k (for
-    complex iterates this may differ from np.linalg.norm(d) at
-    roundoff). surrogates[k] is the surrogate value
-    of iterate k+1 anchored at iterate k, so descent shows up as
-    objectives[k+1] <= surrogates[k] <= objectives[k]. The first and
-    last discrepancies are evaluated exactly; those in between are the
-    solver's running sum, exact up to roundoff relative to the first.
+    step_norms[k] is the norm the step rule tests for the step d =
+    f_{k+1} - f_k: sqrt(<d, d>), or the hypot of its entries where <d, d>
+    is below 1e-280 and may have underflowed (for complex iterates this
+    may differ from np.linalg.norm(d) at roundoff). surrogates[k] is the
+    surrogate value of iterate k+1 anchored at iterate k, so descent
+    shows up as objectives[k+1] <= surrogates[k] <= objectives[k]. The
+    first and last discrepancies are evaluated exactly; those in between
+    are the solver's running sum, exact up to roundoff relative to the
+    first.
     """
 
     objectives: np.ndarray
@@ -161,7 +164,7 @@ class _Step:
     def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
                  config: SolverConfig):
         self.g = g
-        self.b = _finite(K, "adjoint", g)
+        self.b = finite_product(K, "adjoint", g)
         self.p = spec.p
         self.nonnegative = config.projection == "nonnegative"
         if spec.asymmetric is not None:
@@ -287,24 +290,15 @@ def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, 
     if math.isfinite(norm):
         with np.errstate(over="ignore"):
             # K 0 = 0 = A 0: the residual is g, in the dtype g - K f would have
-            residual = g.astype(dtype, copy=False) if f0 is None else g - _finite(K, "apply", f)
-            Af = np.zeros_like(f) if f0 is None else _finite(K, "normal", f)
+            residual = (g.astype(dtype, copy=False) if f0 is None
+                        else g - finite_product(K, "apply", f))
+            Af = np.zeros_like(f) if f0 is None else finite_product(K, "normal", f)
             disc = float(np.vdot(residual, residual).real)
             pen = penalty_sum(f, spec)
             obj = disc + pen
     if not math.isfinite(obj):
         raise overflow_error("start's norm or objective", obj, data=g, start=f)
     return f, dims, _Step(K, g, spec, config), Af, disc, pen, norm
-
-
-def _finite(K: LinearOperatorHandle, method: str, x: np.ndarray) -> np.ndarray:
-    """K.method(x) of a finite x; a non-finite value raises ContractViolationError."""
-    y = getattr(K, method)(x)
-    if not np.isfinite(y).all():
-        bad = y[~np.isfinite(y)][0].item()
-        raise ContractViolationError(
-            f"K.{method} returned a non-finite value ({bad!r}) on a finite input")
-    return y
 
 
 def iterate_step(f, g, K: LinearOperatorHandle, spec: PenaltySpec,
@@ -396,8 +390,9 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
             quads.append(quad)
             # <d, d> of a step below about 1e-140 may underflow, even to
             # zero; hypot sums the squares of such a step without it
-            converged = (math.sqrt(quad) if quad >= 1e-280
-                         else float(np.hypot.reduce(np.abs(d)))) <= step_threshold
+            step_norms.append(math.sqrt(quad) if quad >= 1e-280
+                              else float(np.hypot.reduce(np.abs(d))))
+            converged = step_norms[-1] <= step_threshold
             if converged or len(quads) == block or k == config.max_iterations:
                 F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
                 change = dAd - 2.0 * dr
@@ -422,9 +417,7 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
                         f"objective increased by {float(delta[j])!r} from {float(before[j])!r} "
                         f"at iteration {at}; the certified norm bound {K.norm_bound} is false"
                     )
-                q = np.array(quads)
-                step_norms.extend(np.sqrt(q).tolist())
-                surrogates.extend((objs + q - dAd).tolist())
+                surrogates.extend((objs + np.array(quads) - dAd).tolist())
                 discrepancies.extend(discs[1:].tolist())
                 penalties.extend(pens.tolist())
                 disc, pen = discrepancies[-1], penalties[-1]

@@ -279,6 +279,15 @@ class TestOverflowRefused:
             b = objective(f / 2.0, g / 2.0, K, spec)
         assert b.total == pytest.approx(0.25e308 + 0.25 * 1.69e308)
 
+    def test_product_beyond_the_norm_bound(self):
+        # K f overflows, and so does K.norm_bound * ||f||: an overflow, not a broken K
+        K = DiagonalOperator(np.array([1e150, 0.5]))
+        spec = PenaltySpec.uniform(p=1.0, mu=1.0, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="discrepancy overflows"):
+                objective(np.array([1e200, 1.0]), np.ones(2), K, spec)
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_surrogate_distant_anchor(self, kind):
         K = DiagonalOperator(np.array([0.5, 0.25]))

@@ -332,6 +332,30 @@ def test_constructed_object_ignores_its_callers_array(name):
         assert not getattr(built, attr).flags.writeable
 
 
+def test_gate_copy_is_not_copied_again():
+    # renormalize's gated data reaches the solver without a second copy
+    K = sparseland.DiagonalOperator([0.5, 0.25, 0.75])
+    r = sparseland.renormalize(K, np.array([1.0, -2.0, 3.0]))
+    cv = sparseland.CoefficientVector(r.data)
+    assert cv.values is r.data
+    # the rules other than the copy still apply to it
+    with pytest.raises(ParameterError):
+        sparseland.WeightSequence(r.data)
+    with pytest.raises(ParameterError):
+        sparseland.DenseOperator(r.data)
+    # a caller's read-only array is copied: its owner can make it writeable
+    mine = np.array([1.0, -2.0, 3.0])
+    mine.flags.writeable = False
+    kept = sparseland.CoefficientVector(mine).values
+    assert kept is not mine and not kept.flags.writeable
+    mine.flags.writeable = True
+    mine[0] = 7.0
+    assert kept[0] == 1.0
+    # as is a gated array made writeable again
+    r.data.flags.writeable = True
+    assert sparseland.CoefficientVector(r.data).values is not r.data
+
+
 def _public_callables():
     names = [(name, getattr(sparseland, name)) for name in sparseland.__all__]
     names += [(name, getattr(gridio, name)) for name in gridio.__all__]

@@ -246,23 +246,30 @@ class TestConvolution2D:
         validate_operator(K)
         assert K.band == band
 
-    @pytest.mark.parametrize("grid, pad, radius, bands, matrix", [
+    # narrow: the band covers at most a quarter of the padded spectrum on
+    # both axes; the geometry alone picks the form at any band width
+    @pytest.mark.parametrize("grid, pad, radius, bands, narrow", [
         ((5, 12), (10, 17), 0.35, (3, 5), True),      # non-square, band_y != band
         ((30, 40), (70, 90), 0.15, (11, 13), True),   # non-square, band_y != band
         ((64, 64), (64, 64), 0.1, (7, 7), True),      # pad == grid, narrow band
         ((8, 8), (16, 16), 0.3, (5, 5), True),        # 4 (band - 1) == pad
         ((8, 8), (15, 15), 0.3, (5, 5), False),       # 4 (band - 1) == pad + 1
-        ((8, 9), (15, 16), 0.3, (5, 5), False),       # only the rows too wide
-        ((9, 8), (16, 15), 0.3, (5, 5), False),       # only the columns too wide
+        ((8, 9), (15, 16), 0.3, (5, 5), False),       # only the rows wide
+        ((9, 8), (16, 15), 0.3, (5, 5), False),       # only the columns wide
         ((12, 10), (24, 20), 0.45, (11, 9), False),   # wide band
         ((7, 9), (7, 9), 0.3, (3, 3), False),         # pad == grid, odd
         ((5, 6), (9, 11), 1.0, (5, 6), False),        # the disk wraps, odd pads
         ((6, 6), (33, 35), 1.0, (17, 18), False),     # the disk wraps, wide grid
+        ((6, 8), (8, 10), 1.0, (5, 6), False),        # even pads, the band reaches Nyquist
+        ((8, 8), (8, 8), 1.0, (5, 5), False),         # pad == grid, even, Nyquist
     ])
-    def test_matrix_form(self, grid, pad, radius, bands, matrix):
+    def test_matrix_form(self, grid, pad, radius, bands, narrow):
         K = Convolution2DOperator(grid, pad, radius_fraction=radius)
         assert (K.band_y, K.band) == bands
-        assert K.matrix_form is matrix
+        assert (4 * (K.band_y - 1) <= pad[0] and 4 * (K.band - 1) <= pad[1]) is narrow
+        # a padded grid takes the matrix form, a circular one the pruned FFT
+        assert hasattr(K, "_hhat") is (K.pad != K.grid)
+        assert hasattr(K, "_rfilter") is (K.pad == K.grid)
         # the response is the scaled autocorrelation of the disk, and
         # exactly zero outside the kept rows and their mirror images
         np.testing.assert_allclose(K.filter, _disk_response(pad, radius),
@@ -280,23 +287,16 @@ class TestConvolution2D:
         assert np.abs(out - ref).max() <= 1e-14 * scale
         out = K.adjoint(f.real.ravel()).reshape(grid)
         assert np.abs(out - ref.real).max() <= 1e-14 * scale
-        # against the pruned FFT form; the matrix form holds no pruned
-        # response, so it is given one here
-        if matrix:
-            K._rfilter = K.filter[:, : K.band]
-        fft = K._convolve_fft(f.real)
-        assert np.abs(out - fft).max() <= 1e-14 * scale
         validate_operator(K, tol=1e-13)
 
     def test_form_of_imaging_and_wavelet_shapes(self):
         cfg = ExperimentConfig()
         imaging = Convolution2DOperator(cfg.grid, cfg.pad, cfg.radius_fraction)
         assert (imaging.band_y, imaging.band) == (51, 51)
-        assert imaging.matrix_form
+        assert imaging.pad != imaging.grid and hasattr(imaging, "_hhat")
         wavelet = Convolution2DOperator((256, 256), (256, 256), 0.3)
         assert (wavelet.band_y, wavelet.band) == (77, 77)
-        assert not wavelet.matrix_form
-        assert not hasattr(wavelet, "_hhat")
+        assert wavelet.pad == wavelet.grid and not hasattr(wavelet, "_hhat")
 
     def test_domain_dims(self):
         K = Convolution2DOperator((4, 6), (8, 12))
@@ -607,11 +607,11 @@ def _normal_kinds():
                                        + 1j * rng.normal(size=(15, 12))),
         "convolution-matrix": matrix,
         "convolution-matrix-quarter": Convolution2DOperator((8, 8), (16, 16), 0.3),
-        "convolution-matrix-circular": Convolution2DOperator((64, 64), (64, 64), 0.1),
+        "convolution-matrix-wide": Convolution2DOperator((12, 10), (24, 20), 0.45),
         "convolution-imaging": Convolution2DOperator(imaging.grid, imaging.pad,
                                                      imaging.radius_fraction),
         "convolution-fft-circular": Convolution2DOperator((7, 9), (7, 9), 0.3),
-        "convolution-fft-padded": Convolution2DOperator((12, 10), (24, 20), 0.45),
+        "convolution-fft-narrow": Convolution2DOperator((64, 64), (64, 64), 0.1),
         "scaled": ScaledOperator(matrix, 0.5, norm_bound=0.5),
         "wavelet-conjugated": conjugated_operator(circular, WaveletSpec("db2", 2)),
     }
@@ -625,9 +625,8 @@ def _probe(K, rng, complex_input):
 class TestNormalOperator:
     def test_every_form_is_covered(self):
         kinds = _normal_kinds()
-        forms = [kinds[k].matrix_form for k in kinds if k.startswith("convolution")]
-        assert True in forms and False in forms
-        assert not kinds["wavelet-conjugated"].base.matrix_form
+        padded = [kinds[k].pad != kinds[k].grid for k in kinds if k.startswith("convolution")]
+        assert True in padded and False in padded
         assert kinds["wavelet-conjugated"].base.pad == kinds["wavelet-conjugated"].base.grid
         grams = {k: kinds[k]._gram is not None for k in kinds if k.startswith("dense")}
         assert grams == {"dense": False, "dense-square": True, "dense-complex": True}
@@ -691,19 +690,20 @@ class TestNormalOperator:
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert validate_operator(K, n_probes=3)["worst_normal_defect"] <= 1e-13
 
-    @pytest.mark.parametrize("grid, pad, radius, matrix", [
+    # narrow as in test_matrix_form: each form meets narrow and wide bands
+    @pytest.mark.parametrize("grid, pad, radius, narrow", [
         ((5, 12), (10, 17), 0.35, True),
         ((8, 8), (16, 16), 0.3, True),
         ((16, 16), (16, 16), 0.1, True),
         ((7, 9), (7, 9), 0.3, False),
         ((12, 10), (24, 20), 0.45, False),
     ])
-    def test_convolution_against_explicit_matrix(self, grid, pad, radius, matrix):
+    def test_convolution_against_explicit_matrix(self, grid, pad, radius, narrow):
         # K as an explicit matrix from full complex FFTs of each unit
         # vector; K*K is its Gram matrix, not the convolution with the
         # squared response unless pad == grid
         K = Convolution2DOperator(grid, pad, radius_fraction=radius)
-        assert K.matrix_form is matrix
+        assert (4 * (K.band_y - 1) <= pad[0] and 4 * (K.band - 1) <= pad[1]) is narrow
         n = grid[0] * grid[1]
         columns = []
         for j in range(n):

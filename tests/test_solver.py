@@ -512,11 +512,14 @@ BROKEN_ENTRIES = {
     "fixed_point_residual": (lambda f, K: fixed_point_residual(
         np.zeros(20) if f is None else f, BROKEN_G, K, BROKEN_SPEC),
         ("apply", "adjoint", "normal")),
-    # the objective calls neither adjoint nor normal; it needs no norm bound
-    # and refuses a non-finite K f as an overflow
+    # the objective and the surrogate call neither adjoint nor normal; a
+    # non-finite K f is no overflow while K's bound times ||f|| is finite
     "objective": (lambda f, K: objective(np.zeros(20) if f is None else f, BROKEN_G, K,
                                          BROKEN_SPEC),
                   ("apply",)),
+    "surrogate_objective": (lambda f, K: surrogate_objective(
+        np.zeros(20) if f is None else f, BROKEN_F0[::-1], BROKEN_G, K, BROKEN_SPEC),
+        ("apply",)),
 }
 
 
@@ -536,9 +539,6 @@ class TestBrokenOperator:
             if method not in calls:
                 usual = call(f, random_contraction(np.random.default_rng(8), 20))
                 assert call(f, K) == usual
-            elif entry == "objective":
-                with pytest.raises((ParameterError, ContractViolationError)):
-                    call(f, K)
             else:
                 with pytest.raises(ContractViolationError,
                                    match=rf"K\.{method} returned a non-finite value"):
@@ -853,8 +853,8 @@ class TestScaleSweep:
 class TestHomogeneity:
     """At p = 2 the minimizer is linear in the data: data c g give c times the minimizer."""
 
-    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
-    def test_scaled_data_scale_the_minimizer(self, complex_data):
+    @staticmethod
+    def _problem(complex_data):
         rng = np.random.default_rng(17)
         M = rng.normal(size=(12, 12))
         g = rng.normal(size=12)
@@ -863,6 +863,11 @@ class TestHomogeneity:
             g = g + 1j * rng.normal(size=12)
         K = DenseOperator(M * (0.9 / np.linalg.norm(M, 2)))
         spec = PenaltySpec(p=2.0, weights=WeightSequence(rng.uniform(0.5, 2.0, 12)), mu=0.5)
+        return g, K, spec
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_scaled_data_scale_the_minimizer(self, complex_data):
+        g, K, spec = self._problem(complex_data)
         # a fixed number of steps from the zero start: the step rule would
         # stop at a scale-dependent point
         config = SolverConfig(max_iterations=200, step_tolerance=0.0)
@@ -879,6 +884,18 @@ class TestHomogeneity:
             got = solve(c * g, K, spec, config).minimizer.values
             assert np.all(np.isfinite(got))
             assert np.abs(got - c * base).max() <= 1e-12 * c * np.abs(base).max(), k
+
+    @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+    def test_scaled_data_scale_the_step_norms(self, complex_data):
+        # below about 1e-154 <d, d> turns subnormal or zero; the trace keeps
+        # the norm the step rule took, which does not underflow
+        g, K, spec = self._problem(complex_data)
+        config = SolverConfig(max_iterations=60, step_tolerance=0.0)
+        base = solve(g, K, spec, config).trace.step_norms
+        for c in (1e-160, 1e-170, 1e-200):
+            got = solve(c * g, K, spec, config).trace.step_norms
+            assert got.shape == base.shape
+            assert np.abs(got - c * base).max() <= 1e-12 * c * base.max(), c
 
 
 class TestComplexAndAsymmetric:
