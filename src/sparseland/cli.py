@@ -197,6 +197,8 @@ def _cmd_solve(opt: dict) -> int:
              if opt["operator"] == "diagonal" else DenseOperator(np.atleast_2d(entries)))
 
     renormalized = renormalize(K, data.ravel())
+    # the renormalized problem holds its own copy of the data
+    del data
     K, g = renormalized.operator, renormalized.data
     mu = opt["mu"] * renormalized.mu_scale
 

@@ -22,9 +22,9 @@ once, a dense matrix (kept as float64 or complex128, whatever dtype it
 came in) multiplies by its stored Gram matrix ``K^H K`` whenever it has
 no more columns than rows (a wide one keeps the default), a padded
 convolution computes it from the Gram matrices of its truncated DFT
-bases in one pass (see :class:`Convolution2DOperator`), a circular one
-with the squared response, and a scaled operator as
-``factor**2`` times its base's.
+bases in one pass (see :class:`Convolution2DOperator`), a circular
+one with the squared response, and a scaled operator as ``factor**2``
+times its base's while the base's bound squared is finite.
 """
 
 from __future__ import annotations
@@ -100,8 +100,11 @@ class DiagonalOperator(LinearOperatorHandle):
         self.entries = entries
         self._conj_entries = np.conj(entries)
         # conj(d) d keeps the entries' dtype, so normal returns the dtype
-        # adjoint(apply(f)) does; its imaginary part is exactly zero
-        self._normal_entries = self._conj_entries * entries
+        # adjoint(apply(f)) does; its imaginary part is exactly zero. It
+        # overflows for entries above about 1.34e154, which renormalize
+        # scales before squaring
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._normal_entries = self._conj_entries * entries
         super().__init__(entries.size, entries.size,
                          float(np.max(np.abs(entries))), domain_dtype=entries.dtype)
 
@@ -130,8 +133,10 @@ class DenseOperator(LinearOperatorHandle):
         matrix = check_values(matrix, "matrix entries", ndim=2, complex_ok=True)
         self.matrix = matrix
         self._adjoint = matrix.conj().T
-        self._gram = (self._adjoint.dot(matrix) if matrix.shape[1] <= matrix.shape[0]
-                      else None)
+        # overflows as conj(d) d does, see DiagonalOperator
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._gram = (self._adjoint.dot(matrix) if matrix.shape[1] <= matrix.shape[0]
+                          else None)
         # exact up to roundoff; tiny inflation keeps it an upper bound
         norm_bound = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
         super().__init__(matrix.shape[1], matrix.shape[0], norm_bound,
@@ -150,11 +155,19 @@ class DenseOperator(LinearOperatorHandle):
 
 
 class ScaledOperator(LinearOperatorHandle):
-    """A fixed multiple of another operator (used by renormalize)."""
+    """A fixed multiple of another operator (used by renormalize).
+
+    Its normal operator is ``factor**2`` times its base's, unless the
+    base's norm bound squared overflows: the base's ``normal`` may then
+    overflow too, and the default ``adjoint(apply(f))``, which scales
+    before it squares, gives the finite product.
+    """
 
     def __init__(self, base: LinearOperatorHandle, factor: float, norm_bound: float):
         self.base = base
         self.factor = check_real(factor, "factor")
+        self._square = (self.factor * self.factor
+                        if np.isfinite(base.norm_bound * base.norm_bound) else None)
         super().__init__(base.domain_len, base.image_len, norm_bound,
                          domain_dims=base.domain_dims,
                          domain_dtype=base.domain_dtype)
@@ -166,7 +179,9 @@ class ScaledOperator(LinearOperatorHandle):
         return self.factor * self.base.adjoint(g)
 
     def normal(self, f):
-        return (self.factor * self.factor) * self.base.normal(f)
+        if self._square is None:
+            return super().normal(f)
+        return self._square * self.base.normal(f)
 
 
 class Convolution2DOperator(LinearOperatorHandle):
@@ -187,10 +202,13 @@ class Convolution2DOperator(LinearOperatorHandle):
     disk's own rows and columns alone: one real FFT, no larger than the
     padded grid and at least twice the disk's extent on each axis, gives
     the autocorrelation, whose entries are overlap counts and are rounded
-    to those integers. They are placed at their circular offsets in
-    ``filter``, which is exactly 0.0 everywhere else. Dropping exact
-    zeros leaves the peak, and hence the norm bound, unchanged. The
-    geometry picks the form of a product:
+    to those integers. The operator keeps them only on the lags where
+    they are not zero, and each product reads only the band it
+    multiplies by. ``filter``, the response on the whole padded grid
+    (each value at its circular offset, exactly 0.0 everywhere else), is
+    built from the kept lags on each access. Dropping exact zeros leaves
+    the peak, and hence the norm bound, unchanged. The geometry picks
+    the form of a product:
 
     * A padded grid (``pad != grid``) takes the matrix form. The
       response is real and even along each axis, so the product of a
@@ -239,22 +257,37 @@ class Convolution2DOperator(LinearOperatorHandle):
         size = [min(n, 1 << (2 * len(f) - 2).bit_length()) for n, f in zip(pad, (fy, fx))]
         counts = np.rint(np.fft.irfft2(np.abs(np.fft.rfft2(disk, s=size)) ** 2, s=size))
         lag_y, lag_x = (np.arange(n) - n // 2 for n in size)
-        self.filter = np.zeros(pad)
-        self.filter[np.ix_(lag_y % pad[0], lag_x % pad[1])] = (
-            self.peak_response * counts / counts[0, 0])[np.ix_(lag_y, lag_x)]
+        response = (self.peak_response * counts / counts[0, 0])[np.ix_(lag_y, lag_x)]
+        # the lags where the autocorrelation is not zero, at their pad offsets
+        rows, cols = response.any(axis=1), response.any(axis=0)
+        self._lags = (lag_y[rows] % pad[0], lag_x[cols] % pad[1])
+        self._response = response[np.ix_(rows, cols)]
         if pad == grid:
-            self._rfilter = self.filter[:, : self.band].copy()
+            self._rfilter = self._corner((pad[0], self.band))
             self._rfilter_sq = self._rfilter * self._rfilter
         else:
             ky, self._fy = _real_dft_basis(self.band_y, pad[0], grid[0])
             kx, self._fx = _real_dft_basis(self.band, pad[1], grid[1])
             # a kept k stands for the pair +-k, but 0 and Nyquist for themselves
             wy, wx = (np.where((k == 0) | (2 * k == n), 1.0, 2.0) for k, n in zip((ky, kx), pad))
-            self._hhat = self.filter[np.ix_(ky, kx)] * np.outer(wy, wx) / (pad[0] * pad[1])
+            self._hhat = (self._corner((self.band_y, self.band))[np.ix_(ky, kx)]
+                          * np.outer(wy, wx) / (pad[0] * pad[1]))
             self._gy = self._fy @ self._fy.T
             self._gx = self._fx @ self._fx.T
         super().__init__(grid[0] * grid[1], grid[0] * grid[1], self.peak_response,
                          domain_dims=grid)
+
+    def _corner(self, shape: Tuple[int, int]) -> np.ndarray:
+        """The response at the padded grid's first ``shape`` frequencies of each axis."""
+        (ly, lx), out = self._lags, np.zeros(shape)
+        in_y, in_x = ly < shape[0], lx < shape[1]
+        out[np.ix_(ly[in_y], lx[in_x])] = self._response[np.ix_(in_y, in_x)]
+        return out
+
+    @property
+    def filter(self) -> np.ndarray:
+        """The response on the whole padded grid, built anew on each access."""
+        return self._corner(self.pad)
 
     def _convolve(self, f: np.ndarray, normal: bool = False) -> np.ndarray:
         """K f, or K*K f when ``normal``."""

@@ -184,7 +184,9 @@ class _Step:
         else:
             shrink = shrink_complex if h.dtype.kind == "c" else shrink_p
             if isinstance(self.weights, list):
-                out = np.empty_like(h)
+                # each run's shrink returns a new array before it
+                # overwrites its own slice of h
+                out = h
                 for run, w in self.weights:
                     out[run] = shrink(h[run], w, self.p)
             else:
@@ -362,7 +364,9 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     starting objective) raises ContractViolationError, because only a
     normal operator that is not K*K drifts that far (an apply that is
     not finite there is named instead). The fixed-point
-    residual reuses the held A f and costs no operator call.
+    residual reuses the held A f and costs no operator call. A booked
+    step and its r are released before the next step is taken, so the
+    loop holds one step's arrays at a time.
     """
     config = SolverConfig() if config is None else config
     f, dims, step, Af, disc, pen, norm = _start(g, K, spec, config, f0)
@@ -421,7 +425,8 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
                 discrepancies.extend(discs[1:].tolist())
                 penalties.extend(pens.tolist())
                 disc, pen = discrepancies[-1], penalties[-1]
-                fs, afs, quads = [f], [Af], []
+                # the booked step is released before the next is taken
+                fs, afs, quads, d, r = [f], [Af], [], None, None
             if converged:
                 status = STATUS_STEP
                 break

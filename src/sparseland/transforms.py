@@ -29,9 +29,11 @@ are the filter bank's entry for entry. During a transform the
 bands sit in place in one array, each level's in the corner the
 previous level's scaling band held; they are copied to or from the
 flat band order once. Each direction records its ufunc calls once per
-shape and spec, on a work array and scratch of its own, and later
-calls run that record: a thread keeps its own recent records, and
-every call returns a new array.
+shape and spec, and later calls run that record: a thread keeps its
+own recent records, and every call returns a new array. The records
+of one shape in one thread, analysis and synthesis alike, run on one
+work array and one scratch array: a run writes every entry of them
+before it reads it, and a thread runs one transform at a time.
 
 Every coefficient carries a scale label |lambda|, with the scaling band
 and the coarsest details at |lambda| = 0 and the finest details at
@@ -217,7 +219,7 @@ def _factor(h: np.ndarray, g: np.ndarray) -> _Lifting:
     direct[k, taps] = h
     direct[k + n // 2, taps] = g
     lifted = np.empty((n, n))
-    plan = _Plan(0)
+    plan = _Plan()
     _split(np.eye(n), lifted, 0, lifting, np.empty(3 * n * n // 2), plan)
     plan.run(None, None)
     defect = float(np.max(np.abs(lifted - direct)))
@@ -296,15 +298,14 @@ _CALL = _Call()
 class _Plan:
     """The ufunc calls of one transform, recorded once and run per call.
 
-    ``ops`` are (ufunc, args) pairs on the plan's own work and scratch
-    buffers. ``reads`` copy the call's input into those buffers before
-    ``ops`` run, and ``writes`` copy them into the call's output after;
-    each is (index, shape, view), the call's region being
-    array[index].reshape(shape). ``size`` counts the floats the plan holds.
+    ``ops`` are (ufunc, args) pairs on the work and scratch buffers the
+    plan was recorded on. ``reads`` copy the call's input into those
+    buffers before ``ops`` run, and ``writes`` copy them into the call's
+    output after; each is (index, shape, view), the call's region being
+    array[index].reshape(shape).
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         self.reads, self.ops, self.writes = [], [], []
 
     def call(self, ufunc, *args):
@@ -452,15 +453,18 @@ def _corner(shape: Tuple[int, ...], level: int) -> tuple:
     return tuple(slice(0, n >> level) for n in shape)
 
 
-def _analysis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
-    """Record dwt_array for one shape: the splits, then the band gather.
+def _buffers(shape: Tuple[int, ...]):
+    """A work array of ``shape`` and the 3/2 times larger scratch its splits need."""
+    return np.empty(shape), np.empty(3 * prod(shape) // 2)
+
+
+def _analysis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) -> _Plan:
+    """Record dwt_array for work's shape: the splits, then the band gather.
 
     The first split reads the call's input; the bands go from the work
     array to the call's flat output.
     """
-    work = np.empty(shape)
-    scratch = np.empty(3 * work.size // 2)
-    plan = _Plan(work.size + scratch.size)
+    shape, plan = work.shape, _Plan()
     for level in range(spec.levels):
         corner = work[_corner(shape, level)]
         for axis in reversed(range(len(shape))):
@@ -474,15 +478,13 @@ def _analysis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
     return plan
 
 
-def _synthesis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
-    """Record idwt_array for one shape: the band scatter, then the merges.
+def _synthesis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) -> _Plan:
+    """Record idwt_array for work's shape: the band scatter, then the merges.
 
     The bands go from the call's flat input to the work array; the
     last merge writes the call's output.
     """
-    work = np.empty(shape)
-    scratch = np.empty(3 * work.size // 2)
-    plan = _Plan(work.size + scratch.size)
+    shape, plan = work.shape, _Plan()
     pos = 0
     for band in _bands(shape, spec.levels):
         piece = work[band]
@@ -497,32 +499,43 @@ def _synthesis_plan(shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
 
 
 class _PlanCache(threading.local):
-    """The plans this thread recorded, least recently used first."""
+    """This thread's plans, least recently used first, and by shape the
+    (work, scratch) buffers they share."""
 
     def __init__(self):
         self.plans = {}
+        self.buffers = {}
 
 
 _PLANS = _PlanCache()
-# a thread keeps at most this many plans, of at most this many floats
-# each; a larger plan is recorded for its call alone, whose transform
-# then costs far more than recording it
+# a thread keeps at most this many plans, on buffers of at most this
+# many floats per shape; a larger plan is recorded on buffers of its
+# own for its call alone, whose transform then costs far more than
+# recording it
 _MAX_PLANS = 8
 _MAX_PLAN_SIZE = 2**20
 
 
 def _plan(record, shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
-    """The plan `record` makes for (shape, spec), from this thread's cache."""
-    plans = _PLANS.plans
+    """The plan `record` makes for (shape, spec), from this thread's cache.
+
+    A shape's buffers go with the last cached plan of that shape.
+    """
+    plans, buffers = _PLANS.plans, _PLANS.buffers
     key = (record, shape, spec)
     plan = plans.pop(key, None)
     if plan is None:
         _check_shape(shape, spec)
-        plan = record(shape, spec)
-        if plan.size > _MAX_PLAN_SIZE:
-            return plan
+        pair = buffers.get(shape) or _buffers(shape)
+        if pair[0].size + pair[1].size > _MAX_PLAN_SIZE:
+            return record(spec, *pair)
         if len(plans) >= _MAX_PLANS:
-            del plans[next(iter(plans))]
+            oldest = next(iter(plans))
+            del plans[oldest]
+            if all(other[1] != oldest[1] for other in plans):
+                del buffers[oldest[1]]
+        buffers[shape] = pair
+        plan = record(spec, *pair)
     plans[key] = plan
     return plan
 

@@ -70,6 +70,21 @@ class TestDiagonalOperator:
         assert DiagonalOperator(np.array([2, -3], dtype=np.int32)).norm_bound == 3.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, entries", [(DiagonalOperator, [1e200, 1.0]),
+                                           (DenseOperator, [[1e200, 0.0], [0.0, 1.0]])],
+                         ids=["diagonal", "dense"])
+def test_entries_beyond_the_square_root_of_the_float_limit(kind, entries):
+    # conj(d) d and the Gram matrix overflow at construction without a
+    # warning, and the renormalized problem scales before it squares
+    r = renormalize(kind(entries), [1.0, 1.0])
+    assert r.operator.norm_bound == 0.999
+    np.testing.assert_allclose(r.operator.normal([1.0, 1.0]), [0.999**2, 0.0], atol=1e-300)
+    res = solve(r.data, r.operator, PenaltySpec.uniform(1.0, 0.1, 2))
+    assert res.status == "converged_step"
+    assert np.isfinite(res.minimizer.values).all() and np.isfinite(res.trace.objectives).all()
+
+
 class TestDenseOperator:
     def test_norm_bound_from_spectral_norm(self):
         M = np.array([[3.0, 0.0], [4.0, 0.0]])
@@ -297,6 +312,25 @@ class TestConvolution2D:
         wavelet = Convolution2DOperator((256, 256), (256, 256), 0.3)
         assert (wavelet.band_y, wavelet.band) == (77, 77)
         assert wavelet.pad == wavelet.grid and not hasattr(wavelet, "_hhat")
+
+    @pytest.mark.parametrize("grid, pad, radius", [
+        ((256, 256), (256, 256), 0.3),   # the wavelet workload's geometry
+        ((256, 256), (512, 512), 0.1),   # the imaging default
+        ((64, 64), (64, 64), 0.3),
+        ((64, 64), (128, 128), 0.3),
+        ((5, 12), (10, 17), 0.35),
+    ])
+    def test_keeps_only_its_band(self, grid, pad, radius):
+        # where the band is narrower than the pad, no pad-sized response
+        # is kept; filter is built on each access
+        K = Convolution2DOperator(grid, pad, radius_fraction=radius)
+        assert "filter" not in vars(K)
+        kept = [v for v in vars(K).values() if isinstance(v, np.ndarray)]
+        assert max(v.size for v in kept) < pad[0] * pad[1]
+        np.testing.assert_allclose(K.filter, _disk_response(pad, radius),
+                                   rtol=0.0, atol=1e-15 * K.peak_response)
+        K.filter[...] = np.nan
+        assert np.isfinite(K.filter).all()
 
     def test_domain_dims(self):
         K = Convolution2DOperator((4, 6), (8, 12))
@@ -730,6 +764,12 @@ class TestNormalOperator:
         K = ScaledOperator(base, 0.25, norm_bound=0.25 * base.norm_bound)
         f = np.arange(4.0)
         np.testing.assert_array_equal(K.normal(f), 0.0625 * base.normal(f))
+        # where the base's bound squared overflows, the scaling comes
+        # before the square, so the product stays finite
+        for base in (DiagonalOperator([1e200, 1.0]), DenseOperator([[1e200, 0.0], [0.0, 1.0]])):
+            assert np.isinf(base.normal([1.0, 1.0])).any()
+            K = ScaledOperator(base, 1e-200, norm_bound=1.0)
+            np.testing.assert_allclose(K.normal([1.0, 1.0]), [1.0, 1e-400], rtol=1e-15)
 
     def test_checks_its_input(self):
         for K in _every_operator_kind().values():
