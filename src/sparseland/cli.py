@@ -8,7 +8,7 @@ converter, help) rows: the flag is the key with ``-`` for ``_``, and a
 flat ``key=value`` config file (UTF-8, ``#`` comments) may give the same
 key, passed through the same converter. Flags win over config entries.
 An option given neither way is left out of the library call, so the
-library's own default applies.
+library's own default applies; one the chosen mode never reads is refused.
 
 A subcommand imports the modules only it uses (the experiment, the
 bounds calculators, the wavelet transforms) when it runs. The solver
@@ -48,10 +48,12 @@ __all__ = ["main", "parse_config_file"]
 
 def parse_config_file(path) -> dict:
     """Flat key=value config; blank lines and '#' comments are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values = {}
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -173,11 +175,20 @@ def _load_array(path: str) -> np.ndarray:
     return _load_text(path)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(options: dict, *keys: str):
     missing = [k for k in keys if k not in options]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise ParameterError(f"missing required option(s): {flags}")
+        raise ParameterError(f"missing required option(s): {', '.join(map(_flag, missing))}")
+
+
+def _refuse(options: dict, key: str, context: str):
+    """An option the chosen mode never reads is an error, not dropped."""
+    if key in options:
+        raise ParameterError(f"{_flag(key)} is not read {context}")
 
 
 def _cmd_solve(opt: dict) -> int:
@@ -187,10 +198,13 @@ def _cmd_solve(opt: dict) -> int:
     if opt["operator"] == "convolution":
         if data.ndim != 2:
             raise ParameterError("convolution operator needs 2-d data")
+        _refuse(opt, "operator_file", "with --operator convolution")
         pad = opt.get("pad", 2 * max(data.shape))
         K = Convolution2DOperator(data.shape, (pad, pad),
                                   **_given(opt, radius_fraction="radius_fraction"))
     else:
+        for key in ("pad", "radius_fraction"):
+            _refuse(opt, key, f"with --operator {opt['operator']}")
         _require(opt, "operator_file")
         entries = _load_array(opt["operator_file"])
         K = (DiagonalOperator(np.atleast_1d(entries).ravel())
@@ -211,6 +225,7 @@ def _cmd_solve(opt: dict) -> int:
 
     p = opt.get("p", 1.0)
     if "weights" in opt:
+        _refuse(opt, "besov_s", "with --weights")
         weights = WeightSequence(np.atleast_1d(_load_array(opt["weights"])).ravel())
     elif "besov_s" in opt:
         if wavelet is None:
@@ -259,9 +274,12 @@ def _cmd_experiment(opt: dict) -> int:
     fields.update((key, (opt[key], opt[key])) for key in ("grid", "pad") if key in opt)
     if "p" in opt or "mu" in opt:
         _require(opt, "p", "mu")
+        _refuse(opt, "cases", "with --p and --mu")
         fields["cases"] = (CaseSpec("custom", opt["p"], opt["mu"],
                                     opt.get("project_nonnegative", False)),)
-    elif "cases" in opt:
+    else:
+        _refuse(opt, "project_nonnegative", "without --p and --mu")
+    if "cases" in opt:
         known = {c.name: c for c in DEFAULT_CASES}
         names = [n.strip() for n in opt["cases"].split(",") if n.strip()]
         bad = [n for n in names if n not in known]
@@ -341,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="key=value config file")
         for key, convert, text in options:
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             if convert is _parse_bool:
                 sp.add_argument(flag, action="store_true", help=text)
             else:

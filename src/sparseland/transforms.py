@@ -28,12 +28,11 @@ and synthesis writes it, and the signs into the scaling, so the bands
 are the filter bank's entry for entry. During a transform the
 bands sit in place in one array, each level's in the corner the
 previous level's scaling band held; they are copied to or from the
-flat band order once. Each direction records its ufunc calls once per
-shape and spec, and later calls run that record: a thread keeps its
-own recent records, and every call returns a new array. The records
-of one shape in one thread, analysis and synthesis alike, run on one
-work array and one scratch array: a run writes every entry of them
-before it reads it, and a thread runs one transform at a time.
+flat band order once. Both directions of a shape and spec are
+recorded once, as ufunc calls on one work array and one scratch array,
+and later calls run those records one at a time under one lock; a run
+writes every entry of the buffers before it reads it, and every call
+returns a new array.
 
 Every coefficient carries a scale label |lambda|, with the scaling band
 and the coarsest details at |lambda| = 0 and the finest details at
@@ -45,6 +44,7 @@ iteration shrink wavelet coefficients instead of pixels.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from math import prod
@@ -400,15 +400,21 @@ def _merge(src: np.ndarray, dst, axis: int, lifting: _Lifting, scratch: np.ndarr
             plan.copy(dst[_along(axis, slice(r, 2 * s, 2))], phase[_along(axis, slice(m - s, m))])
 
 
-def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec):
+def _check_shape(shape: Tuple[int, ...], spec: WaveletSpec) -> Tuple[int, ...]:
+    """The shape as ints once it fits ``spec``; before any plan lookup, as
+    (8.0, 8.0) would find the plans of (8, 8)."""
+    if not isinstance(spec, WaveletSpec):
+        raise ParameterError(f"wavelet spec must be a WaveletSpec, got {type(spec).__name__}")
     if len(shape) not in (1, 2):
         raise ParameterError("transform supports 1-d signals and 2-d grids only")
+    shape = tuple(check_count(n, "axis length", minimum=0) for n in shape)
     divisor = 2**spec.levels
     for n in shape:
         if n % divisor != 0 or n < divisor:
             raise AlignmentError(
                 f"axis length {n} is not divisible by 2^levels = {divisor}"
             )
+    return shape
 
 
 @dataclass
@@ -453,11 +459,6 @@ def _corner(shape: Tuple[int, ...], level: int) -> tuple:
     return tuple(slice(0, n >> level) for n in shape)
 
 
-def _buffers(shape: Tuple[int, ...]):
-    """A work array of ``shape`` and the 3/2 times larger scratch its splits need."""
-    return np.empty(shape), np.empty(3 * prod(shape) // 2)
-
-
 def _analysis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) -> _Plan:
     """Record dwt_array for work's shape: the splits, then the band gather.
 
@@ -498,52 +499,32 @@ def _synthesis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) ->
     return plan
 
 
-class _PlanCache(threading.local):
-    """This thread's plans, least recently used first, and by shape the
-    (work, scratch) buffers they share."""
-
-    def __init__(self):
-        self.plans = {}
-        self.buffers = {}
-
-
-_PLANS = _PlanCache()
-# a thread keeps at most this many plans, on buffers of at most this
-# many floats per shape; a larger plan is recorded on buffers of its
-# own for its call alone, whose transform then costs far more than
-# recording it
-_MAX_PLANS = 8
+# a (shape, spec) whose work and scratch buffers hold more than this
+# many floats is recorded for its call alone: its transform then costs
+# far more than recording it
 _MAX_PLAN_SIZE = 2**20
+_LOCK = threading.Lock()
 
 
-def _plan(record, shape: Tuple[int, ...], spec: WaveletSpec) -> _Plan:
-    """The plan `record` makes for (shape, spec), from this thread's cache.
+@functools.lru_cache(maxsize=4)
+def _plans(shape: Tuple[int, ...], spec: WaveletSpec) -> Tuple[_Plan, _Plan]:
+    """The analysis and synthesis plans of (shape, spec), recorded on one
+    work array of ``shape`` and the 3/2 times larger scratch its splits need."""
+    work, scratch = np.empty(shape), np.empty(3 * prod(shape) // 2)
+    return _analysis_plan(spec, work, scratch), _synthesis_plan(spec, work, scratch)
 
-    A shape's buffers go with the last cached plan of that shape.
-    """
-    plans, buffers = _PLANS.plans, _PLANS.buffers
-    key = (record, shape, spec)
-    plan = plans.pop(key, None)
-    if plan is None:
-        _check_shape(shape, spec)
-        pair = buffers.get(shape) or _buffers(shape)
-        if pair[0].size + pair[1].size > _MAX_PLAN_SIZE:
-            return record(spec, *pair)
-        if len(plans) >= _MAX_PLANS:
-            oldest = next(iter(plans))
-            del plans[oldest]
-            if all(other[1] != oldest[1] for other in plans):
-                del buffers[oldest[1]]
-        buffers[shape] = pair
-        plan = record(spec, *pair)
-    plans[key] = plan
-    return plan
+
+def _run(direction: int, x: np.ndarray, out: np.ndarray, shape, spec) -> np.ndarray:
+    """Run the analysis (0) or synthesis (1) plan of a checked (shape, spec)."""
+    plans = _plans.__wrapped__ if 5 * prod(shape) // 2 > _MAX_PLAN_SIZE else _plans
+    with _LOCK:
+        return plans(shape, spec)[direction].run(x, out)
 
 
 def dwt_array(x: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Forward transform of a 1-d or 2-d array into flat band order."""
     a = check_array(x, "wavelet transform input").astype(np.float64, copy=False)
-    return _plan(_analysis_plan, a.shape, spec).run(a, np.empty(a.size))
+    return _run(0, a, np.empty(a.size), _check_shape(a.shape, spec), spec)
 
 
 def idwt_array(values: np.ndarray, spec: WaveletSpec,
@@ -553,11 +534,10 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
     if values.ndim != 1:
         raise AlignmentError(
             f"coefficients must be a flat 1-d array, got shape {values.shape}")
-    shape = tuple(shape)
-    plan = _plan(_synthesis_plan, shape, spec)
+    shape = _check_shape(tuple(shape), spec)
     if values.size != prod(shape):
         raise AlignmentError(f"expected {prod(shape)} coefficients, got {values.size}")
-    return plan.run(values, np.empty(shape))
+    return _run(1, values, np.empty(shape), shape, spec)
 
 
 def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
@@ -571,13 +551,8 @@ def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
         arr = signal.as_grid() if signal.dims is not None else signal.values
     else:
         arr = check_values(signal, "wavelet transform input", ndim=None)
-    values = dwt_array(arr, spec)
-    return WaveletCoefficients(
-        values=values,
-        scales=_scale_labels(arr.shape, spec),
-        spec=spec,
-        shape=tuple(arr.shape),
-    )
+    return WaveletCoefficients(dwt_array(arr, spec), _scale_labels(arr.shape, spec), spec,
+                               tuple(arr.shape))
 
 
 def idwt(coefficients: WaveletCoefficients) -> np.ndarray:
@@ -631,20 +606,26 @@ class _ConjugatedOperator(LinearOperatorHandle):
     synthesis, adjoint = analysis o K_pixel*, and normal = analysis o
     K_pixel.normal o synthesis. The transform is orthonormal, so the
     certified norm bound carries over unchanged. The ``scales``
-    attribute aligns with the operator's domain, ready for
+    property aligns with the operator's domain, ready for
     :func:`besov_weights`. Build it with :func:`conjugated_operator`.
     """
 
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
-        shape = base.domain_dims or (base.domain_len,)
-        _check_shape(shape, spec)
-        if int(np.prod(shape)) != base.domain_len:
+        if not isinstance(base, LinearOperatorHandle):
+            raise ParameterError(
+                f"base operator must be a LinearOperatorHandle, got {type(base).__name__}")
+        shape = _check_shape(base.domain_dims or (base.domain_len,), spec)
+        if prod(shape) != base.domain_len:
             raise AlignmentError("base operator dims do not match its domain length")
         self.base = base
         self.spec = spec
-        self.shape = tuple(shape)
-        self.scales = _scale_labels(self.shape, spec)
+        self.shape = shape
         super().__init__(base.domain_len, base.image_len, base.norm_bound)
+
+    @property
+    def scales(self) -> np.ndarray:
+        """Scale label of each coefficient, built on each access."""
+        return _scale_labels(self.shape, self.spec)
 
     def apply(self, z):
         z = self._check(z, self.domain_len, "operator domain")

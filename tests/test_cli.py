@@ -66,6 +66,73 @@ class TestConfigFile:
         assert "expected one of diagonal, dense, convolution" in err
 
 
+class TestConfigNotUtf8:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"p=\xff\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
+# (subcommand, options as key: config text, the unread option, what rules it out)
+UNREAD = {
+    "operator-file-with-convolution": (
+        "solve", {"operator": "convolution", "operator_file": "op.txt"},
+        "--operator-file", "--operator convolution"),
+    "radius-with-diagonal": (
+        "solve", {"operator": "diagonal", "operator_file": "op.txt", "radius_fraction": "0.3"},
+        "--radius-fraction", "--operator diagonal"),
+    "pad-with-dense": (
+        "solve", {"operator": "dense", "operator_file": "op.txt", "pad": "16"},
+        "--pad", "--operator dense"),
+    "besov-with-weights": (
+        "solve", {"operator": "diagonal", "operator_file": "op.txt", "weights": "w.txt",
+                  "besov_s": "1"},
+        "--besov-s", "--weights"),
+    "besov-with-weights-in-wavelet-mode": (
+        "solve", {"operator": "diagonal", "operator_file": "op.txt", "weights": "w.txt",
+                  "besov_s": "1", "wavelet": "haar:1"},
+        "--besov-s", "--weights"),
+    "cases-with-custom-case": (
+        "experiment", {"p": "1.5", "mu": "0.01", "cases": "l2"}, "--cases", "--p and --mu"),
+    "projection-without-custom-case": (
+        "experiment", {"project_nonnegative": "yes"},
+        "--project-nonnegative", "without --p and --mu"),
+}
+
+
+class TestUnreadOptions:
+    """An option the chosen mode never reads exits 2, as a flag or a config entry."""
+
+    @pytest.mark.parametrize("given", ["flags", "config"])
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_exits_2_naming_both_options(self, tmp_path, capsys, case, given):
+        command, options, unread, rule = UNREAD[case]
+        for name in ("op.txt", "w.txt", "data.txt"):
+            (tmp_path / name).write_text("0.5 0.5\n0.5 0.5\n")
+        options = {key: str(tmp_path / text) if text.endswith(".txt") else text
+                   for key, text in options.items()}
+        argv = [command, "--output-dir", str(tmp_path / "o")]
+        if command == "solve":
+            argv += ["--data", str(tmp_path / "data.txt"), "--mu", "0.1"]
+        if given == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key}={text}\n" for key, text in options.items()))
+            argv += ["--config", str(cfg)]
+        else:
+            for key, text in options.items():
+                argv.append("--" + key.replace("_", "-"))
+                if key != "project_nonnegative":
+                    argv.append(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {unread} is not read" in err and rule in err
+        assert not (tmp_path / "o").exists()
+
+
 # (subcommand, key, converter) for every option row of every subcommand
 OPTION_ROWS = [(command, key, convert)
                for command, (_, _, rows) in cli._COMMANDS.items()

@@ -14,6 +14,7 @@ from sparseland.operators import Convolution2DOperator, DiagonalOperator
 from sparseland.solver import SolverConfig, solve
 from sparseland.transforms import (
     BesovWeightSpec,
+    WaveletCoefficients,
     WaveletSpec,
     besov_weights,
     conjugated_operator,
@@ -395,20 +396,21 @@ class TestBesovWeights:
 class TestConjugatedOperator:
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
                         reason="the bound counts numpy 2's FFT temporaries")
-    def test_solve_peak_in_coefficient_arrays(self, monkeypatch):
+    def test_solve_peak_in_coefficient_arrays(self):
         # a cold solve: plans are recorded, the operator is built, and 20
         # steps run at p = 3/2 with Besov weights. Its traced peak read
         # 50.6 coefficient arrays while each transform direction kept
         # buffers of its own (2.5 arrays) and the convolution a pad-sized
         # filter (1 array), and 47.5 without them (CPython 3.11, numpy
-        # 2.4). The bound lies halfway between
+        # 2.4). The bound lies halfway between. With the operator's int64
+        # scale labels built on access it reads 46.2
         n = 64
         yy, xx = np.mgrid[0:n, 0:n]
         centres = np.random.default_rng(40).uniform(8, 56, (5, 2))
         g = sum(np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / 8.0) for cy, cx in centres)
 
         def run():
-            monkeypatch.setattr(transforms, "_PLANS", transforms._PlanCache())
+            transforms._plans.cache_clear()
             K = conjugated_operator(Convolution2DOperator((n, n), (n, n), 0.3),
                                     WaveletSpec("db2", 3))
             w = besov_weights(BesovWeightSpec(1.0, 1.5, 2), K.scales)
@@ -466,6 +468,7 @@ class TestConjugatedOperator:
         C = conjugated_operator(K, WaveletSpec("haar", 2))
         assert C.scales.size == C.domain_len == 64
         assert C.shape == (8, 8)
+        assert "scales" not in vars(C)  # built on each access, not held
 
     def test_complex_input_rejected(self):
         C = conjugated_operator(Convolution2DOperator((8, 8), (16, 16)),
@@ -497,6 +500,42 @@ class TestConjugatedOperator:
         res_coeff = solve(g, C, pen, cfg)
         recon = idwt_array(res_coeff.minimizer.values, spec_w, (16,))
         np.testing.assert_allclose(recon, res_pixel.minimizer.values, atol=1e-10)
+
+
+class TestArgumentTypes:
+    """An argument of the wrong type raises a library error."""
+
+    def test_spec_that_is_not_a_wavelet_spec(self):
+        x = np.ones((8, 8))
+        v = dwt(x, WaveletSpec("db2", 1))
+        calls = [lambda: dwt(x, "db2"),
+                 lambda: dwt_array(x, "db2"),
+                 lambda: idwt(WaveletCoefficients(v.values, v.scales, "db2", (8, 8))),
+                 lambda: idwt_array(v.values, "db2", (8, 8)),
+                 lambda: conjugated_operator(Convolution2DOperator((8, 8), (16, 16)), "db2")]
+        for call in calls:
+            with pytest.raises(ParameterError, match="must be a WaveletSpec, got str"):
+                call()
+
+    def test_base_that_is_not_an_operator(self):
+        with pytest.raises(ParameterError,
+                           match="base operator must be a LinearOperatorHandle, got ndarray"):
+            conjugated_operator(np.eye(4), WaveletSpec("haar", 1))
+
+    @pytest.mark.parametrize("shape", [(8.0, 8.0), (8, 8.0), (True, 8), ("8", 8)])
+    def test_axis_length_that_is_not_an_integer(self, shape):
+        # (8.0, 8.0) hashes like (8, 8), whose plans are cached by now
+        spec = WaveletSpec("db2", 1)
+        v = dwt(np.ones((8, 8)), spec)
+        with pytest.raises(ParameterError, match="axis length must be an integer"):
+            idwt(WaveletCoefficients(v.values, v.scales, spec, shape))
+
+    def test_integer_axis_lengths_of_any_type(self):
+        spec = WaveletSpec("db2", 1)
+        v = dwt(np.arange(64.0).reshape(8, 8), spec)
+        want = idwt(v).tobytes()
+        for shape in ((np.int64(8), np.int32(8)), [8, 8], np.array([8, 8])):
+            assert idwt_array(v.values, spec, shape).tobytes() == want
 
 
 def _band_slices(shape, levels):
@@ -565,7 +604,7 @@ def _unlift(values, spec, shape):
 
 
 class TestRecordedPlans:
-    """Each direction, shape and spec records its ufunc calls once per thread."""
+    """Both directions of a shape and spec are recorded once and run under one lock."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bits_of_the_direct_lifting(self, family):
@@ -588,30 +627,34 @@ class TestRecordedPlans:
     def test_specs_of_one_shape_keep_their_own_plans(self):
         shape = (16, 16)
         specs = [WaveletSpec(family, levels) for family in FAMILIES for levels in (1, 2)]
-        plans = [transforms._plan(transforms._analysis_plan, shape, spec) for spec in specs]
-        assert len({id(plan) for plan in plans}) == len(specs)
+        plans = [plan for spec in specs for plan in transforms._plans(shape, spec)]
+        assert len({id(plan) for plan in plans}) == 2 * len(specs)
         x = np.random.default_rng(31).normal(size=shape)
         for spec in specs + specs[::-1]:
             assert dwt_array(x, spec).tobytes() == _lift(x, spec).tobytes()
 
     def test_threads_get_the_single_thread_bytes(self):
-        spec, shape = WaveletSpec("db2", 2), (32, 32)
+        # four threads interleave two shapes and two specs from a cold
+        # cache, so plans are recorded while other threads run theirs
         rng = np.random.default_rng(32)
-        xs = [rng.normal(size=shape) for _ in range(4)]
+        cases = [(spec, shape, rng.normal(size=shape))
+                 for spec in (WaveletSpec("db2", 2), WaveletSpec("db3", 1))
+                 for shape in ((32, 32), (16, 64))]
         want = [(dwt_array(x, spec).tobytes(), idwt_array(x.ravel(), spec, shape).tobytes())
-                for x in xs]
+                for spec, shape, x in cases]
         mismatches = []
 
         def transform(k):
             try:
                 for i in range(200):
-                    x, (fwd, inv) = xs[(i + k) % 4], want[(i + k) % 4]
+                    (spec, shape, x), (fwd, inv) = cases[(i + k) % 4], want[(i + k) % 4]
                     if (dwt_array(x, spec).tobytes() != fwd
                             or idwt_array(x.ravel(), spec, shape).tobytes() != inv):
                         mismatches.append((k, i))
             except Exception as exc:  # reported by the assertion below
                 mismatches.append(exc)
 
+        transforms._plans.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -624,6 +667,17 @@ class TestRecordedPlans:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+    def test_calls_wait_for_the_lock(self):
+        spec, x = WaveletSpec("haar", 1), np.ones(8)
+        dwt_array(x, spec)  # recorded outside the lock held below
+        done = threading.Event()
+        thread = threading.Thread(target=lambda: (dwt_array(x, spec), done.set()))
+        with transforms._LOCK:
+            thread.start()
+            assert not done.wait(0.2)
+        thread.join(timeout=60)
+        assert done.is_set()
 
     def test_writing_a_returned_array_changes_no_later_call(self):
         spec, shape = WaveletSpec("db3", 2), (16, 8)
@@ -638,45 +692,48 @@ class TestRecordedPlans:
 
     def test_cache_stays_bounded(self, monkeypatch):
         spec = WaveletSpec("haar", 1)
-        for n in range(2, 80, 2):
+        for n in range(2, 82, 2):
             dwt_array(np.ones(n), spec)
             idwt_array(np.ones(n), spec, (n,))
-            assert len(transforms._PLANS.plans) <= transforms._MAX_PLANS
-            # evicting the last plan of a shape drops that shape's buffers
-            assert set(transforms._PLANS.buffers) == {key[1] for key in transforms._PLANS.plans}
-        # a plan above the size bound serves its call on buffers of its
-        # own, and neither is kept
+            info = transforms._plans.cache_info()
+            assert info.currsize <= info.maxsize
+        # each idwt_array call ran the pair its shape's dwt_array call recorded
+        assert info.currsize == info.maxsize and info.hits >= 40
+        # a shape above the size bound is served by plans recorded for
+        # its call alone, which the cache neither looks up nor keeps
         monkeypatch.setattr(transforms, "_MAX_PLAN_SIZE", 100)
+        transforms._plans.cache_clear()
         x = np.random.default_rng(34).normal(size=(8, 8))
         for _ in range(2):
             assert dwt_array(x, spec).tobytes() == _lift(x, spec).tobytes()
-            assert (transforms._analysis_plan, (8, 8), spec) not in transforms._PLANS.plans
-            assert (8, 8) not in transforms._PLANS.buffers
+            assert idwt_array(x.ravel(), spec, (8, 8)).tobytes() == \
+                _unlift(x.ravel(), spec, (8, 8)).tobytes()
+        assert transforms._plans.cache_info()[:2] == (0, 0)  # no hit, no miss
+        assert transforms._plans.cache_info().currsize == 0
 
-    def test_directions_of_a_shape_share_their_buffers(self, monkeypatch):
-        monkeypatch.setattr(transforms, "_PLANS", transforms._PlanCache())
+    def test_directions_of_a_shape_share_their_buffers(self):
         shape = (32, 16)
         specs = (WaveletSpec("db2", 3), WaveletSpec("db4", 1))
-        plans = [transforms._plan(record, shape, spec)
-                 for record in (transforms._analysis_plan, transforms._synthesis_plan)
-                 for spec in specs]
-        buffers = [_buffers_of(plan) for plan in plans]
-        assert all(len(b) == 2 for b in buffers)
-        for others in buffers[1:]:
-            assert all(any(np.shares_memory(a, b) for b in others) for a in buffers[0])
-        # so a call must read no entry that an earlier call of the other
-        # direction or spec left there: interleaved calls give the bytes
-        # of calls from a fresh cache
+        buffers = [[_buffers_of(plan) for plan in transforms._plans(shape, spec)]
+                   for spec in specs]
+        for analysis, synthesis in buffers:
+            assert len(analysis) == len(synthesis) == 2
+            assert all(any(np.shares_memory(a, b) for b in synthesis) for a in analysis)
+        # each spec records on buffers of its own
+        assert not any(np.shares_memory(a, b) for a in buffers[0][0] for b in buffers[1][0])
+        # a call must read no entry that an earlier call of the other
+        # direction left there: interleaved calls give the bytes of calls
+        # from a fresh cache
         rng = np.random.default_rng(35)
         xs = [rng.normal(size=shape) for _ in range(2)]
         want = {}
         for spec in specs:
             for i, x in enumerate(xs):
-                monkeypatch.setattr(transforms, "_PLANS", transforms._PlanCache())
+                transforms._plans.cache_clear()
                 want[spec, "dwt", i] = dwt_array(x, spec).tobytes()
-                monkeypatch.setattr(transforms, "_PLANS", transforms._PlanCache())
+                transforms._plans.cache_clear()
                 want[spec, "idwt", i] = idwt_array(x.ravel(), spec, shape).tobytes()
-        monkeypatch.setattr(transforms, "_PLANS", transforms._PlanCache())
+        transforms._plans.cache_clear()
         for _ in range(2):
             for i, x in enumerate(xs):
                 for spec in specs + specs[::-1]:
