@@ -178,6 +178,11 @@ class TestTripleNorm:
         with pytest.raises(AlignmentError):
             triple_norm(np.ones(4), spec)
 
+    @pytest.mark.parametrize("spec", ["x", -1, None])
+    def test_spec_must_be_a_penalty_spec(self, spec):
+        with pytest.raises(ParameterError, match="penalty spec must be a PenaltySpec"):
+            triple_norm(np.ones(3), spec)
+
     @given(
         p=st.floats(1.0, 2.0),
         f=hnp.arrays(np.float64, st.integers(1, 12),
@@ -219,6 +224,11 @@ class TestPenaltyValue:
     def test_complex_uses_modulus(self):
         spec = PenaltySpec.uniform(p=2.0, mu=1.0, n=1)
         assert penalty_value(np.array([3.0 + 4.0j]), spec) == pytest.approx(25.0)
+
+    @pytest.mark.parametrize("spec", ["x", -1, None])
+    def test_spec_must_be_a_penalty_spec(self, spec):
+        with pytest.raises(ParameterError, match="penalty spec must be a PenaltySpec"):
+            penalty_value(np.ones(3), spec)
 
 
 class TestOverflowRefused:

@@ -1127,6 +1127,22 @@ class TestBlockBookkeeping:
             assert iterations % m != 0
         assert (status == solver.STATUS_STEP) == ("step-stop" in case)
 
+    def test_one_row_books_keep_the_solve_peak(self, traced_peak):
+        # 5 steps of a padded 128^2 convolution solve, whose blocks are one
+        # row: its traced peak read 10.0 grid arrays, and 16.0 with the
+        # one-row form switched off (the batched form stacks the iterates
+        # and their differences; CPython 3.11, numpy 2.4). The bound lies
+        # halfway between
+        n = 128
+        yy, xx = np.mgrid[0:n, 0:n]
+        centres = np.random.default_rng(41).uniform(16, 112, (5, 2))
+        g = sum(np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / 16.0) for cy, cx in centres).ravel()
+        K = Convolution2DOperator((n, n), (2 * n, 2 * n), 0.1)
+        spec = PenaltySpec.uniform(p=1.0, mu=1e-3, n=n * n)
+        config = SolverConfig(max_iterations=5, step_tolerance=0.0)
+        assert _block_length(n * n) == 1
+        assert traced_peak(lambda: solve(g, K, spec, config)) / (8 * n * n) < 13.0
+
     @pytest.mark.parametrize("seed, p, iteration", [(3, 1.0, 17), (0, 1.0, 69)])
     def test_descent_violation_named_as_the_per_iteration_loop_names_it(
             self, seed, p, iteration):
