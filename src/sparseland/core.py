@@ -89,9 +89,13 @@ def check_array(values, name: str, complex_ok: bool = False) -> np.ndarray:
     not cast, copied or checked for finiteness: the per-iteration inputs
     (shrinkage, operator products, the array transforms) and the grid
     writers take it as it is, and every other value array goes through
-    :func:`check_values`.
+    :func:`check_values`. Input numpy cannot shape, such as a ragged
+    list, raises ParameterError.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ParameterError(f"{name} must form an array: {exc}") from None
     if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
         what = "numbers" if complex_ok else "real numbers"
         raise ParameterError(f"{name} must be {what}, got dtype {arr.dtype}")
@@ -193,9 +197,11 @@ class CoefficientVector:
 
 def as_coefficients(f) -> CoefficientVector:
     """Coerce an array_like or CoefficientVector into a CoefficientVector."""
-    if isinstance(f, CoefficientVector):
-        return f
-    return CoefficientVector(values=np.asarray(f))
+    return f if isinstance(f, CoefficientVector) else CoefficientVector(values=f)
+
+
+# weights whose constant runs average this many entries are read run by run
+_MIN_RUN = 8192
 
 
 @dataclass(frozen=True)
@@ -204,19 +210,33 @@ class WeightSequence:
 
     The lower bound ``c`` is ``min(w)``, derived and read-only. It is what
     turns the weighted penalty into a norm that controls the plain
-    Euclidean norm. The one value all weights share, if any, is recorded
-    once (None otherwise); the penalty and the solver's shrink read it.
+    Euclidean norm. The weights' constant runs, ``((slice, value), ...)``,
+    are found once, where all weights are one value or the runs average
+    _MIN_RUN entries (None otherwise), as Besov weights in band order do
+    (one value per scale). The penalty and the solver's shrink read them
+    and make no temporaries for a weight array: the ``wavelet``
+    benchmark's three runs average 21,845 entries, and its
+    ``peak_rss_mb`` reads 69.47 MB with runs in the shrink against 70.95
+    MB without (10 of 10 pairs, ``BENCH_31.json``). A run costs one
+    shrink call (2-16 us), hence the minimum average length.
     """
 
     w: np.ndarray
     c: float = field(init=False)
-    _value: Optional[float] = field(init=False, repr=False, compare=False)
+    _runs: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = check_values(self.w, "weights", lower="positive")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", float(w.min()))
-        object.__setattr__(self, "_value", float(w[0]) if (w == w[0]).all() else None)
+        changes = w[1:] != w[:-1]
+        count = np.count_nonzero(changes)
+        runs = None
+        if count == 0 or (count + 1) * _MIN_RUN <= w.size:
+            bounds = [0, *(np.flatnonzero(changes) + 1).tolist(), w.size]
+            runs = tuple((slice(start, stop), float(w[start]))
+                         for start, stop in zip(bounds, bounds[1:]))
+        object.__setattr__(self, "_runs", runs)
 
     @classmethod
     def uniform(cls, n: int) -> "WeightSequence":
@@ -288,18 +308,21 @@ class ObjectiveBreakdown:
 # the consistency rules of a problem (f, g, K, spec), shared by the
 # objective, the surrogate, renormalize and the solver's one start
 
-def check_kinds(K=..., spec=..., config=...):
-    """Raise ParameterError unless K is a LinearOperatorHandle, spec a PenaltySpec
-    and config a SolverConfig; an argument left out is not checked."""
+def check_kinds(K=..., spec=..., config=..., experiment=...):
+    """Raise ParameterError unless K is a LinearOperatorHandle, spec a PenaltySpec, config
+    a SolverConfig and experiment an ExperimentConfig; one left out is not checked."""
     kinds = [(spec, PenaltySpec, "penalty spec")]
-    # operators and solver import this module, so their classes load
-    # here, and only for a value of their kind
+    # operators, solver and experiment import this module, so their
+    # classes load here, and only for a value of their kind
     if K is not ...:
         from .operators import LinearOperatorHandle
         kinds.append((K, LinearOperatorHandle, "operator K"))
     if config is not ...:
         from .solver import SolverConfig
         kinds.append((config, SolverConfig, "solver config"))
+    if experiment is not ...:
+        from .experiment import ExperimentConfig
+        kinds.append((experiment, ExperimentConfig, "experiment config"))
     for value, kind, name in kinds:
         if value is not ... and not isinstance(value, kind):
             raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -399,7 +422,8 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec):
     The caller guarantees float64 or complex128 values, a length matching
     ``spec`` and real values whenever the weights are asymmetric. A 1-d
     array gives a float; the rows of a 2-d array give an array of their
-    penalties, each with the bits of that row's own call.
+    penalties, each with the bits of that row's own call. Weight runs
+    multiply their slices of the terms, with the bits of w * terms.
     """
     p = spec.p
     if spec.asymmetric is not None:
@@ -409,11 +433,16 @@ def penalty_sum(values: np.ndarray, spec: PenaltySpec):
         total = spec.mu * (np.add.reduce(wp.w * _powers(pos, p), axis=-1)
                            + np.add.reduce(wm.w * _powers(neg, p), axis=-1))
     else:
-        # |x|**2.0 == x * x, and unit weights skip the multiply: 1.0 * x == x
+        # |x|**2.0 == x * x
         terms = (values * values if p == 2.0 and values.dtype.char == "d"
                  else _powers(np.abs(values), p))
-        if spec.weights._value != 1.0:
+        runs = spec.weights._runs
+        if runs is None:
             np.multiply(spec.weights.w, terms, out=terms)
+        else:
+            for run, value in runs:
+                if value != 1.0:  # 1.0 * x == x
+                    np.multiply(terms[..., run], value, out=terms[..., run])
         # np.add.reduce is the pairwise sum np.sum runs, without its dispatch
         total = spec.mu * np.add.reduce(terms, axis=-1)
     return total if values.ndim > 1 else float(total)

@@ -22,8 +22,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import _EXPORTS, __version__
-from .core import (PenaltySpec, check_count, check_exponent, check_real, check_shape,
-                   check_values)
+from .core import (PenaltySpec, check_count, check_exponent, check_kinds, check_real,
+                   check_shape, check_values)
 from .errors import ParameterError
 from .gridio import _write_table, write_grid, write_pgm, write_trace_csv
 from .operators import Convolution2DOperator, _check_geometry
@@ -146,6 +146,7 @@ class ExperimentConfig:
 
 def make_phantom(config: ExperimentConfig) -> np.ndarray:
     """Render the four-source phantom, slightly Gaussian smoothed."""
+    check_kinds(experiment=config)
     rows, cols = config.grid
     yy = np.arange(rows)[:, None]
     xx = np.arange(cols)[None, :]
@@ -293,6 +294,7 @@ def _config_hash(config: ExperimentConfig) -> str:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline; write files only if output_dir is set."""
+    # make_phantom checks the config's kind
     phantom = make_phantom(config)
     K = Convolution2DOperator(config.grid, config.pad, config.radius_fraction)
     clean = np.maximum(K.apply(phantom.ravel()).reshape(config.grid), 0.0)

@@ -174,17 +174,25 @@ def write_trace_csv(path, trace, comment: Optional[str] = None):
 
 
 def read_trace_csv(path) -> dict:
+    """A CSV table's columns by name; a row not of one number per column raises."""
     rows = []
     header = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
             header = line.split(",")
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(header):
+            raise ParameterError(f"{path}, line {number}: expected {len(header)} numbers, "
+                                 f"got {line!r}")
+        rows.append(row)
     if header is None:
         raise ParameterError("trace file has no header")
-    table = np.asarray(rows)
+    table = np.array(rows).reshape(-1, len(header))
     return {name: table[:, i] for i, name in enumerate(header)}

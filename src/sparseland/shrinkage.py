@@ -238,7 +238,7 @@ def shrink_complex(z, w, p):
     with v = w 4^(p-2), or, for r/4 = inf, as its limit: 1 for p < 2,
     1/(1 + w) at p = 2.
     """
-    arr = np.asarray(z)
+    arr = check_array(z, "shrinkage input", complex_ok=True)
     if arr.dtype.kind != "c":
         return shrink_p(arr, w, p)
     moduli = np.abs(arr)

@@ -29,7 +29,6 @@ from . import _EXPORTS
 from .core import (
     CoefficientVector,
     PenaltySpec,
-    WeightSequence,
     as_coefficients,
     check_asymmetric,
     check_contraction,
@@ -54,10 +53,6 @@ _DESCENT_SLACK = 1e-12
 # the running discrepancy may drift from the re-anchored one by this much
 # relative to 1 + the starting objective; a wrong normal operator drifts further
 _ANCHOR_SLACK = 1e-10
-
-# weights constant on contiguous runs of this average length or more are
-# shrunk run by run with float weights (see _constant_runs)
-_MIN_RUN = 8192
 
 # the loop books the discrepancy, penalty, surrogate and descent check
 # once per block of up to this many iterations, stacking at most this
@@ -145,23 +140,18 @@ class _Step:
     """The step map f -> P(S(f + b - A f)) of one problem, b = K*g, A = K*K.
 
     Built once per problem. It holds g, b, the effective shrinkage weights
-    mu * w (a (plus, minus) pair for asymmetric weights) and the optional
-    nonnegativity projection P. Effective weights that are all one
-    finite positive number are held as that Python float, which the
-    shrink checks by one comparison per call instead of a pass over an
-    array (``small_dense``: 98.7k against 62.7k iterations/s, 9 of 10
-    pairs, ``BENCH_31.json``); mu * w can leave that range although mu
-    and w are valid, so it is checked here, once, and weights that fail
-    stay an array for the shrink to reject. Symmetric weights that are
-    constant on long contiguous runs, such as Besov weights in wavelet
-    band order (one value per scale), are held as a list of (slice,
-    float) runs, and each run is shrunk on its own with its float (see
-    :func:`_constant_runs`). A float broadcasts to the same value in
-    every element, so outputs are bit-for-bit those of the array (but
-    for the sign of zero at p = 1 and w = 5e-324, see
-    ``shrinkage._soft``). Calls take A f, so a caller that already
-    holds it pays no operator call, and return the stepped point with
-    r = b - A f.
+    mu * w and the optional nonnegativity projection P. Symmetric weights
+    with runs (see :class:`~sparseland.core.WeightSequence`) are the
+    Python float mu * v of their one run, which the shrink checks by one
+    comparison instead of a pass over an array (``small_dense``: 98.7k
+    against 62.7k iterations/s, 9 of 10 pairs, ``BENCH_31.json``), or a
+    list of (slice, mu * v) runs, each shrunk with its float. Other
+    weights are the array mu * w, and asymmetric ones a (plus, minus)
+    pair of arrays. A float gives the array's bits (but for the sign of
+    zero at p = 1 and w = 5e-324, see ``shrinkage._soft``), and the shrink
+    rejects one that overflows or underflows, as it rejects the array.
+    Calls take A f, so a caller that already holds it pays no operator
+    call, and return the stepped point with r = b - A f.
     """
 
     def __init__(self, K: LinearOperatorHandle, g: np.ndarray, spec: PenaltySpec,
@@ -170,11 +160,14 @@ class _Step:
         self.b = finite_product(K, "adjoint", g)
         self.p = spec.p
         self.nonnegative = config.projection == "nonnegative"
-        if spec.asymmetric is not None:
-            wp, wm = spec.asymmetric
-            self.weights = (_effective_weights(spec.mu, wp), _effective_weights(spec.mu, wm))
-        else:
-            self.weights = _constant_runs(_effective_weights(spec.mu, spec.weights))
+        with np.errstate(over="ignore"):
+            if spec.asymmetric is not None:
+                self.weights = tuple(spec.mu * ws.w for ws in spec.asymmetric)
+            elif spec.weights._runs is None:
+                self.weights = spec.mu * spec.weights.w
+            else:
+                runs = [(run, spec.mu * value) for run, value in spec.weights._runs]
+                self.weights = runs[0][1] if len(runs) == 1 else runs
 
     def __call__(self, f: np.ndarray, Af: np.ndarray):
         r = self.b - Af
@@ -187,8 +180,7 @@ class _Step:
         else:
             shrink = shrink_complex if h.dtype.kind == "c" else shrink_p
             if isinstance(self.weights, list):
-                # each run's shrink returns a new array before it
-                # overwrites its own slice of h
+                # each run's shrink returns a new array, then overwrites its slice of h
                 out = h
                 for run, w in self.weights:
                     out[run] = shrink(h[run], w, self.p)
@@ -201,38 +193,6 @@ class _Step:
     def distance(self, f: np.ndarray, Af: np.ndarray) -> float:
         """The fixed-point residual ||f - T(f)||."""
         return float(np.linalg.norm(f - self(f, Af)[0]))
-
-
-def _effective_weights(mu: float, ws: WeightSequence):
-    """mu * w, or the float mu * v (numpy's bits) when every weight is v and 0 < mu * v < inf."""
-    if ws._value is not None and 0.0 < mu * ws._value < math.inf:
-        return mu * ws._value
-    # an overflow to inf reaches the shrink, which rejects it
-    with np.errstate(over="ignore"):
-        return mu * ws.w
-
-
-def _constant_runs(weights):
-    """Array weights as [(slice, float), ...] runs when the runs are long.
-
-    Runs save memory, not time: no mu * w array and no array-weight
-    temporaries. The ``wavelet`` benchmark's Besov weights are three
-    runs of 21,845 entries on average, and its ``peak_rss_mb`` reads
-    69.47 MB with runs against 70.95 MB without (10 of 10 pairs, at
-    the same iterations/s, ``BENCH_31.json``). A run costs one shrink
-    call (2-16 us), so runs are taken where they average _MIN_RUN
-    entries. Uniform weights (a float) and weights with shorter runs
-    are returned as they are. A run whose value is not finite and
-    positive reaches the shrink as a float, which rejects it.
-    """
-    if isinstance(weights, float):
-        return weights
-    stops = np.flatnonzero(weights[1:] != weights[:-1]) + 1
-    if (stops.size + 1) * _MIN_RUN > weights.size:
-        return weights
-    starts = [0, *stops.tolist()]
-    return [(slice(start, stop), float(weights[start]))
-            for start, stop in zip(starts, starts[1:] + [weights.size])]
 
 
 def _block_dots(fs, afs, d, r, b):

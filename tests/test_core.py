@@ -359,7 +359,7 @@ class TestUnitWeightPenalty:
     def test_same_bits_as_the_weighted_form(self, p, complex_values):
         for x in self.inputs(complex_values):
             spec = PenaltySpec.uniform(p=p, mu=0.3, n=x.size)
-            assert spec.weights._value == 1.0
+            assert spec.weights._runs == ((slice(0, x.size), 1.0),)
             got = penalty_sum(x, spec)
             ref = self.weighted(x, np.ones(x.size), p, 0.3)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
@@ -369,9 +369,29 @@ class TestUnitWeightPenalty:
         x = self.inputs(False)[1]
         for value in (2.0, 0.5, 1.0 + 2.0**-52):
             spec = PenaltySpec(p=p, weights=WeightSequence(np.full(x.size, value)), mu=0.3)
-            assert spec.weights._value == value != 1.0
+            assert spec.weights._runs == ((slice(0, x.size), value),) and value != 1.0
             assert penalty_sum(x, spec) == self.weighted(x, spec.weights.w, p, 0.3)
-        assert WeightSequence(np.array([1.0, 1.0, 2.0]))._value is None
+        assert WeightSequence(np.array([1.0, 1.0, 2.0]))._runs is None
+
+    # Besov-like runs (one value per scale), uniform non-unit and unit weights
+    LAYOUTS = {"besov-runs": np.repeat([1.0, 2.0**1.5, 8.0], [8192, 8192, 16384]),
+               "uniform-half": np.full(32768, 0.5),
+               "unit": np.ones(32768)}
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_runs_give_the_bits_of_the_weight_array(self, p, layout):
+        w = self.LAYOUTS[layout]
+        spec = PenaltySpec(p=p, weights=WeightSequence(w), mu=0.3)
+        assert spec.weights._runs is not None
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(3, w.size)) * 10.0 ** rng.uniform(-3, 3, (3, w.size))
+        a = np.abs(rows)
+        terms = a * a if p == 2.0 else a * np.sqrt(a) if p == 1.5 else a**p
+        ref = 0.3 * np.add.reduce(w * terms, axis=-1)
+        # 1-d values give a float, a block's 2-d rows one penalty per row
+        assert np.float64(penalty_sum(rows[0], spec)).tobytes() == ref[0].tobytes()
+        assert penalty_sum(rows, spec).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     def test_three_halves_terms_within_one_ulp_of_the_power(self, complex_values):

@@ -30,6 +30,13 @@ class TestConfig:
         assert cfg.cases == DEFAULT_CASES
         assert {c.name for c in cfg.cases} == {"l1", "l1_nonneg", "l2", "l2_nonneg"}
 
+    @pytest.mark.parametrize("entry", [make_phantom, run_experiment])
+    @pytest.mark.parametrize("bad", [None, "x", {"grid": (64, 64)}])
+    def test_entries_refuse_a_config_of_another_kind(self, entry, bad):
+        with pytest.raises(ParameterError,
+                           match="experiment config must be a ExperimentConfig"):
+            entry(bad)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(grid=(32, 64))

@@ -131,6 +131,13 @@ ARRAY_TABLE = {
     "add_poisson_noise": (lambda: dict(image=np.ones((4, 4)), total_photons=100.0, seed=0),
                           ("image",)),
     "count_profile_peaks": (lambda: dict(profile=np.ones(5)), ("profile",)),
+    "iterate_step": (lambda: dict(f=np.ones(3), g=np.ones(3), K=_diagonal(),
+                                  spec=sparseland.PenaltySpec.uniform(1.5, 0.1, 3)),
+                     ("f", "g")),
+    "solve": (lambda: dict(g=np.ones(3), K=_diagonal(),
+                           spec=sparseland.PenaltySpec.uniform(1.5, 0.1, 3),
+                           config=sparseland.SolverConfig(max_iterations=2), f0=np.ones(3)),
+              ("g", "f0")),
 }
 
 # records the library fills with its own results; callers read them and
@@ -177,6 +184,18 @@ def test_non_numeric_array_raises(name, param, dtype):
     valid = ARRAY_TABLE[name][0]()
     with pytest.raises(ParameterError):
         _resolve(name)(**{**valid, param: np.asarray(valid[param]).astype(dtype)})
+
+
+RAGGED_PROBES = [(name, param) for name, (_, params) in ARRAY_TABLE.items() for param in params]
+
+
+@pytest.mark.parametrize("name, param", RAGGED_PROBES,
+                         ids=[f"{n}-{p}" for n, p in RAGGED_PROBES])
+def test_ragged_array_raises(name, param):
+    # numpy refuses to build an array from it; the library says so
+    valid = ARRAY_TABLE[name][0]()
+    with pytest.raises(ParameterError, match="must form an array"):
+        _resolve(name)(**{**valid, param: [[1.0, 2.0], [3.0]]})
 
 
 @pytest.mark.parametrize("table, name", [(t, n) for t in (TABLE, ARRAY_TABLE) for n in t])

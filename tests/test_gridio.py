@@ -210,3 +210,18 @@ class TestTraceCsv:
         empty.write_text("# only a comment\n")
         with pytest.raises(ParameterError):
             gridio.read_trace_csv(empty)
+
+    @pytest.mark.parametrize("row", ["1,2.0", "1,2.0,abc", "0,1.0,3,4"],
+                             ids=["short", "not-a-number", "one-field-more"])
+    def test_malformed_row_names_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# demo\niter,objective,penalty\n0,1.5,0.5\n\n{row}\n")
+        with pytest.raises(ParameterError, match="t.csv, line 5: expected 3 numbers"):
+            gridio.read_trace_csv(path)
+
+    def test_header_alone_reads_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("iter,objective\n")
+        cols = gridio.read_trace_csv(path)
+        assert list(cols) == ["iter", "objective"]
+        assert all(col.shape == (0,) for col in cols.values())

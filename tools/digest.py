@@ -19,7 +19,8 @@ per file and per array:
   with the same flags and 60 iterations, on blurred sources with
   Poisson counts;
 * ``dense/``: 20 x 20 solves at p in {1, 1.3, 1.5, 2}, real, complex,
-  projected and asymmetric, from the zero start and from an f0. For each:
+  projected and asymmetric, and with uniform weights 0.5 and uniform
+  one-sided weights (0.5 and 2), from the zero start and from an f0. For each:
   the minimizer, the five trace arrays, the status, the iteration count
   and the fixed-point residual.
 
@@ -152,6 +153,8 @@ def dense_solves():
     pair = (sparseland.WeightSequence(rng.uniform(0.5, 2.0, 20)),
             sparseland.WeightSequence(rng.uniform(0.5, 2.0, 20)))
     f0 = rng.normal(size=20)
+    half = sparseland.WeightSequence(np.full(20, 0.5))
+    double = sparseland.WeightSequence(np.full(20, 2.0))
     config = sparseland.SolverConfig(max_iterations=2000, step_tolerance=1e-9)
     projected = sparseland.SolverConfig(max_iterations=2000, step_tolerance=1e-9,
                                         projection="nonnegative")
@@ -163,6 +166,10 @@ def dense_solves():
             "projected": (g, real, spec, projected, np.abs(f0)),
             "asymmetric": (g, real, sparseland.PenaltySpec(p=p, weights=w, mu=0.05,
                                                            asymmetric=pair), config, f0),
+            "uniform": (g, real, sparseland.PenaltySpec(p=p, weights=half, mu=0.05),
+                        config, f0),
+            "asymmetric-uniform": (g, real, sparseland.PenaltySpec(
+                p=p, weights=half, mu=0.05, asymmetric=(half, double)), config, f0),
         }
         for variant, (data, K, penalty, cfg, start) in variants.items():
             for start_name, f in (("zero", None), ("f0", start)):
