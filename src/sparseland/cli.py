@@ -34,7 +34,7 @@ from .errors import (
     DescentViolationError,
     ParameterError,
 )
-from .gridio import read_grid, write_grid, write_trace_csv
+from .gridio import _text_lines, read_grid, write_grid, write_trace_csv
 from .operators import (
     Convolution2DOperator,
     DenseOperator,
@@ -48,18 +48,11 @@ __all__ = ["main", "parse_config_file"]
 
 def parse_config_file(path) -> dict:
     """Flat key=value config; blank lines and '#' comments are skipped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _text_lines(path):
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
         values[key.strip()] = value.strip()
     return values
 

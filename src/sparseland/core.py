@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -135,15 +136,25 @@ def check_values(values, name: str, ndim: Optional[int] = 1, lower: Optional[str
 _GATED = weakref.WeakValueDictionary()
 
 
-def check_shape(shape, name: str, minimum: int = 1) -> Tuple[int, int]:
-    """Return a 2-d shape as two ints >= minimum, or raise ParameterError."""
-    try:
-        dims = tuple(shape)
-    except TypeError:
-        raise ParameterError(f"{name} must be a pair of integers, got {shape!r}") from None
-    if len(dims) != 2:
-        raise ParameterError(f"{name} must be a pair of integers, got {shape!r}")
-    return check_count(dims[0], name, minimum), check_count(dims[1], name, minimum)
+def check_shape(shape, name: str, minimum: int = 1, axes=(2,)) -> Tuple[int, ...]:
+    """Return shape as a tuple of ints >= minimum, or raise ParameterError unless it is
+    a sequence of as many as ``axes`` allows: a pair by default, any number but 0 if None."""
+    dims = tuple(shape) if np.iterable(shape) else ()
+    if not dims or (axes is not None and len(dims) not in axes):
+        size = "one or more" if axes is None else " or ".join(map(str, axes))
+        raise ParameterError(f"{name} must be a sequence of {size} integers, got {shape!r}")
+    return tuple(check_count(n, name, minimum) for n in dims)
+
+
+def check_kinds(**values):
+    """Raise ParameterError unless each value is an instance of the public class its
+    keyword names, as in ``check_kinds(LinearOperatorHandle=K, PenaltySpec=spec)``; the
+    package loads the class's module on first use, so this module imports none."""
+    package = sys.modules[__package__]
+    for name, value in values.items():
+        if not isinstance(value, getattr(package, name)):
+            what = "".join(f" {c}" if c.isupper() else c for c in name).strip().lower()
+            raise ParameterError(f"{what} must be a {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,9 +183,7 @@ class CoefficientVector:
                 dims = arr.shape
             arr = arr.ravel()
         if dims is not None:
-            if not np.iterable(dims):
-                raise ParameterError(f"dims must be a sequence of integers, got {dims!r}")
-            dims = tuple(check_count(d, "dims") for d in dims)
+            dims = check_shape(dims, "dims", axes=None)
             if int(np.prod(dims)) != arr.size:
                 raise AlignmentError(
                     f"dims {dims} imply {int(np.prod(dims))} entries, vector has {arr.size}"
@@ -308,26 +317,6 @@ class ObjectiveBreakdown:
 # the consistency rules of a problem (f, g, K, spec), shared by the
 # objective, the surrogate, renormalize and the solver's one start
 
-def check_kinds(K=..., spec=..., config=..., experiment=...):
-    """Raise ParameterError unless K is a LinearOperatorHandle, spec a PenaltySpec, config
-    a SolverConfig and experiment an ExperimentConfig; one left out is not checked."""
-    kinds = [(spec, PenaltySpec, "penalty spec")]
-    # operators, solver and experiment import this module, so their
-    # classes load here, and only for a value of their kind
-    if K is not ...:
-        from .operators import LinearOperatorHandle
-        kinds.append((K, LinearOperatorHandle, "operator K"))
-    if config is not ...:
-        from .solver import SolverConfig
-        kinds.append((config, SolverConfig, "solver config"))
-    if experiment is not ...:
-        from .experiment import ExperimentConfig
-        kinds.append((experiment, ExperimentConfig, "experiment config"))
-    for value, kind, name in kinds:
-        if value is not ... and not isinstance(value, kind):
-            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
-
-
 def check_domain(n: int, spec: PenaltySpec, K=None):
     """Raise AlignmentError unless n coefficients, the weights and K's domain agree."""
     if n != len(spec) or (K is not None and K.domain_len != n):
@@ -384,7 +373,7 @@ def triple_norm(f, spec: PenaltySpec) -> float:
     dominates the Euclidean norm: ||f|| <= c^(-1/p) * triple_norm(f). A
     sum that overflows raises ParameterError, as in :func:`penalty_value`.
     """
-    check_kinds(spec=spec)
+    check_kinds(PenaltySpec=spec)
     return penalty_value(f, PenaltySpec(spec.p, spec.weights)) ** (1.0 / spec.p)
 
 
@@ -395,7 +384,7 @@ def penalty_value(f, spec: PenaltySpec) -> float:
     separately: mu * sum_gamma ( w+_gamma [f]+^p + w-_gamma [f]-^p ).
     A penalty that overflows raises ParameterError.
     """
-    check_kinds(spec=spec)
+    check_kinds(PenaltySpec=spec)
     fv = as_coefficients(f)
     check_domain(len(fv), spec)
     check_asymmetric(spec, fv.values.dtype)
@@ -470,7 +459,7 @@ def objective(f, g, K, spec: PenaltySpec) -> ObjectiveBreakdown:
     K's bound rules out raises ContractViolationError
     (:func:`finite_product`).
     """
-    check_kinds(K, spec)
+    check_kinds(LinearOperatorHandle=K, PenaltySpec=spec)
     fv = as_coefficients(f)
     gv = as_coefficients(g)
     check_domain(len(fv), spec, K)
@@ -496,7 +485,7 @@ def surrogate_objective(f, a, g, K, spec: PenaltySpec) -> float:
     step does. A value that overflows raises ParameterError, and a
     non-finite K product that K's bound rules out ContractViolationError.
     """
-    check_kinds(K, spec)
+    check_kinds(LinearOperatorHandle=K, PenaltySpec=spec)
     check_contraction(K)
     fv = as_coefficients(f)
     av = as_coefficients(a)

@@ -146,7 +146,7 @@ class ExperimentConfig:
 
 def make_phantom(config: ExperimentConfig) -> np.ndarray:
     """Render the four-source phantom, slightly Gaussian smoothed."""
-    check_kinds(experiment=config)
+    check_kinds(ExperimentConfig=config)
     rows, cols = config.grid
     yy = np.arange(rows)[:, None]
     xx = np.arange(cols)[None, :]

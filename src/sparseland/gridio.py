@@ -153,7 +153,26 @@ def read_grid_metadata(path) -> Optional[dict]:
     tail = data[16 + 8 * rows * cols :].strip()
     if not tail:
         return None
-    return json.loads(tail.decode("utf-8"))
+    try:
+        metadata = json.loads(tail.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        metadata = None
+    if not isinstance(metadata, dict):
+        raise ParameterError(f"{path}: grid metadata is not a UTF-8 JSON object: {tail!r:.60}")
+    return metadata
+
+
+def _text_lines(path):
+    """(number, line) for each line of a UTF-8 text file, stripped, that is
+    neither blank nor a '#' comment; a file not in UTF-8 raises ParameterError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def _write_table(path, index: str, columns: Dict[str, np.ndarray],
@@ -177,10 +196,7 @@ def read_trace_csv(path) -> dict:
     """A CSV table's columns by name; a row not of one number per column raises."""
     rows = []
     header = None
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in _text_lines(path):
         if header is None:
             header = line.split(",")
             continue

@@ -68,7 +68,7 @@ class LinearOperatorHandle:
         self.image_len = check_count(image_len, "image_len")
         self.norm_bound = check_real(norm_bound, "norm bound", lower="nonnegative")
         self.domain_dims = (None if domain_dims is None
-                            else tuple(check_count(d, "domain_dims") for d in domain_dims))
+                            else check_shape(domain_dims, "domain_dims", axes=None))
         self.domain_dtype = domain_dtype
 
     def _check(self, x, length: int, side: str) -> np.ndarray:
@@ -154,7 +154,7 @@ class ScaledOperator(LinearOperatorHandle):
     """
 
     def __init__(self, base: LinearOperatorHandle, factor: float, norm_bound: float):
-        check_kinds(base)
+        check_kinds(LinearOperatorHandle=base)
         self.base = base
         self.factor = check_real(factor, "factor")
         super().__init__(base.domain_len, base.image_len, norm_bound,
@@ -384,7 +384,7 @@ def renormalize(K: LinearOperatorHandle, g) -> RenormalizedProblem:
     already bounded by 0.999 (the zero operator included) passes
     through unchanged. g must fill K's image (AlignmentError).
     """
-    check_kinds(K)
+    check_kinds(LinearOperatorHandle=K)
     g = check_values(g, "data", ndim=None, complex_ok=True)
     check_image(g.size, K)
     if K.norm_bound <= _NORM_MARGIN:
@@ -404,7 +404,7 @@ def validate_operator(K: LinearOperatorHandle, n_probes: int = 20, seed: int = 0
     a number (a NaN or infinity in a product) fails its check. Returns the
     worst observed defects for reporting.
     """
-    check_kinds(K)
+    check_kinds(LinearOperatorHandle=K)
     n_probes = check_count(n_probes, "n_probes")
     tol = check_real(tol, "tol", lower="nonnegative")
     rng = np.random.default_rng(check_count(seed, "seed", minimum=0))
@@ -491,6 +491,7 @@ def thresholded_svd_solve(model: SvdModel, g, mu: float) -> CoefficientVector:
     the sparse analogue of the Tikhonov filter sigma/(sigma^2 + mu): a
     soft spectral cutoff instead of a smooth damping.
     """
+    check_kinds(SvdModel=model)
     mu = check_real(mu, "mu", lower="positive")
     g = check_values(g, "data coefficients")
     s = model.singular_values

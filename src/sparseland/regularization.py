@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 from . import _EXPORTS
-from .core import WeightSequence, check_exponent, check_real, check_values
+from .core import WeightSequence, check_exponent, check_kinds, check_real, check_values
 from .errors import AlignmentError, ParameterError
 
 __all__ = list(_EXPORTS["regularization"])
@@ -79,6 +79,7 @@ class MuScheduleReport:
 
 def mu_schedule(noise: NoisePrior, p: float) -> float:
     """Balanced multiplier mu = epsilon^2 / rho^p; ParameterError if it is not a finite float."""
+    check_kinds(NoisePrior=noise)
     p = check_exponent(p)
     try:
         mu = noise.epsilon**2 / noise.rho**p
@@ -146,6 +147,7 @@ def primed_radii(noise: NoisePrior, mu: float, p: float) -> Tuple[float, float]:
     radii only a constant factor worse. ParameterError if either radius
     is not a finite float.
     """
+    check_kinds(NoisePrior=noise)
     p = check_exponent(p)
     mu = check_real(mu, "mu", lower="positive")
     try:
@@ -167,6 +169,7 @@ def modulus_bounds(env: SpectralEnvelope, weights: WeightSequence, p: float,
     penalty-controlled part and takes the best split among those induced
     by sorting the indices by their lower envelope b.
     """
+    check_kinds(SpectralEnvelope=env, WeightSequence=weights, NoisePrior=noise)
     p = check_exponent(p)
     if len(env) != len(weights):
         raise AlignmentError("spectral envelope and weights must have equal length")
@@ -198,6 +201,7 @@ def besov_modulus_rate(alpha: float, sigma: float, A_lower: float, A_upper: floa
     Returned with unit leading constants: the pair brackets the rate, not
     the constant.
     """
+    check_kinds(NoisePrior=noise)
     alpha = check_real(alpha, "smoothing order alpha", lower="positive")
     sigma = check_real(sigma, "weight order sigma", lower="nonnegative")
     A_lower = check_real(A_lower, "A_lower", lower="positive")

@@ -230,7 +230,7 @@ def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, 
     finite). So a non-finite K f, A f or b is the operator's fault, and
     raises ContractViolationError naming the method that returned it.
     """
-    check_kinds(K, spec, config)
+    check_kinds(LinearOperatorHandle=K, PenaltySpec=spec, SolverConfig=config)
     g = as_coefficients(g).values
     if f0 is None:
         dims = K.domain_dims

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (CoefficientVector, WeightSequence, check_array, check_count,
-                   check_exponent, check_kinds, check_real, check_values)
+                   check_exponent, check_kinds, check_real, check_shape, check_values)
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -406,18 +406,12 @@ def _merge(src: np.ndarray, dst, axis: int, lifting: _Lifting, scratch: np.ndarr
 def _check_shape(shape, spec: WaveletSpec) -> Tuple[int, ...]:
     """The shape as a tuple of ints once it fits ``spec``; before any plan
     lookup, as (8.0, 8.0) would find the plans of (8, 8)."""
-    if not isinstance(spec, WaveletSpec):
-        raise ParameterError(f"wavelet spec must be a WaveletSpec, got {type(spec).__name__}")
-    dims = tuple(shape) if np.iterable(shape) else ()
-    if len(dims) not in (1, 2):
-        raise ParameterError(f"transform supports 1-d signals and 2-d grids only, got {shape!r}")
-    shape = tuple(check_count(n, "axis length", minimum=0) for n in dims)
+    check_kinds(WaveletSpec=spec)
+    shape = check_shape(shape, "transform shape", minimum=0, axes=(1, 2))
     divisor = 2**spec.levels
     for n in shape:
         if n % divisor != 0 or n < divisor:
-            raise AlignmentError(
-                f"axis length {n} is not divisible by 2^levels = {divisor}"
-            )
+            raise AlignmentError(f"axis length {n} is not divisible by 2^levels = {divisor}")
     return shape
 
 
@@ -564,6 +558,7 @@ def idwt(coefficients: WaveletCoefficients) -> np.ndarray:
 
     The coefficient values must be finite.
     """
+    check_kinds(WaveletCoefficients=coefficients)
     values = check_values(coefficients.values, "wavelet coefficients", ndim=None)
     return idwt_array(values, coefficients.spec, coefficients.shape)
 
@@ -598,6 +593,7 @@ class BesovWeightSpec:
 
 def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
     """Scale weights w = 2^(sigma * p * |lambda|) for the given labels."""
+    check_kinds(BesovWeightSpec=spec)
     labels = check_values(scale_labels, "scale labels", lower="nonnegative")
     w = np.power(2.0, spec.sigma * spec.p * labels)
     return WeightSequence(w=w)
@@ -615,7 +611,7 @@ class _ConjugatedOperator(LinearOperatorHandle):
     """
 
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
-        check_kinds(base)
+        check_kinds(LinearOperatorHandle=base)
         shape = _check_shape(base.domain_dims or (base.domain_len,), spec)
         if prod(shape) != base.domain_len:
             raise AlignmentError("base operator dims do not match its domain length")

@@ -80,8 +80,15 @@ class TestCoefficientVector:
 
     @pytest.mark.parametrize("dims", [4, 4.0, True])
     def test_dims_must_be_a_sequence(self, dims):
-        with pytest.raises(ParameterError, match="dims must be a sequence of integers"):
+        with pytest.raises(ParameterError,
+                           match="dims must be a sequence of one or more integers"):
             CoefficientVector(np.ones(4), dims=dims)
+
+    def test_empty_dims_refused(self):
+        # one entry matches the empty product, and solve would drop the falsy
+        # () for K's dims
+        with pytest.raises(ParameterError, match="dims must be a sequence of one or more"):
+            CoefficientVector([1.0], dims=())
 
     def test_as_coefficients_passthrough(self):
         v = CoefficientVector(np.ones(2))

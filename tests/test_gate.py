@@ -2,11 +2,15 @@
 
 One table names each public callable that takes numbers, with valid
 arguments and the kind of each number parameter. Each such parameter
-is fed a string, a bool, NaN and +-inf (and 2.5 for counts), and every
-call must raise ParameterError: nothing is parsed, truncated or run on
-a non-finite value. A second table does the same for array parameters
-with string, bool and object arrays, and a third feeds NaN, +inf, empty
-and wrong-shaped arrays to every value array that check_values admits.
+is fed a string, a bool, NaN and +-inf (and 2.5 for counts; each shape
+also a bare count), and every call must raise ParameterError: nothing is
+parsed, truncated or run on a non-finite value. A second table does the
+same for array parameters with string, bool and object arrays, and a
+third feeds NaN, +inf, empty and wrong-shaped arrays to every value
+array that check_values admits. A kind probe feeds each keyword of the
+first two tables whose valid value is an instance of a public class a
+string, None (unless None is its default), object() and a public object
+of another class, and every call must raise ParameterError.
 A companion test walks the public names of the package and of gridio
 and fails when a callable has a parameter that may hold a number and is
 in neither of the first two tables: one whose annotation names
@@ -28,8 +32,8 @@ from sparseland.errors import AlignmentError, ParameterError
 
 REAL = ("1", True, math.nan, math.inf, -math.inf)
 COUNT = REAL + (2.5,)
-# a count inside a pair, the other entry valid
-SHAPE = tuple((bad, 64) for bad in COUNT)
+# a count inside a pair, the other entry valid, and a count that is no sequence
+SHAPE = tuple((bad, 64) for bad in COUNT) + (4,)
 KINDS = {"real": REAL, "count": COUNT, "shape": SHAPE}
 
 
@@ -202,6 +206,31 @@ def test_ragged_array_raises(name, param):
 def test_valid_arguments_accepted(table, name):
     # the probes would pass vacuously if the base call itself raised
     _resolve(name)(**table[name][0]())
+
+
+# public objects of two classes: each keyword is fed one its own class is not
+OTHERS = (sparseland.NoisePrior(0.1, 1.0), sparseland.WaveletSpec("haar", 1))
+
+# (callable, keyword) -> its valid value, for each keyword of either table
+# whose valid value is an instance of a public class
+KINDED = {(name, param): value for table in (TABLE, ARRAY_TABLE)
+          for name, (valid, _) in table.items()
+          for param, value in valid().items() if type(value).__name__ in sparseland.__all__}
+# None is left out where it is the keyword's default (solve's config)
+KIND_PROBES = [(name, param, label, bad) for (name, param), value in KINDED.items()
+               for label, bad in (("str", "x"), ("None", None), ("object", object()),
+                                  ("other", next(o for o in OTHERS
+                                                 if not isinstance(o, type(value)))))
+               if bad is not None
+               or inspect.signature(_resolve(name)).parameters[param].default is not None]
+
+
+@pytest.mark.parametrize("name, param, bad", [(n, p, b) for n, p, _, b in KIND_PROBES],
+                         ids=[f"{n}-{p}-{label}" for n, p, label, _ in KIND_PROBES])
+def test_value_of_another_kind_raises(name, param, bad):
+    valid = (TABLE.get(name) or ARRAY_TABLE[name])[0]()
+    with pytest.raises(ParameterError):
+        _resolve(name)(**{**valid, param: bad})
 
 
 def test_numpy_numbers_accepted():

@@ -146,6 +146,17 @@ class TestGridFormat:
         with pytest.raises(ParameterError, match="payload"):
             gridio.read_grid_metadata(path)
 
+    @pytest.mark.parametrize("tail", [b"\xff\xfe", b"{not json", b"[1, 2]"],
+                             ids=["not-utf8", "not-json", "not-an-object"])
+    def test_metadata_that_is_not_a_json_object_names_the_file(self, tmp_path, tail):
+        path = tmp_path / "m.slw"
+        gridio.write_grid(path, np.eye(2))
+        path.write_bytes(path.read_bytes() + b"\n" + tail + b"\n")
+        with pytest.raises(ParameterError,
+                           match="m.slw: grid metadata is not a UTF-8 JSON object"):
+            gridio.read_grid_metadata(path)
+        assert np.array_equal(gridio.read_grid(path), np.eye(2))
+
 
 class TestTraceCsv:
     def _fake_trace(self):
@@ -217,6 +228,12 @@ class TestTraceCsv:
         path = tmp_path / "t.csv"
         path.write_text(f"# demo\niter,objective,penalty\n0,1.5,0.5\n\n{row}\n")
         with pytest.raises(ParameterError, match="t.csv, line 5: expected 3 numbers"):
+            gridio.read_trace_csv(path)
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"iter,objective\n0,\xff\n")
+        with pytest.raises(ParameterError, match="t.csv: not UTF-8 text"):
             gridio.read_trace_csv(path)
 
     def test_header_alone_reads_empty_columns(self, tmp_path):

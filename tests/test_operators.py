@@ -132,7 +132,7 @@ class TestScaledOperator:
 
     @pytest.mark.parametrize("base", ["x", -1, None, np.eye(2)])
     def test_base_must_be_an_operator(self, base):
-        with pytest.raises(ParameterError, match="operator K must be a LinearOperatorHandle"):
+        with pytest.raises(ParameterError, match="must be a LinearOperatorHandle"):
             ScaledOperator(base, 2.0, 0.5)
 
 
@@ -478,7 +478,7 @@ class TestRenormalize:
 
     @pytest.mark.parametrize("K", ["x", -1, None, np.eye(2)])
     def test_operator_must_be_an_operator(self, K):
-        with pytest.raises(ParameterError, match="operator K must be a LinearOperatorHandle"):
+        with pytest.raises(ParameterError, match="must be a LinearOperatorHandle"):
             renormalize(K, np.ones(2))
 
     def test_zero_operator_passes_through(self):
@@ -550,7 +550,7 @@ class TestValidateOperator:
 
     @pytest.mark.parametrize("K", ["x", -1, None, np.eye(2)])
     def test_operator_must_be_an_operator(self, K):
-        with pytest.raises(ParameterError, match="operator K must be a LinearOperatorHandle"):
+        with pytest.raises(ParameterError, match="must be a LinearOperatorHandle"):
             validate_operator(K)
 
     def test_nan_norm_bound_fails_closed(self):

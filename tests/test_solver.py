@@ -757,7 +757,7 @@ class TestOneProblemCheck:
         # a string spec of the data's length must not pass as three weights
         f, K, spec = np.ones(3), self.K, self.SPEC
         if wrong == "K":
-            K, match = "K", "operator K must be a LinearOperatorHandle"
+            K, match = "K", "must be a LinearOperatorHandle"
         elif wrong == "f":
             if entry == "solve":
                 # f0=None is solve's zero start

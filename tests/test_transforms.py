@@ -527,12 +527,18 @@ class TestArgumentTypes:
                  lambda: idwt_array(v.values, "db2", (8, 8)),
                  lambda: conjugated_operator(Convolution2DOperator((8, 8), (16, 16)), "db2")]
         for call in calls:
-            with pytest.raises(ParameterError, match="must be a WaveletSpec, got str"):
+            with pytest.raises(ParameterError, match="must be a WaveletSpec, got 'db2'"):
                 call()
+
+    @pytest.mark.parametrize("bad", ["x", None, object(), WaveletSpec("haar", 1)],
+                             ids=["str", "None", "object", "spec"])
+    def test_coefficients_that_are_not_wavelet_coefficients(self, bad):
+        with pytest.raises(ParameterError, match="must be a WaveletCoefficients, got"):
+            idwt(bad)
 
     def test_base_that_is_not_an_operator(self):
         with pytest.raises(ParameterError,
-                           match="operator K must be a LinearOperatorHandle, got array"):
+                           match="must be a LinearOperatorHandle, got array"):
             conjugated_operator(np.eye(4), WaveletSpec("haar", 1))
 
     @pytest.mark.parametrize("shape", [(8.0, 8.0), (8, 8.0), (True, 8), ("8", 8)])
@@ -540,7 +546,7 @@ class TestArgumentTypes:
         # (8.0, 8.0) hashes like (8, 8), whose plans are cached by now
         spec = WaveletSpec("db2", 1)
         v = dwt(np.ones((8, 8)), spec)
-        with pytest.raises(ParameterError, match="axis length must be an integer"):
+        with pytest.raises(ParameterError, match="transform shape must be an integer"):
             idwt(WaveletCoefficients(v.values, v.scales, spec, shape))
 
     @pytest.mark.parametrize("shape", [8, None, 8.0])
@@ -549,7 +555,8 @@ class TestArgumentTypes:
         v = dwt(np.ones(8), spec)
         for call in (lambda: idwt_array(v.values, spec, shape),
                      lambda: idwt(WaveletCoefficients(v.values, v.scales, spec, shape))):
-            with pytest.raises(ParameterError, match="1-d signals and 2-d grids only, got"):
+            with pytest.raises(ParameterError,
+                               match="transform shape must be a sequence of 1 or 2 integers"):
                 call()
 
     def test_integer_axis_lengths_of_any_type(self):
