@@ -146,6 +146,16 @@ def check_shape(shape, name: str, minimum: int = 1, axes=(2,)) -> Tuple[int, ...
     return tuple(check_count(n, name, minimum) for n in dims)
 
 
+def check_dims(dims, size: int, name: str = "dims", holder: str = "vector") -> Tuple[int, ...]:
+    """Return dims as check_shape does, with any nonzero number of axes, or raise
+    AlignmentError unless they imply size entries."""
+    dims = check_shape(dims, name, axes=None)
+    if math.prod(dims) != size:
+        raise AlignmentError(f"{name} {dims} imply {math.prod(dims)} entries, "
+                             f"{holder} has {size}")
+    return dims
+
+
 def check_kinds(**values):
     """Raise ParameterError unless each value is an instance of the public class its
     keyword names, as in ``check_kinds(LinearOperatorHandle=K, PenaltySpec=spec)``; the
@@ -183,11 +193,7 @@ class CoefficientVector:
                 dims = arr.shape
             arr = arr.ravel()
         if dims is not None:
-            dims = check_shape(dims, "dims", axes=None)
-            if int(np.prod(dims)) != arr.size:
-                raise AlignmentError(
-                    f"dims {dims} imply {int(np.prod(dims))} entries, vector has {arr.size}"
-                )
+            dims = check_dims(dims, arr.size)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "dims", dims)
 

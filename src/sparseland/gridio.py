@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import check_array
+from .core import check_array, check_kinds
 from .errors import ParameterError
 
 __all__ = [
@@ -187,6 +187,7 @@ def _write_table(path, index: str, columns: Dict[str, np.ndarray],
 
 def write_trace_csv(path, trace, comment: Optional[str] = None):
     """Write a solve trace as CSV; row 0 is the initial point (step 0)."""
+    check_kinds(SolveTrace=trace)
     steps = np.concatenate([[0.0], trace.step_norms])
     _write_table(path, "iter", {"objective": trace.objectives, "discrepancy": trace.discrepancies,
                                 "penalty": trace.penalties, "step_norm": steps}, comment)

@@ -34,8 +34,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _EXPORTS
-from .core import (CoefficientVector, check_array, check_count, check_image, check_kinds,
-                   check_real, check_shape, check_values)
+from .core import (CoefficientVector, check_array, check_count, check_dims, check_image,
+                   check_kinds, check_real, check_shape, check_values)
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
@@ -58,7 +58,8 @@ class LinearOperatorHandle:
         construction; the solver refuses such operators, and
         :func:`renormalize` rescales them below 1.
     domain_dims : tuple or None
-        Grid shape of the domain for image-valued operators.
+        Grid shape of the domain for image-valued operators; its product
+        must equal domain_len.
     """
 
     def __init__(self, domain_len: int, image_len: int, norm_bound: float,
@@ -68,7 +69,8 @@ class LinearOperatorHandle:
         self.image_len = check_count(image_len, "image_len")
         self.norm_bound = check_real(norm_bound, "norm bound", lower="nonnegative")
         self.domain_dims = (None if domain_dims is None
-                            else check_shape(domain_dims, "domain_dims", axes=None))
+                            else check_dims(domain_dims, self.domain_len, "domain_dims",
+                                            "domain"))
         self.domain_dtype = domain_dtype
 
     def _check(self, x, length: int, side: str) -> np.ndarray:

@@ -613,8 +613,6 @@ class _ConjugatedOperator(LinearOperatorHandle):
     def __init__(self, base: LinearOperatorHandle, spec: WaveletSpec):
         check_kinds(LinearOperatorHandle=base)
         shape = _check_shape(base.domain_dims or (base.domain_len,), spec)
-        if prod(shape) != base.domain_len:
-            raise AlignmentError("base operator dims do not match its domain length")
         self.base = base
         self.spec = spec
         self.shape = shape

@@ -1,7 +1,6 @@
 """Round trips and byte-level layout of the file formats."""
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from sparseland import gridio
 from sparseland.core import PenaltySpec, WeightSequence
 from sparseland.errors import ParameterError
 from sparseland.operators import DiagonalOperator
-from sparseland.solver import SolverConfig, solve
+from sparseland.solver import SolverConfig, SolveTrace, solve
 
 
 class TestPgm:
@@ -160,11 +159,12 @@ class TestGridFormat:
 
 class TestTraceCsv:
     def _fake_trace(self):
-        return SimpleNamespace(
+        return SolveTrace(
             objectives=np.array([3.0, 2.0, 1.5]),
             discrepancies=np.array([2.5, 1.5, 1.0]),
             penalties=np.array([0.5, 0.5, 0.5]),
             step_norms=np.array([0.7, 0.3]),
+            surrogates=np.array([2.5, 1.75]),
         )
 
     def test_header_and_initial_row(self, tmp_path):
@@ -206,6 +206,11 @@ class TestTraceCsv:
                                      b"0,3,2.5,0.5,0\n"
                                      b"1,2,1.5,0.5,0.69999999999999996\n"
                                      b"2,1.5,1,0.5,0.29999999999999999\n")
+
+    def test_trace_that_is_not_a_solve_trace(self, tmp_path):
+        with pytest.raises(ParameterError, match="solve trace must be a SolveTrace"):
+            gridio.write_trace_csv(tmp_path / "t.csv", "x")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_profile_table_bytes_pinned(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -10,6 +10,7 @@ from sparseland.operators import (
     Convolution2DOperator,
     DenseOperator,
     DiagonalOperator,
+    LinearOperatorHandle,
     ScaledOperator,
     SvdModel,
     renormalize,
@@ -17,6 +18,18 @@ from sparseland.operators import (
     validate_operator,
 )
 from sparseland.solver import SolverConfig, solve
+
+
+class TestDomainDims:
+    def test_dims_must_imply_the_domain_length(self):
+        # refused at construction, before a solve runs all its iterations
+        class Stub(LinearOperatorHandle):
+            pass
+
+        with pytest.raises(AlignmentError,
+                           match=r"domain_dims \(4, 4\) imply 16 entries, domain has 3"):
+            Stub(3, 3, 0.5, domain_dims=(4, 4))
+        assert Stub(16, 3, 0.5, domain_dims=(4, 4)).domain_dims == (4, 4)
 
 
 class TestDiagonalOperator:

@@ -1143,6 +1143,48 @@ class TestBlockBookkeeping:
         assert _block_length(n * n) == 1
         assert traced_peak(lambda: solve(g, K, spec, config)) / (8 * n * n) < 13.0
 
+    @pytest.mark.parametrize("case", ["cap-not-a-block-multiple", "step-stop-mid-block",
+                                      "complex", "one-row-step-stop"])
+    def test_series_grown_past_their_room_keep_the_bits(self, case, monkeypatch):
+        # from room for 5 steps, doubled until the cap: the cap case fills
+        # its series exactly, and the step stops leave a part of the last
+        # room unused
+        monkeypatch.setattr(solver, "_TRACE_ROOM", 5)
+        g, K, spec, config = self.problem(case)
+        res = solve(g, K, spec, config)
+        assert res.iterations > 4 * solver._TRACE_ROOM
+        f, trace, status, iterations, fp = _reference_solve(g, K, spec, config)
+        assert (res.status, res.iterations) == (status, iterations)
+        assert res.minimizer.values.tobytes() == f.tobytes()
+        for name, ref in zip(("objectives", "discrepancies", "penalties", "step_norms",
+                              "surrogates"), trace):
+            got = getattr(res.trace, name)
+            # an array of its own, not a view into a longer series
+            assert got.base is None, name
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+    def test_long_solves_keep_no_trace_entry_as_a_python_float(self, traced_peak):
+        # small_dense's first matrix at p = 2 and mu = 1e-3 runs into a cap
+        # of 10,000 iterations: its traced peak read 1.24 times the bytes of
+        # the returned trace, and 3.69 times with the series booked in
+        # lists of Python floats (CPython 3.11, numpy 2.4); the bound lies
+        # between
+        rng = np.random.default_rng([1, 0])
+        M = rng.normal(size=(20, 20))
+        A = 0.9 * M / np.linalg.norm(M, 2)
+        g = A @ rng.normal(size=20)
+        K = DenseOperator(A)
+        spec = PenaltySpec.uniform(p=2.0, mu=1e-3, n=20)
+        config = SolverConfig(max_iterations=10000, step_tolerance=1e-9)
+        results = []
+        peak = traced_peak(lambda: results.append(solve(g, K, spec, config)))
+        trace = results[-1].trace
+        assert results[-1].status == solver.STATUS_MAX
+        trace_bytes = sum(getattr(trace, name).nbytes for name in (
+            "objectives", "discrepancies", "penalties", "step_norms", "surrogates"))
+        assert trace_bytes == 8 * (3 * 10001 + 2 * 10000)
+        assert peak / trace_bytes < 2.0
+
     @pytest.mark.parametrize("seed, p, iteration", [(3, 1.0, 17), (0, 1.0, 69)])
     def test_descent_violation_named_as_the_per_iteration_loop_names_it(
             self, seed, p, iteration):

@@ -440,12 +440,6 @@ class TestConjugatedOperator:
         config = SolverConfig(max_iterations=5, step_tolerance=0.0)
         assert traced_peak(lambda: solve(g, K, spec, config)) / (8 * n * n) < 11.6
 
-    def test_base_dims_must_match_its_length(self):
-        K = DiagonalOperator(np.full(8, 0.5))
-        K.domain_dims = (4, 4)
-        with pytest.raises(AlignmentError, match="domain length"):
-            conjugated_operator(K, WaveletSpec("haar", 1))
-
     def test_identity_base_round_trips(self):
         K = DiagonalOperator(np.ones(16))
         C = conjugated_operator(K, WaveletSpec("db2", 2))

@@ -20,9 +20,14 @@ per file and per array:
   Poisson counts;
 * ``dense/``: 20 x 20 solves at p in {1, 1.3, 1.5, 2}, real, complex,
   projected and asymmetric, and with uniform weights 0.5 and uniform
-  one-sided weights (0.5 and 2), from the zero start and from an f0. For each:
-  the minimizer, the five trace arrays, the status, the iteration count
-  and the fixed-point residual.
+  one-sided weights (0.5 and 2), from the zero start and from an f0;
+* ``one-row/``: a 10,000-entry diagonal solve at p = 1.5, booked one
+  iteration per block, which the step rule stops after 1,000 to 2,000
+  iterations.
+
+For each solve under ``dense/`` and ``one-row/``: the minimizer, the five
+trace arrays, the status, the iteration count and the fixed-point
+residual.
 
 The inputs are drawn from fixed seeds and written as text, so every
 checkout reads the same bytes. To compare two checkouts, run this file
@@ -174,13 +179,30 @@ def dense_solves():
         for variant, (data, K, penalty, cfg, start) in variants.items():
             for start_name, f in (("zero", None), ("f0", start)):
                 res = sparseland.solve(data, K, penalty, cfg, f0=f)
-                name = f"dense/p{p}-{variant}-{start_name}"
-                yield f"{name}/minimizer", _array_sha(res.minimizer.values)
-                for field in ("objectives", "discrepancies", "penalties", "step_norms",
-                              "surrogates"):
-                    yield f"{name}/trace.{field}", _array_sha(getattr(res.trace, field))
-                for field in ("status", "iterations", "fixed_point_residual"):
-                    yield f"{name}/{field}", _sha(repr(getattr(res, field)).encode())
+                yield from _result_lines(f"dense/p{p}-{variant}-{start_name}", res)
+
+
+def one_row_solve():
+    """(name, sha) of a solve too large for more than one iteration per block."""
+    rng = np.random.default_rng(13)
+    n = 10000
+    K = sparseland.DiagonalOperator(rng.uniform(0.1, 0.95, n))
+    g = rng.normal(size=n)
+    spec = sparseland.PenaltySpec(p=1.5, weights=sparseland.WeightSequence(
+        rng.uniform(0.5, 2.0, n)), mu=0.05)
+    res = sparseland.solve(g, K, spec, sparseland.SolverConfig(max_iterations=5000))
+    if res.status != "converged_step":
+        sys.exit(f"digest: the one-row solve stopped with {res.status}")
+    yield from _result_lines("one-row/p1.5-diagonal", res)
+
+
+def _result_lines(name, res):
+    """(name, sha) of a solve's minimizer, trace arrays, status, count and residual."""
+    yield f"{name}/minimizer", _array_sha(res.minimizer.values)
+    for field in ("objectives", "discrepancies", "penalties", "step_norms", "surrogates"):
+        yield f"{name}/trace.{field}", _array_sha(getattr(res.trace, field))
+    for field in ("status", "iterations", "fixed_point_residual"):
+        yield f"{name}/{field}", _sha(repr(getattr(res, field)).encode())
 
 
 def main(argv) -> int:
@@ -197,7 +219,7 @@ def main(argv) -> int:
         cli_solves(root)
         lines = [(str(path.relative_to(root)), _sha(path.read_bytes()))
                  for path in root.rglob("*") if path.is_file()]
-        lines += list(dense_solves())
+        lines += [*dense_solves(), *one_row_solve()]
     for name, sha in sorted(lines):
         print(f"{sha}  {name}")
     return 0
