@@ -13,7 +13,7 @@ iterates converge to a minimizer of the objective, and a point is a
 minimizer exactly when it is a fixed point of the step map.
 
 An iteration computes only the step, its squared norm and one
-``K.normal`` product; :func:`solve` keeps the trace, in float64
+``K.normal`` product; one books object keeps the trace, in float64
 series, and the descent check in blocks of iterations, with the bits
 per-iteration sums have.
 """
@@ -55,9 +55,9 @@ _DESCENT_SLACK = 1e-12
 # relative to 1 + the starting objective; a wrong normal operator drifts further
 _ANCHOR_SLACK = 1e-10
 
-# the loop books the discrepancy, penalty, surrogate and descent check
+# the books keep the discrepancy, penalty, surrogate and descent check
 # once per block of up to this many iterations, stacking at most this
-# many entries per array (see solve): `small_dense` runs at 101.7k
+# many entries per array (see _Books): `small_dense` runs at 101.7k
 # iterations/s against 32.7k with one-iteration blocks (BENCH_31.json)
 _BLOCK_ITERATIONS = 64
 _BLOCK_ENTRIES = 2**14
@@ -109,7 +109,7 @@ class SolveTrace:
     first and last discrepancies are evaluated exactly; those in between
     are the solver's running sum, exact up to roundoff relative to the
     first. Each field is a float64 array that owns its entries, and no
-    entry is ever held as a Python float (see :func:`solve`).
+    entry is ever held as a Python float (see ``solver._Books``).
     """
 
     objectives: np.ndarray
@@ -200,37 +200,139 @@ class _Step:
         return float(np.linalg.norm(f - self(f, Af)[0]))
 
 
-def _block_dots(fs, afs, d, r, b):
-    """A block's iterates as rows, and Re <d, A d> and Re <d, r> of each step.
+class _Books:
+    """The trace of one solve, in float64 series, and its open block.
 
-    fs and afs hold the iterates and their A f from the one the block
-    starts at; d and r = b - A f are its last step and residual. One step
-    is np.vdot on the held arrays, with no stacking copy (``imaging``:
-    571 against 460 iterations/s for the batched form at one row, 10 of
-    10 pairs, ``BENCH_31.json``). More stack fs and afs once each, take
-    the differences the loop would have taken, and run one batched
-    matmul per dot, which calls the BLAS dot np.vdot calls on each row.
+    With r = b - A f and the step d = f_new - f, the objective changes by
+
+        Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,  A d = A f_new - A f,
+
+    which the descent check tests, and the surrogate is
+    obj_new + ||d||^2 - <d, A d>. The discrepancy is a running sum of
+    those changes from the exact start value. These terms are booked
+    once per block of iterations, over the block's stacked iterates and
+    normal products: the row dots are the BLAS dots np.vdot runs, the
+    penalties are those of each row, and the running sum adds in order,
+    so every trace entry has the bits of a per-iteration sum. A block
+    closes when it is full, when the step rule stops the run, and at
+    the iteration cap. The descent check tests every iteration but
+    raises at the close of its block: DescentViolationError names the
+    first increase, and ContractViolationError names K.normal when the
+    non-finite value came from it. A close keeps only the block's last
+    iterate and its A f, and the books never hold a step's d or r.
+
+    The trace is booked in four float64 series, written in place: a
+    step's norm as the step is taken, and the other entries at its
+    block's close. They start with room for 1,024 steps, double up to
+    the cap when a solve runs past it, and are trimmed to length once,
+    at the return. A 20 x 20 dense solve capped at 10,000 iterations
+    peaks at 0.50 MB traced against 1.48 MB with the trace booked in
+    lists of Python floats, for a returned trace of 0.40 MB, and
+    ``small_dense``'s ``peak_rss_mb`` fell from 66.39 to 64.98 MB
+    (medians, 10 of 10 pairs, ``BENCH_35.json``).
     """
-    if len(fs) == 2:
-        return (fs[1][None], np.vdot(d, afs[1] - afs[0]).real.reshape(1),
-                np.vdot(d, r).real.reshape(1))
-    F, AF = np.array(fs), np.array(afs)
-    D = F[1:] - F[:-1]
-    D = (D.conj() if D.dtype.kind == "c" else D)[:, None, :]
-    return (F[1:], np.matmul(D, (AF[1:] - AF[:-1])[:, :, None])[:, 0, 0].real,
-            np.matmul(D, (b - AF[:-1])[:, :, None])[:, 0, 0].real)
 
+    def __init__(self, f, Af, disc, pen, spec: PenaltySpec, norm_bound: float, cap: int):
+        self.spec, self.norm_bound, self.cap = spec, norm_bound, cap
+        self.close_at = self.block = min(cap, _BLOCK_ITERATIONS, max(1, _BLOCK_ENTRIES // f.size))
+        # room for this many steps (the discrepancies and penalties also hold the start's)
+        self.room = room = min(cap, _TRACE_ROOM)
+        self.discrepancies, self.penalties = np.empty(room + 1), np.empty(room + 1)
+        self.step_norms, self.surrogates = np.empty(room), np.empty(room)
+        self.discrepancies[0], self.penalties[0] = disc, pen
+        # the running discrepancy and penalty where the open block starts, and
+        # its iterates and their A f from there
+        self.disc, self.pen, self.fs, self.afs = disc, pen, [f], [Af]
 
-def _grown(series: np.ndarray, size: int) -> np.ndarray:
-    """A float64 array of the given size that starts with the entries of series."""
-    out = np.empty(size)
-    out[:series.size] = series
-    return out
+    def append(self, k: int, f, Af, quad: float, step_norm: float) -> bool:
+        """Book step k: the new iterate f, its A f, <d, d> and norm; True if the block is full."""
+        if k > self.room:
+            # one series at a time, so only one old copy is alive
+            self.room = room = min(self.cap, 2 * self.room)
+            self.discrepancies = self._grown(self.discrepancies, room + 1)
+            self.penalties = self._grown(self.penalties, room + 1)
+            self.step_norms = self._grown(self.step_norms, room)
+            self.surrogates = self._grown(self.surrogates, room)
+        self.fs.append(f)
+        self.afs.append(Af)
+        # the surrogate's entry holds <d, d> until its block closes
+        self.surrogates[k - 1] = quad
+        self.step_norms[k - 1] = step_norm
+        return k == self.close_at
 
+    def close(self, k: int, d, r, b):
+        """Close the open block at step k, whose step d left an iterate with r = b - A f."""
+        F, dAd, dr = self._block_dots(d, r, b)
+        change = dAd - 2.0 * dr
+        pens = penalty_sum(F, self.spec)
+        # O[0] = disc + pen is the objective the block starts from
+        P = np.concatenate(([self.pen], pens))
+        delta = change + (P[1:] - P[:-1])
+        discs = np.add.accumulate(np.concatenate(([self.disc], change)))
+        O = discs + P
+        before, objs = O[:-1], O[1:]
+        # NaN fails the comparison, and so fails the check
+        falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
+        booked = k + 1 - len(self.fs)
+        if not falls.all():
+            j = np.flatnonzero(~falls)[0]
+            if not math.isfinite(dAd[j]):
+                raise ContractViolationError(
+                    f"<d, K.normal(d)> is {float(dAd[j])!r} at iteration {booked + j + 1}; "
+                    f"K.normal returned a non-finite value")
+            raise DescentViolationError(
+                f"objective increased by {float(delta[j])!r} from {float(before[j])!r} at "
+                f"iteration {booked + j + 1}; the certified norm bound {self.norm_bound} is false")
+        # surrogate = objective + <d, d> - <d, A d>, added in that order
+        quads = self.surrogates[booked:k]
+        np.add(objs, quads, out=quads)
+        quads -= dAd
+        self.discrepancies[booked + 1:k + 1] = discs[1:]
+        self.penalties[booked + 1:k + 1] = pens
+        self.disc, self.pen = float(discs[-1]), float(pens[-1])
+        self.fs, self.afs = self.fs[-1:], self.afs[-1:]
+        self.close_at = min(k + self.block, self.cap)
 
-def _trimmed(series: np.ndarray, size: int) -> np.ndarray:
-    """The first size entries of series, in an array of their own."""
-    return series if series.size == size else series[:size].copy()
+    def _block_dots(self, d, r, b):
+        """The block's iterates as rows, and Re <d, A d> and Re <d, r> of each step.
+
+        d and r = b - A f are the block's last step and residual. One step is np.vdot
+        on the held arrays, with no stacking copy (``imaging``: 571 against 460
+        iterations/s for the batched form at one row, 10 of 10 pairs, ``BENCH_31.json``).
+        More stack the iterates and their A f once each, take the differences the loop
+        would have taken, and run one batched matmul per dot, which calls the BLAS dot
+        np.vdot calls on each row.
+        """
+        if len(self.fs) == 2:
+            return (self.fs[1][None], np.vdot(d, self.afs[1] - self.afs[0]).real.reshape(1),
+                    np.vdot(d, r).real.reshape(1))
+        F, AF = np.array(self.fs), np.array(self.afs)
+        D = F[1:] - F[:-1]
+        D = (D.conj() if D.dtype.kind == "c" else D)[:, None, :]
+        return (F[1:], np.matmul(D, (AF[1:] - AF[:-1])[:, :, None])[:, 0, 0].real,
+                np.matmul(D, (b - AF[:-1])[:, :, None])[:, 0, 0].real)
+
+    def trace(self, k: int, exact: float) -> SolveTrace:
+        """The trace of k steps, whose last discrepancy is the exact one."""
+        self.discrepancies[k] = exact
+        # each room goes as its series is trimmed, so one old copy at most is alive
+        disc = self.discrepancies = self._trimmed(self.discrepancies, k + 1)
+        pen = self.penalties = self._trimmed(self.penalties, k + 1)
+        return SolveTrace(objectives=disc + pen, discrepancies=disc, penalties=pen,
+                          step_norms=self._trimmed(self.step_norms, k),
+                          surrogates=self._trimmed(self.surrogates, k))
+
+    @staticmethod
+    def _grown(series: np.ndarray, size: int) -> np.ndarray:
+        """A float64 array of the given size that starts with the entries of series."""
+        out = np.empty(size)
+        out[:series.size] = series
+        return out
+
+    @staticmethod
+    def _trimmed(series: np.ndarray, size: int) -> np.ndarray:
+        """The first size entries of series, in an array of their own."""
+        return series if series.size == size else series[:size].copy()
 
 
 def _start(g, K: LinearOperatorHandle, spec: PenaltySpec, config: SolverConfig, f0=None):
@@ -327,143 +429,48 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     nonnegative projection; a non-finite b, K f0 or A f0 raises
     ContractViolationError naming the method that returned it.
 
-    With r = b - A f and the step d = f_new - f, the objective changes by
-
-        Delta = <d, A d> - 2 Re<d, r> + pen_new - pen,  A d = A f_new - A f,
-
-    which the descent check tests, and the surrogate is
-    obj_new + ||d||^2 - <d, A d>. The discrepancy is a running sum of
-    those changes from the exact start value. These terms are booked
-    once per block of iterations, over the block's stacked iterates and
-    normal products: the row dots are the BLAS dots np.vdot runs, the
-    penalties are those of each row, and the running sum adds in order,
-    so every trace entry has the bits of a per-iteration sum. A block
-    closes when it is full, when the step rule stops the run, and at
-    the iteration cap. The descent check tests every iteration but
-    raises at the end of its block: DescentViolationError names the
-    first increase, and ContractViolationError names K.normal when the
-    non-finite value came from it. At the returned point one apply
-    re-anchors the discrepancy: the last trace entry is the exact value,
-    and a running sum that drifted from it by more than 1e-10 (1 + the
-    starting objective) raises ContractViolationError, because only a
-    normal operator that is not K*K drifts that far (an apply that is
-    not finite there is named instead). The fixed-point
-    residual reuses the held A f and costs no operator call. A booked
-    step and its r are released before the next step is taken, so the
-    loop holds one step's arrays at a time.
-
-    The trace is booked in four float64 series, written in place: a
-    step's norm as the step is taken, and the other entries at its
-    block's close. They start with room for 1,024 steps, double up to
-    the cap when a solve runs past it, and are trimmed to length once,
-    at the return. A 20 x 20 dense solve capped at 10,000 iterations
-    peaks at 0.50 MB traced against 1.48 MB with the trace booked in
-    lists of Python floats, for a returned trace of 0.40 MB, and
-    ``small_dense``'s ``peak_rss_mb`` fell from 66.39 to 64.98 MB
-    (medians, 10 of 10 pairs, ``BENCH_35.json``).
+    A :class:`_Books` keeps the trace and checks descent, raising
+    DescentViolationError, or ContractViolationError for a non-finite
+    ``K.normal``. One apply at the returned point gives the last trace
+    entry exactly; a running discrepancy that drifted from it by more
+    than 1e-10 (1 + the starting objective) raises ContractViolationError,
+    as only a normal operator that is not K*K drifts that far (an apply
+    that is not finite there is named instead). The fixed-point residual
+    reuses the held A f and costs no operator call.
     """
     config = SolverConfig() if config is None else config
     f, dims, step, Af, disc, pen, norm = _start(g, K, spec, config, f0)
     step_threshold = config.step_tolerance * (norm + 1.0)
-    cap = config.max_iterations
-    # the trace series, with room for this many steps (the discrepancies
-    # and penalties also hold the start's)
-    room = min(cap, _TRACE_ROOM)
-    discrepancies, penalties = np.empty(room + 1), np.empty(room + 1)
-    step_norms, surrogates = np.empty(room), np.empty(room)
-    discrepancies[0], penalties[0] = disc, pen
-
-    status = STATUS_MAX
-    block = max(1, min(_BLOCK_ITERATIONS, _BLOCK_ENTRIES // f.size))
-    # the open block: its iterates and their A f from the one it starts
-    # at, which is iterate `booked`
-    fs, afs, booked = [f], [Af], 0
+    books = _Books(f, Af, disc, pen, spec, K.norm_bound, config.max_iterations)
     # a broken normal operator makes the iterates non-finite; the block
     # check, which NaN fails, reports it without numpy's warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(1, cap + 1):
-            if k > room:
-                # one series at a time, so only one old copy is alive
-                room = min(cap, 2 * room)
-                discrepancies = _grown(discrepancies, room + 1)
-                penalties = _grown(penalties, room + 1)
-                step_norms = _grown(step_norms, room)
-                surrogates = _grown(surrogates, room)
+        for k in range(1, config.max_iterations + 1):
             f_new, r = step(f, Af)
             d = f_new - f
             quad = float(np.vdot(d, d).real)
             f, Af = f_new, K.normal(f_new)
-            fs.append(f)
-            afs.append(Af)
-            # the surrogate's entry holds <d, d> until its block closes
-            surrogates[k - 1] = quad
             # <d, d> of a step below about 1e-140 may underflow, even to
             # zero; hypot sums the squares of such a step without it
             step_norm = (math.sqrt(quad) if quad >= 1e-280
                          else float(np.hypot.reduce(np.abs(d))))
-            step_norms[k - 1] = step_norm
             converged = step_norm <= step_threshold
-            if converged or k - booked == block or k == cap:
-                F, dAd, dr = _block_dots(fs, afs, d, r, step.b)
-                change = dAd - 2.0 * dr
-                pens = penalty_sum(F, spec)
-                # O[0] = disc + pen is the objective the block starts from
-                P = np.concatenate(([pen], pens))
-                delta = change + (P[1:] - P[:-1])
-                discs = np.add.accumulate(np.concatenate(([disc], change)))
-                O = discs + P
-                before, objs = O[:-1], O[1:]
-                # NaN fails the comparison, and so fails the check
-                falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
-                if not falls.all():
-                    j = np.flatnonzero(~falls)[0]
-                    at = booked + j + 1
-                    if not math.isfinite(dAd[j]):
-                        raise ContractViolationError(
-                            f"<d, K.normal(d)> is {float(dAd[j])!r} at iteration {at}; "
-                            f"K.normal returned a non-finite value"
-                        )
-                    raise DescentViolationError(
-                        f"objective increased by {float(delta[j])!r} from {float(before[j])!r} "
-                        f"at iteration {at}; the certified norm bound {K.norm_bound} is false"
-                    )
-                # surrogate = objective + <d, d> - <d, A d>, added in that order
-                quads = surrogates[booked:k]
-                np.add(objs, quads, out=quads)
-                quads -= dAd
-                discrepancies[booked + 1:k + 1] = discs[1:]
-                penalties[booked + 1:k + 1] = pens
-                disc, pen = float(discs[-1]), float(pens[-1])
+            if books.append(k, f, Af, quad, step_norm) or converged:
+                books.close(k, d, r, step.b)
                 # the booked step is released before the next is taken
-                fs, afs, booked, d, r = [f], [Af], k, None, None
+                d = r = None
             if converged:
-                status = STATUS_STEP
                 break
 
     residual = step.g - K.apply(f)
     exact = float(np.vdot(residual, residual).real)
-    if not (abs(disc - exact) <= _ANCHOR_SLACK * (1.0 + (discrepancies[0] + penalties[0]))):
+    if not (abs(books.disc - exact) <= _ANCHOR_SLACK * (1.0 + (disc + pen))):
         blame = ("K.normal is not K*K" if math.isfinite(exact)
                  else "K.apply returned a non-finite value")
         raise ContractViolationError(
-            f"running discrepancy {disc!r} differs from the exact {exact!r} at the "
-            f"returned point; {blame}"
-        )
-    discrepancies[k] = exact
-    discrepancies = _trimmed(discrepancies, k + 1)
-    penalties = _trimmed(penalties, k + 1)
-    trace = SolveTrace(
-        objectives=discrepancies + penalties,
-        discrepancies=discrepancies,
-        penalties=penalties,
-        step_norms=_trimmed(step_norms, k),
-        surrogates=_trimmed(surrogates, k),
-    )
-    minimizer = CoefficientVector(values=f, dims=dims)
-    return SolveResult(
-        minimizer=minimizer,
-        trace=trace,
-        status=status,
-        iterations=k,
-        fixed_point_residual=step.distance(f, Af),
-    )
+            f"running discrepancy {books.disc!r} differs from the exact {exact!r} at the "
+            f"returned point; {blame}")
+    return SolveResult(trace=books.trace(k, exact),
+                       minimizer=CoefficientVector(values=f, dims=dims),
+                       status=STATUS_STEP if converged else STATUS_MAX,
+                       iterations=k, fixed_point_residual=step.distance(f, Af))

@@ -453,26 +453,33 @@ class TestNormalOperatorLoop:
         final = objective(res.minimizer, g, K, spec).total
         assert abs(t.objectives[-1] - final) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("kind", sorted(_solver_kinds()))
+    @pytest.mark.parametrize("kind", [*sorted(_solver_kinds()), "diagonal-one-row"])
     def test_wrong_normal_rejected(self, kind):
-        K = _skewed(_solver_kinds()[kind])
-        g = np.linspace(-1.0, 2.0, 16)
-        spec = PenaltySpec.uniform(p=1.0, mu=0.05, n=16)
+        # the one-row kind has 2^14 unknowns, so each iteration closes its block
+        n = 2**14 if kind == "diagonal-one-row" else 16
+        K = _skewed(DiagonalOperator(np.linspace(0.2, 0.9, n)) if kind == "diagonal-one-row"
+                    else _solver_kinds()[kind])
+        g = np.linspace(-1.0, 2.0, n)
+        spec = PenaltySpec.uniform(p=1.0, mu=0.05, n=n)
         with pytest.raises(ContractViolationError, match="normal"):
             solve(g, K, spec, SolverConfig(max_iterations=50, step_tolerance=0.0))
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    def test_non_finite_normal_is_blamed_on_normal(self, p):
-        # one NaN from the 5th normal, in the middle of the first block:
+    @pytest.mark.parametrize("p, n", [
+        *(pytest.param(p, n, id=f"one-row-{p}" if n > 20 else str(p))
+          for n in (20, 2**14) for p in (1.0, 1.5, 2.0))])
+    def test_non_finite_normal_is_blamed_on_normal(self, p, n):
+        # one NaN from the 5th normal, in the middle of the first block of
+        # a 20 x 20 solve and in its own one-row block at 2^14 unknowns:
         # the block's <d, A d> is NaN there, and the descent check, which
         # NaN fails, names normal rather than the norm bound
-        K = _broken(random_contraction(np.random.default_rng(8), 20), "normal", 5)
-        spec = PenaltySpec.uniform(p=p, mu=0.1, n=20)
+        K = _broken(random_contraction(np.random.default_rng(8), 20) if n == 20
+                    else DiagonalOperator(np.linspace(0.2, 0.9, n)), "normal", 5)
+        spec = PenaltySpec.uniform(p=p, mu=0.1, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContractViolationError,
                                match=r"nan at iteration 5; K.normal returned a non-finite"):
-                solve(np.linspace(-1.0, 1.0, 20), K, spec,
+                solve(np.linspace(-1.0, 1.0, n), K, spec,
                       SolverConfig(max_iterations=50, step_tolerance=0.0))
 
     def test_non_finite_exact_discrepancy_fails_the_anchor_check(self):
@@ -1084,14 +1091,16 @@ class TestBlockBookkeeping:
             "n3000": (3000, 1.5, 0.0, 23),
             "one-row-band-runs": (2**14, 1.5, 0.0, 5),
             "one-row-step-stop": (2**14, 2.0, 1e-3, 1000),
+            "one-row-complex": (2**14, 1.3, 0.0, 7),
         }[case]
         if n <= 300:
             M = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if case == "complex"
                                            else 0.0)
             K = DenseOperator(M * 0.9 / np.linalg.norm(M, 2))
         else:
-            K = DiagonalOperator(rng.uniform(0.1, 0.9, n))
-        g = rng.normal(size=n) + (1j * rng.normal(size=n) if case == "complex" else 0.0)
+            K = DiagonalOperator(rng.uniform(0.1, 0.9, n) * (
+                np.exp(2j * np.pi * rng.uniform(size=n)) if "complex" in case else 1.0))
+        g = rng.normal(size=n) + (1j * rng.normal(size=n) if "complex" in case else 0.0)
         weights = WeightSequence.uniform(n)
         if case == "weights-n300":
             weights = WeightSequence(rng.uniform(0.5, 2.0, n))
@@ -1107,7 +1116,8 @@ class TestBlockBookkeeping:
 
     @pytest.mark.parametrize("case", ["cap-not-a-block-multiple", "step-stop-mid-block",
                                       "complex", "projection", "asymmetric", "weights-n300",
-                                      "n3000", "one-row-band-runs", "one-row-step-stop"])
+                                      "n3000", "one-row-band-runs", "one-row-step-stop",
+                                      "one-row-complex"])
     def test_same_bits_as_the_per_iteration_loop(self, case):
         g, K, spec, config = self.problem(case)
         res = solve(g, K, spec, config)
@@ -1185,23 +1195,30 @@ class TestBlockBookkeeping:
         assert trace_bytes == 8 * (3 * 10001 + 2 * 10000)
         assert peak / trace_bytes < 2.0
 
-    @pytest.mark.parametrize("seed, p, iteration", [(3, 1.0, 17), (0, 1.0, 69)])
+    @pytest.mark.parametrize("seed, p, iteration, n", [
+        pytest.param(3, 1.0, 17, 20, id="3-1.0-17"), pytest.param(0, 1.0, 69, 20, id="0-1.0-69"),
+        pytest.param(2, 1.0, 81, 2**14, id="one-row-2-1.0-81")])
     def test_descent_violation_named_as_the_per_iteration_loop_names_it(
-            self, seed, p, iteration):
+            self, seed, p, iteration, n):
         # a 1.42-norm operator sold with a 0.95 certificate first raises
-        # the objective in the middle of a block
-        class Understated(DenseOperator):
+        # the objective in the middle of a block; at 2^14 unknowns, a
+        # diagonal one with entries up to 1.42 raises it in a one-row block
+        class Understated(DenseOperator if n == 20 else DiagonalOperator):
             def __init__(self, matrix):
                 super().__init__(matrix)
                 self.norm_bound = 0.95
 
         rng = np.random.default_rng(seed)
-        M = rng.normal(size=(20, 20))
-        K = Understated(M * 1.42 / np.linalg.norm(M, 2))
-        g = rng.normal(size=20)
-        spec = PenaltySpec.uniform(p=p, mu=0.05, n=20)
+        if n == 20:
+            M = rng.normal(size=(20, 20))
+            K = Understated(M * 1.42 / np.linalg.norm(M, 2))
+        else:
+            K = Understated(rng.uniform(0.1, 1.42, n))
+        g = rng.normal(size=n)
+        spec = PenaltySpec.uniform(p=p, mu=0.05, n=n)
         config = SolverConfig(max_iterations=300, step_tolerance=0.0)
-        assert iteration % _block_length(20) not in (0, 1)
+        m = _block_length(n)
+        assert m == 1 or iteration % m not in (0, 1)
         with pytest.raises(DescentViolationError) as reference:
             _reference_solve(g, K, spec, config)
         assert f"at iteration {iteration};" in str(reference.value)
