@@ -237,14 +237,8 @@ def _cmd_solve(opt: dict) -> int:
 
     out = Path(opt["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "version": __version__,
-        "status": result.status,
-        "iterations": result.iterations,
-        "final_objective": float(result.trace.objectives[-1]),
-        "fixed_point_residual": result.fixed_point_residual,
-        "renormalization_scale": renormalized.scale,
-    }
+    summary = {"version": __version__, **result.summary(),
+               "renormalization_scale": renormalized.scale}
     solution = result.minimizer.values
     if wavelet is not None:
         write_grid(out / "solution_coefficients.grid", solution, metadata=summary)

@@ -317,22 +317,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     row = config.diagnostic_row
     col = config.diagnostic_col
-    blurred = clean / clean.sum()  # noise-free expectation of the data
-    profiles = {
-        "horizontal": {
-            "reference": reference[row, :],
-            "blurred": blurred[row, :],
-            "data": noisy.data[row, :],
-        },
-        "vertical": {
-            "reference": reference[:, col],
-            "blurred": blurred[:, col],
-            "data": noisy.data[:, col],
-        },
-    }
-    for name, recon in recons.items():
-        profiles["horizontal"][name] = recon[row, :]
-        profiles["vertical"][name] = recon[:, col]
+    # blurred is the noise-free expectation of the data
+    images = {"reference": reference, "blurred": clean / clean.sum(), "data": noisy.data,
+              **recons}
+    profiles = {"horizontal": {name: image[row, :] for name, image in images.items()},
+                "vertical": {name: image[:, col] for name, image in images.items()}}
 
     chash = _config_hash(config)
     manifest = {
@@ -348,15 +337,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "max_expected_count": noisy.max_expected_count,
         "realized_total_count": float(noisy.counts.sum()),
         "cases": {
-            case.name: {
-                "p": case.p,
-                "mu": case.mu,
-                "project": case.project,
-                "status": results[case.name].status,
-                "iterations": results[case.name].iterations,
-                "final_objective": float(results[case.name].trace.objectives[-1]),
-                "fixed_point_residual": results[case.name].fixed_point_residual,
-            }
+            case.name: {"p": case.p, "mu": case.mu, "project": case.project,
+                        **results[case.name].summary()}
             for case in config.cases
         },
         "files": [],

@@ -99,7 +99,8 @@ class DiagonalOperator(LinearOperatorHandle):
     def __init__(self, entries):
         entries = check_values(entries, "diagonal entries", complex_ok=True)
         self.entries = entries
-        self._conj_entries = np.conj(entries)
+        # the entries themselves when they are real, so no copy
+        self._conj_entries = entries.conj()
         super().__init__(entries.size, entries.size,
                          float(np.max(np.abs(entries))), domain_dtype=entries.dtype)
 

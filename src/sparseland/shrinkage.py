@@ -67,9 +67,8 @@ def _check_weight(w, shape):
 
 
 def soft_threshold(x, w):
-    """Soft thresholding: shrink |x| by w/2, dead zone where |x| <= w/2."""
-    arr = _real_array(x)
-    return _soft(arr, _check_weight(w, arr.shape))
+    """Soft thresholding: shrink |x| by w/2, dead zone where |x| <= w/2; shrink_p at p = 1."""
+    return shrink_p(x, w, 1.0)
 
 
 def _soft(arr: np.ndarray, w):
@@ -82,8 +81,7 @@ def _soft(arr: np.ndarray, w):
     and the weight is an array, whose clip returns the bound +0.0.
     """
     t = 0.5 * w
-    out = arr - arr.clip(-t, t)
-    return out if out.ndim else float(out)
+    return arr - arr.clip(-t, t)
 
 
 def _root_three_halves(t: np.ndarray, w) -> np.ndarray:
@@ -213,22 +211,23 @@ def shrink_p(x, w, p):
     arr = _real_array(x)
     w = _check_weight(w, arr.shape)
     if abs(p - 1.0) <= _P_SNAP:
-        return _soft(arr, w)
-    if abs(p - 2.0) <= _P_SNAP:
+        out = _soft(arr, w)
+    elif abs(p - 2.0) <= _P_SNAP:
         out = arr / (1.0 + w)
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-    # t and y are this call's own arrays: the cap and the sign are
-    # formed in them, and t is returned
-    t = np.asarray(np.abs(arr))
-    if abs(p - 1.5) <= _P_SNAP:
-        y = _root_three_halves(t, w)
     else:
-        y = _invert_fp(t, 0.5 * w * p, p)
-    # S(t) <= t, but a root within rounding of t can land an ulp above
-    # it; fmin also keeps t where the p = 3/2 root is 0/0 (t = 0, w = 5e-324)
-    np.fmin(y, t, out=t)
-    np.multiply(np.sign(arr, out=y), t, out=t)
-    return t if t.ndim else float(t)
+        # t and y are this call's own arrays: the cap and the sign are
+        # formed in them, and t is returned
+        t = np.asarray(np.abs(arr))
+        if abs(p - 1.5) <= _P_SNAP:
+            y = _root_three_halves(t, w)
+        else:
+            y = _invert_fp(t, 0.5 * w * p, p)
+        # S(t) <= t, but a root within rounding of t can land an ulp above
+        # it; fmin also keeps t where the p = 3/2 root is 0/0 (t = 0, w = 5e-324)
+        np.fmin(y, t, out=t)
+        out = np.multiply(np.sign(arr, out=y), t, out=t)
+    # a 0-d input's quotient or difference is a numpy scalar, which has ndim
+    return out if out.ndim else float(out)
 
 
 def shrink_complex(z, w, p):

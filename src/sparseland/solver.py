@@ -140,6 +140,12 @@ class SolveResult:
     iterations: int
     fixed_point_residual: float
 
+    def summary(self) -> dict:
+        """The status, iterations, final objective and fixed-point residual, as JSON values."""
+        return {"status": self.status, "iterations": self.iterations,
+                "final_objective": float(self.trace.objectives[-1]),
+                "fixed_point_residual": self.fixed_point_residual}
+
 
 class _Step:
     """The step map f -> P(S(f + b - A f)) of one problem, b = K*g, A = K*K.
@@ -209,7 +215,8 @@ class _Books:
 
     which the descent check tests, and the surrogate is
     obj_new + ||d||^2 - <d, A d>. The discrepancy is a running sum of
-    those changes from the exact start value. These terms are booked
+    those changes from the exact start value, kept in its series, which
+    hold each block's start entry. These terms are booked
     once per block of iterations, over the block's stacked iterates and
     normal products: the row dots are the BLAS dots np.vdot runs, the
     penalties are those of each row, and the running sum adds in order,
@@ -220,6 +227,11 @@ class _Books:
     first increase, and ContractViolationError names K.normal when the
     non-finite value came from it. A close keeps only the block's last
     iterate and its A f, and the books never hold a step's d or r.
+    At the return the caller's exact last discrepancy replaces the
+    running one; a running discrepancy that drifted from it by more than
+    1e-10 (1 + the starting objective) raises ContractViolationError, as
+    only a normal operator that is not K*K drifts that far (an apply
+    that is not finite there is named instead).
 
     The trace is booked in four float64 series, written in place: a
     step's norm as the step is taken, and the other entries at its
@@ -240,9 +252,8 @@ class _Books:
         self.discrepancies, self.penalties = np.empty(room + 1), np.empty(room + 1)
         self.step_norms, self.surrogates = np.empty(room), np.empty(room)
         self.discrepancies[0], self.penalties[0] = disc, pen
-        # the running discrepancy and penalty where the open block starts, and
-        # its iterates and their A f from there
-        self.disc, self.pen, self.fs, self.afs = disc, pen, [f], [Af]
+        # the open block's iterates and their A f, from its start
+        self.fs, self.afs = [f], [Af]
 
     def append(self, k: int, f, Af, quad: float, step_norm: float) -> bool:
         """Book step k: the new iterate f, its A f, <d, d> and norm; True if the block is full."""
@@ -263,17 +274,19 @@ class _Books:
     def close(self, k: int, d, r, b):
         """Close the open block at step k, whose step d left an iterate with r = b - A f."""
         F, dAd, dr = self._block_dots(d, r, b)
-        change = dAd - 2.0 * dr
-        pens = penalty_sum(F, self.spec)
-        # O[0] = disc + pen is the objective the block starts from
-        P = np.concatenate(([self.pen], pens))
-        delta = change + (P[1:] - P[:-1])
-        discs = np.add.accumulate(np.concatenate(([self.disc], change)))
-        O = discs + P
+        booked = k + 1 - len(self.fs)
+        # the series from the block's start entry: the changes and the row
+        # penalties are written after it, and the changes summed from it in place
+        D, P = self.discrepancies[booked:k + 1], self.penalties[booked:k + 1]
+        np.subtract(dAd, 2.0 * dr, out=D[1:])
+        P[1:] = penalty_sum(F, self.spec)
+        delta = D[1:] + (P[1:] - P[:-1])
+        np.add.accumulate(D, out=D)
+        # O[0] is the objective the block starts from
+        O = D + P
         before, objs = O[:-1], O[1:]
         # NaN fails the comparison, and so fails the check
         falls = delta <= _DESCENT_SLACK * (1.0 + np.abs(before))
-        booked = k + 1 - len(self.fs)
         if not falls.all():
             j = np.flatnonzero(~falls)[0]
             if not math.isfinite(dAd[j]):
@@ -287,9 +300,6 @@ class _Books:
         quads = self.surrogates[booked:k]
         np.add(objs, quads, out=quads)
         quads -= dAd
-        self.discrepancies[booked + 1:k + 1] = discs[1:]
-        self.penalties[booked + 1:k + 1] = pens
-        self.disc, self.pen = float(discs[-1]), float(pens[-1])
         self.fs, self.afs = self.fs[-1:], self.afs[-1:]
         self.close_at = min(k + self.block, self.cap)
 
@@ -307,13 +317,20 @@ class _Books:
             return (self.fs[1][None], np.vdot(d, self.afs[1] - self.afs[0]).real.reshape(1),
                     np.vdot(d, r).real.reshape(1))
         F, AF = np.array(self.fs), np.array(self.afs)
-        D = F[1:] - F[:-1]
-        D = (D.conj() if D.dtype.kind == "c" else D)[:, None, :]
+        D = (F[1:] - F[:-1]).conj()[:, None, :]
         return (F[1:], np.matmul(D, (AF[1:] - AF[:-1])[:, :, None])[:, 0, 0].real,
                 np.matmul(D, (b - AF[:-1])[:, :, None])[:, 0, 0].real)
 
     def trace(self, k: int, exact: float) -> SolveTrace:
-        """The trace of k steps, whose last discrepancy is the exact one."""
+        """The trace of k steps, whose last discrepancy is exact, once the drift check passes."""
+        running = float(self.discrepancies[k])
+        start = float(self.discrepancies[0] + self.penalties[0])
+        if not (abs(running - exact) <= _ANCHOR_SLACK * (1.0 + start)):
+            blame = ("K.normal is not K*K" if math.isfinite(exact)
+                     else "K.apply returned a non-finite value")
+            raise ContractViolationError(
+                f"running discrepancy {running!r} differs from the exact {exact!r} at the "
+                f"returned point; {blame}")
         self.discrepancies[k] = exact
         # each room goes as its series is trimmed, so one old copy at most is alive
         disc = self.discrepancies = self._trimmed(self.discrepancies, k + 1)
@@ -429,14 +446,12 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
     nonnegative projection; a non-finite b, K f0 or A f0 raises
     ContractViolationError naming the method that returned it.
 
-    A :class:`_Books` keeps the trace and checks descent, raising
-    DescentViolationError, or ContractViolationError for a non-finite
-    ``K.normal``. One apply at the returned point gives the last trace
-    entry exactly; a running discrepancy that drifted from it by more
-    than 1e-10 (1 + the starting objective) raises ContractViolationError,
-    as only a normal operator that is not K*K drifts that far (an apply
-    that is not finite there is named instead). The fixed-point residual
-    reuses the held A f and costs no operator call.
+    The end's apply gives the last trace entry exactly, and the
+    fixed-point residual reuses the held A f and costs no operator call.
+    A :class:`_Books` keeps the trace and raises DescentViolationError
+    for an objective that increased, and ContractViolationError for a
+    non-finite ``K.normal``, a normal operator that is not K*K, or an
+    apply that is not finite at the returned point.
     """
     config = SolverConfig() if config is None else config
     f, dims, step, Af, disc, pen, norm = _start(g, K, spec, config, f0)
@@ -464,12 +479,6 @@ def solve(g, K: LinearOperatorHandle, spec: PenaltySpec,
 
     residual = step.g - K.apply(f)
     exact = float(np.vdot(residual, residual).real)
-    if not (abs(books.disc - exact) <= _ANCHOR_SLACK * (1.0 + (disc + pen))):
-        blame = ("K.normal is not K*K" if math.isfinite(exact)
-                 else "K.apply returned a non-finite value")
-        raise ContractViolationError(
-            f"running discrepancy {books.disc!r} differs from the exact {exact!r} at the "
-            f"returned point; {blame}")
     return SolveResult(trace=books.trace(k, exact),
                        minimizer=CoefficientVector(values=f, dims=dims),
                        status=STATUS_STEP if converged else STATUS_MAX,

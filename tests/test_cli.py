@@ -452,6 +452,36 @@ class TestSolve:
         assert code == 2
         assert "payload" in capsys.readouterr().err
 
+    def test_cli_line_and_manifest_cases_hold_the_solve_summary(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # both are JSON round trips of the summary's floats, so they compare with ==
+        solved, real_solve = [], cli.solve
+
+        def recording_solve(*args, **kwargs):
+            solved.append(real_solve(*args, **kwargs))
+            return solved[-1]
+
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "solve", recording_solve)
+        op, data = self._write_inputs(tmp_path)
+        assert main(["solve", "--operator", "diagonal", "--operator-file", str(op),
+                     "--data", str(data), "--p", "1.5", "--mu", "0.1", "--iterations", "50",
+                     "--output-dir", str(tmp_path / "solve")]) == 0
+        line = json.loads(capsys.readouterr().out)
+        (result,) = solved
+        summary = result.summary()
+        assert list(summary) == ["status", "iterations", "final_objective",
+                                 "fixed_point_residual"]
+        assert {key: line[key] for key in summary} == summary
+        assert main(["experiment", "--grid", "64", "--pad", "128", "--iterations", "5",
+                     "--cases", "l1,l2_nonneg", "--output-dir", str(tmp_path / "exp")]) == 0
+        manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        cases = manifest["cases"]
+        assert list(cases) == ["l1", "l2_nonneg"] and len(solved) == 3
+        for name, result in zip(cases, solved[1:]):
+            summary = result.summary()
+            assert {key: cases[name][key] for key in summary} == summary
+
 
 class TestExperimentCommand:
     def test_cases_help_names_the_default_cases(self):

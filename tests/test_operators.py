@@ -1,5 +1,7 @@
 """Operator handles, norm certificates, and the SVD reference model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ class TestDiagonalOperator:
 
     def test_accepts_integer_entries(self):
         assert DiagonalOperator(np.array([2, -3], dtype=np.int32)).norm_bound == 3.0
+
+    def test_real_entries_are_their_own_conjugate(self):
+        # np.conj(entries) copied real entries for the adjoint: 2^16 of them
+        # retained 2.0 times their bytes, against 1.0 with entries.conj()
+        entries = np.linspace(-1.0, 1.0, 2**16)
+        DiagonalOperator(entries[:2])  # first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            D = DiagonalOperator(entries)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained / entries.nbytes < 1.5
+        np.testing.assert_array_equal(D.adjoint(np.ones(2**16)), entries)
 
 
 @pytest.mark.filterwarnings("error")
