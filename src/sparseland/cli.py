@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +158,14 @@ def _parse_wavelet(text: str):
 
 def _load_text(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table, refused below
+            table = np.loadtxt(path, dtype=np.float64)
     except ValueError as exc:
         raise ParameterError(f"{path}: not a whitespace table of numbers ({exc})") from None
+    if table.size == 0:
+        raise ParameterError(f"{path}: holds no numbers")
+    return table
 
 
 def _load_array(path: str) -> np.ndarray:

@@ -284,10 +284,11 @@ class PenaltySpec:
                                                   lower="positive"))
         if self.asymmetric is not None:
             try:
-                wp, wm = map(_as_weights, self.asymmetric)
+                wp, wm = self.asymmetric
             except (TypeError, ValueError):
                 raise ParameterError(f"asymmetric weights must be a pair (w_plus, w_minus), "
                                      f"got {self.asymmetric!r}") from None
+            wp, wm = _as_weights(wp), _as_weights(wm)
             if len(wp) != len(wm) or len(wp) != len(self.weights):
                 raise AlignmentError(
                     "asymmetric weight pair must match the symmetric weights in length"

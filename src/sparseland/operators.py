@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (CoefficientVector, check_array, check_count, check_dims, check_image,
-                   check_kinds, check_real, check_shape, check_values)
+                   check_kinds, check_real, check_shape, check_values, overflow_error)
 from .errors import AlignmentError, ContractViolationError, ParameterError
 from .shrinkage import soft_threshold
 
@@ -489,8 +489,9 @@ class SvdModel:
 def thresholded_svd_solve(model: SvdModel, g, mu: float) -> CoefficientVector:
     """Closed-form minimizer for p = 1, uniform weights, diagonal operator.
 
-    Componentwise f_k = sigma_k^(-2) * S_mu(sigma_k * g_k), with
-    components belonging to vanished singular values set to zero. This is
+    Componentwise f_k = sigma_k^(-2) * S_mu(sigma_k * g_k), exactly zero
+    in the dead zone (vanished singular values included); a component
+    that overflows raises ParameterError. This is
     the sparse analogue of the Tikhonov filter sigma/(sigma^2 + mu): a
     soft spectral cutoff instead of a smooth damping.
     """
@@ -501,6 +502,11 @@ def thresholded_svd_solve(model: SvdModel, g, mu: float) -> CoefficientVector:
     if g.shape != s.shape:
         raise AlignmentError("data coefficients must align with the singular values")
     out = np.zeros_like(g)
-    nz = s > 0.0
-    out[nz] = soft_threshold(s[nz] * g[nz], mu) / s[nz] ** 2
+    with np.errstate(over="ignore", divide="ignore"):
+        shrunk = soft_threshold(s * g, mu)
+        live = shrunk != 0.0
+        out[live] = shrunk[live] / s[live] ** 2
+    peak = float(np.abs(out).max())
+    if not np.isfinite(peak):
+        raise overflow_error("minimizer", peak, data=g, spectrum=s)
     return CoefficientVector(values=out)

@@ -17,22 +17,22 @@ wavelet transforms into lifting steps", J. Fourier Anal. Appl. 4(3),
 by the Euclidean algorithm on Laurent polynomials into steps that add
 a short filter of one phase (even or odd samples) to the other, then
 a scaling of each phase. Analysis splits an axis into its two phases,
-runs the steps in place on them and scales; synthesis undoes the
-scaling, runs the steps backward with the opposite sign and
-interleaves. A step reads the other phase periodically, modulo the
-band length, so the factorization also holds at coarse levels where
-the band is shorter than the filter: it is an identity of Laurent
-polynomials, hence also one modulo z^m - 1. The shift the factorization
-leaves on each phase is folded into where analysis reads that phase
-and synthesis writes it, and the signs into the scaling, so the bands
-are the filter bank's entry for entry. During a transform the
+runs the steps in place on them and scales. A step reads the other
+phase periodically, modulo the band length, so the factorization also
+holds at coarse levels where the band is shorter than the filter: it
+is an identity of Laurent polynomials, hence also one modulo z^m - 1.
+The shift the factorization leaves on each phase is folded into where
+analysis reads that phase, and the signs into the scaling, so the
+bands are the filter bank's entry for entry. During a transform the
 bands sit in place in one array, each level's in the corner the
-previous level's scaling band held; they are copied to or from the
-flat band order once. Both directions of a shape and spec are
-recorded once, as ufunc calls on one work array and one scratch array,
-and later calls run those records one at a time under one lock; a run
-writes every entry of the buffers before it reads it, and every call
-returns a new array.
+previous level's scaling band held; they are copied to the flat band
+order once. The analysis of a shape and spec is recorded once, as
+ufunc calls on one work array and one scratch array, and synthesis is
+its record-by-record inverse: each copy runs the other way, each
+scaling multiplies by its reciprocal and each lifting step subtracts
+what it added, last record first. Later calls run those records one
+at a time under one lock; a run writes every entry of the buffers
+before it reads it, and every call returns a new array.
 
 Every coefficient carries a scale label |lambda|, with the scaling band
 and the coarsest details at |lambda| = 0 and the finest details at
@@ -54,7 +54,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .core import (CoefficientVector, WeightSequence, check_array, check_count,
-                   check_exponent, check_kinds, check_real, check_shape, check_values)
+                   check_exponent, check_kinds, check_real, check_shape, check_values,
+                   overflow_error)
 from .errors import AlignmentError, ParameterError
 from .operators import LinearOperatorHandle
 
@@ -302,17 +303,23 @@ class _Plan:
     plan was recorded on. ``reads`` copy the call's input into those
     buffers before ``ops`` run, and ``writes`` copy them into the call's
     output after; each is (index, shape, view), the call's region being
-    array[index].reshape(shape). Run from its record, a 256^2 db2:3 call
-    takes 0.55 ms against 1.35 ms for the same lifting steps run
-    directly, and ``wavelet`` runs at 340 against 266 iterations/s
-    (medians, 10 of 10 pairs, ``BENCH_31.json``).
+    array[index].reshape(shape). Each record of ``ops`` (a copy, a
+    scaling, a whole lifting step) keeps in ``undo`` the calls that
+    undo it, and ``inverse`` runs those last record first, reading
+    where this plan writes and writing where it reads. Run from its
+    record, a 256^2 db2:3 call takes 0.55 ms against 1.35 ms for the
+    same lifting steps run directly, and ``wavelet`` runs at 340
+    against 266 iterations/s (medians, 10 of 10 pairs,
+    ``BENCH_31.json``).
     """
 
     def __init__(self):
-        self.reads, self.ops, self.writes = [], [], []
+        self.reads, self.ops, self.writes, self.undo = [], [], [], []
 
-    def call(self, ufunc, *args):
-        self.ops.append((ufunc, args))
+    def record(self, calls, undo):
+        """Record (ufunc, args) calls and the calls that undo them."""
+        self.ops += calls
+        self.undo.append(undo)
 
     def copy(self, dst, src):
         """Record dst[...] = src; either may be a _Call region of the call's array."""
@@ -321,7 +328,13 @@ class _Plan:
         elif isinstance(dst, _Call):
             self.writes.append((dst.index, src.shape, src))
         else:
-            self.ops.append((np.copyto, (dst, src)))
+            self.record([(np.copyto, (dst, src))], [(np.copyto, (src, dst))])
+
+    def inverse(self) -> "_Plan":
+        plan = _Plan()
+        plan.reads, plan.writes = self.writes, self.reads
+        plan.ops = [call for undo in reversed(self.undo) for call in undo]
+        return plan
 
     def run(self, x, out):
         for index, shape, view in self.reads:
@@ -333,8 +346,8 @@ class _Plan:
         return out
 
 
-def _run_steps(steps, phases, axis: int, sign: float, plan: _Plan):
-    """Lifting steps in place: v[k] += sign * sum c * u[(k + s) mod m].
+def _run_steps(steps, phases, axis: int, plan: _Plan):
+    """Lifting steps in place: v[k] += sum c * u[(k + s) mod m].
 
     The phases are viewed as (before, m, after) around the axis. They
     are contiguous, so a shift by s along m is a shift by s * after of
@@ -348,17 +361,19 @@ def _run_steps(steps, phases, axis: int, sign: float, plan: _Plan):
     flat = t.reshape(-1)
     for odd, terms in steps:
         v, u = (o, e) if odd else (e, o)
+        calls = []
         for c, s in terms:
-            c, s = sign * c, (s + (m - 1) // 2) % m - (m - 1) // 2
+            s = (s + (m - 1) // 2) % m - (m - 1) // 2
             if s > 0:
-                plan.call(np.multiply, u.reshape(-1)[s * after:], c, flat[:-s * after])
-                plan.call(np.multiply, u[:, :s], c, t[:, m - s:])
+                calls += [(np.multiply, (u.reshape(-1)[s * after:], c, flat[:-s * after])),
+                          (np.multiply, (u[:, :s], c, t[:, m - s:]))]
             elif s < 0:
-                plan.call(np.multiply, u.reshape(-1)[:s * after], c, flat[-s * after:])
-                plan.call(np.multiply, u[:, m + s:], c, t[:, :-s])
+                calls += [(np.multiply, (u.reshape(-1)[:s * after], c, flat[-s * after:])),
+                          (np.multiply, (u[:, m + s:], c, t[:, :-s]))]
             else:
-                plan.call(np.multiply, u, c, t)
-            plan.call(np.add, v, t, v)
+                calls.append((np.multiply, (u, c, t)))
+            calls.append((np.add, (v, t, v)))
+        plan.record(calls, [(np.subtract if f is np.add else f, a) for f, a in calls])
 
 
 def _split(src, dst: np.ndarray, axis: int, lifting: _Lifting, scratch: np.ndarray,
@@ -377,30 +392,11 @@ def _split(src, dst: np.ndarray, axis: int, lifting: _Lifting, scratch: np.ndarr
                   src[_along(axis, slice(2 * s + r, None, 2))])
         if s:
             plan.copy(phase[_along(axis, slice(m - s, m))], src[_along(axis, slice(r, 2 * s, 2))])
-    _run_steps(lifting.steps, phases, axis, 1.0, plan)
+    _run_steps(lifting.steps, phases, axis, plan)
     for r, phase in enumerate(phases[:2]):
-        plan.call(np.multiply, phase, lifting.scale[r],
-                  dst[_along(axis, slice(r * m, (r + 1) * m))])
-
-
-def _merge(src: np.ndarray, dst, axis: int, lifting: _Lifting, scratch: np.ndarray,
-           plan: _Plan):
-    """Record the inverse of _split: [a | d] along `axis` of src back to the signal.
-
-    dst has src's shape; it may be src, or _CALL for the call's output.
-    """
-    phases = _phases(src.shape, axis, scratch)
-    m = src.shape[axis] // 2
-    for r, phase in enumerate(phases[:2]):
-        plan.call(np.multiply, src[_along(axis, slice(r * m, (r + 1) * m))],
-                  1.0 / lifting.scale[r], phase)
-    _run_steps(reversed(lifting.steps), phases, axis, -1.0, plan)
-    for r, phase in enumerate(phases[:2]):
-        s = lifting.shift[r] % m
-        plan.copy(dst[_along(axis, slice(2 * s + r, None, 2))],
-                  phase[_along(axis, slice(0, m - s))])
-        if s:
-            plan.copy(dst[_along(axis, slice(r, 2 * s, 2))], phase[_along(axis, slice(m - s, m))])
+        half, scale = dst[_along(axis, slice(r * m, (r + 1) * m))], lifting.scale[r]
+        plan.record([(np.multiply, (phase, scale, half))],
+                    [(np.multiply, (half, 1.0 / scale, phase))])
 
 
 def _check_shape(shape, spec: WaveletSpec) -> Tuple[int, ...]:
@@ -477,26 +473,6 @@ def _analysis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) -> 
     return plan
 
 
-def _synthesis_plan(spec: WaveletSpec, work: np.ndarray, scratch: np.ndarray) -> _Plan:
-    """Record idwt_array for work's shape: the band scatter, then the merges.
-
-    The bands go from the call's flat input to the work array; the
-    last merge writes the call's output.
-    """
-    shape, plan = work.shape, _Plan()
-    pos = 0
-    for band in _bands(shape, spec.levels):
-        piece = work[band]
-        plan.copy(piece, _CALL[pos:pos + piece.size])
-        pos += piece.size
-    for level in reversed(range(spec.levels)):
-        corner = work[_corner(shape, level)]
-        for axis in range(len(shape)):
-            dst = _CALL if level == 0 and axis == len(shape) - 1 else corner
-            _merge(corner, dst, axis, spec.lifting, scratch, plan)
-    return plan
-
-
 # a (shape, spec) whose work and scratch buffers hold more than this
 # many floats is recorded for its call alone: its transform then costs
 # far more than recording it
@@ -506,10 +482,10 @@ _LOCK = threading.Lock()
 
 @functools.lru_cache(maxsize=4)
 def _plans(shape: Tuple[int, ...], spec: WaveletSpec) -> Tuple[_Plan, _Plan]:
-    """The analysis and synthesis plans of (shape, spec), recorded on one
+    """The analysis plan of (shape, spec) and its inverse, recorded on one
     work array of ``shape`` and the 3/2 times larger scratch its splits need."""
-    work, scratch = np.empty(shape), np.empty(3 * prod(shape) // 2)
-    return _analysis_plan(spec, work, scratch), _synthesis_plan(spec, work, scratch)
+    analysis = _analysis_plan(spec, np.empty(shape), np.empty(3 * prod(shape) // 2))
+    return analysis, analysis.inverse()
 
 
 def _run(direction: int, x: np.ndarray, out: np.ndarray, shape, spec) -> np.ndarray:
@@ -538,29 +514,39 @@ def idwt_array(values: np.ndarray, spec: WaveletSpec,
     return _run(1, values, np.empty(shape), shape, spec)
 
 
+def _finite(transform, x, *args) -> np.ndarray:
+    """transform(x, *args), refused with overflow_error unless every entry is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = transform(x, *args)
+        peak = float(np.abs(out).max())
+    if not np.isfinite(peak):
+        raise overflow_error("wavelet transform", peak, input=x)
+    return out
+
+
 def dwt(signal, spec: WaveletSpec) -> WaveletCoefficients:
     """Orthonormal forward transform; energy is preserved exactly.
 
     Accepts a 1-d signal, a 2-d grid, or a CoefficientVector carrying
     grid dims. Axis lengths must be divisible by 2^levels, and entries
-    must be finite.
+    must be finite; so must the result, or ParameterError is raised.
     """
     if isinstance(signal, CoefficientVector):
         arr = signal.as_grid() if signal.dims is not None else signal.values
     else:
         arr = check_values(signal, "wavelet transform input", ndim=None)
-    return WaveletCoefficients(dwt_array(arr, spec), _scale_labels(arr.shape, spec), spec,
-                               tuple(arr.shape))
+    return WaveletCoefficients(_finite(dwt_array, arr, spec), _scale_labels(arr.shape, spec),
+                               spec, tuple(arr.shape))
 
 
 def idwt(coefficients: WaveletCoefficients) -> np.ndarray:
     """Reconstruct the signal; exact inverse of :func:`dwt`.
 
-    The coefficient values must be finite.
+    The coefficient values must be finite, and so must the signal.
     """
     check_kinds(WaveletCoefficients=coefficients)
     values = check_values(coefficients.values, "wavelet coefficients", ndim=None)
-    return idwt_array(values, coefficients.spec, coefficients.shape)
+    return _finite(idwt_array, values, coefficients.spec, coefficients.shape)
 
 
 @dataclass(frozen=True)
@@ -595,7 +581,8 @@ def besov_weights(spec: BesovWeightSpec, scale_labels) -> WeightSequence:
     """Scale weights w = 2^(sigma * p * |lambda|) for the given labels."""
     check_kinds(BesovWeightSpec=spec)
     labels = check_values(scale_labels, "scale labels", lower="nonnegative")
-    w = np.power(2.0, spec.sigma * spec.p * labels)
+    with np.errstate(over="ignore"):  # WeightSequence refuses an infinite weight
+        w = np.power(2.0, spec.sigma * spec.p * labels)
     return WeightSequence(w=w)
 
 

@@ -1,6 +1,7 @@
 """Command line interface: config handling and subcommand smoke runs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -481,6 +482,29 @@ class TestSolve:
         for name, result in zip(cases, solved[1:]):
             summary = result.summary()
             assert {key: cases[name][key] for key in summary} == summary
+
+
+class TestEmptyTable:
+    @pytest.mark.parametrize("text", ["", "# no numbers here\n"])
+    @pytest.mark.parametrize("option", ["--operator-file", "--data", "--weights",
+                                        "--envelope-file"])
+    def test_exits_2_without_a_warning(self, tmp_path, capsys, option, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        full = tmp_path / "full.txt"
+        full.write_text("0.9 0.5\n")
+        if option == "--envelope-file":
+            argv = ["bounds", "--epsilon", "0.1", "--rho", "2.0", option, str(empty)]
+        else:
+            argv = ["solve", "--operator", "diagonal", "--mu", "0.1",
+                    "--output-dir", str(tmp_path / "o")]
+            for flag in ("--operator-file", "--data", "--weights"):
+                argv += [flag, str(empty if flag == option else full)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {empty}: holds no numbers\n"
 
 
 class TestExperimentCommand:

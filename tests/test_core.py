@@ -164,6 +164,14 @@ class TestPenaltySpec:
         with pytest.raises(ParameterError, match=r"asymmetric weights must be a pair"):
             PenaltySpec(p=1.0, weights=WeightSequence.uniform(3), mu=0.1, asymmetric=pair)
 
+    @pytest.mark.parametrize("half, message", [(np.array([1.0, -1.0]), "strictly positive"),
+                                               (np.array([1.0, np.nan]), "must be finite")])
+    def test_asymmetric_half_reports_its_own_error(self, half, message):
+        for pair in ((half, np.ones(2)), (np.ones(2), half)):
+            with pytest.raises(ParameterError, match=message) as info:
+                PenaltySpec(1.0, np.ones(2), asymmetric=pair)
+            assert "must be a pair" not in str(info.value)
+
 
 class TestTripleNorm:
     def test_unit_weights_p_three_halves(self):

@@ -628,6 +628,20 @@ class TestSvdModel:
                     SolverConfig(max_iterations=5000, step_tolerance=0.0))
         np.testing.assert_allclose(res.minimizer.values, direct.values, atol=1e-10)
 
+    def test_dead_zone_under_an_underflowing_square_is_zero(self):
+        # 1e-200 ** 2 underflows to 0.0; the component lies in the dead
+        # zone, so it is exactly +0.0 and the other keeps its bits
+        out = thresholded_svd_solve(SvdModel(np.array([0.5, 1e-200])), np.ones(2), 0.1)
+        alone = thresholded_svd_solve(SvdModel(np.array([0.5])), np.ones(1), 0.1)
+        assert out.values.tobytes() == np.array([alone.values[0], 0.0]).tobytes()
+
+    def test_overflowing_component_raises(self):
+        # 0.05 / 1e-320 leaves the float range
+        with pytest.raises(ParameterError, match=r"minimizer overflows \(inf\) at the data "
+                                                 r"scale 1e\+159"):
+            thresholded_svd_solve(SvdModel(np.array([0.5, 1e-160])),
+                                  np.array([1.0, 1e159]), 0.1)
+
     def test_alignment(self):
         with pytest.raises(AlignmentError):
             thresholded_svd_solve(SvdModel(np.array([0.5])), np.ones(2), 0.1)

@@ -392,6 +392,27 @@ class TestBesovWeights:
         assert increases[1.0] > 3.0 * increases[0.0]
 
 
+class TestOverflowRefused:
+    # pytest turns a RuntimeWarning into a failure, so each case also
+    # checks that no numpy warning comes first
+    def test_dwt_whose_lifting_overflows(self):
+        # the exact result, [1.414e308, 0], is representable; e + o is not
+        with pytest.raises(ParameterError, match=r"wavelet transform overflows \(inf\) at "
+                                                 r"the input scale 1e\+308"):
+            dwt(np.array([1e308, 1e308]), WaveletSpec("haar", 1))
+
+    def test_idwt_whose_signal_overflows(self):
+        c = WaveletCoefficients(np.array([1.5e308, 1.5e308]), np.zeros(2, dtype=np.int64),
+                                WaveletSpec("haar", 1), (2,))
+        with pytest.raises(ParameterError, match=r"wavelet transform overflows \(nan\) at "
+                                                 r"the input scale 1.5e\+308"):
+            idwt(c)
+
+    def test_besov_weights_that_overflow(self):
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            besov_weights(BesovWeightSpec(s=2000, p=1.0), [0.0, 1.0])
+
+
 def _sources(n, seed):
     """Five Gaussian blobs on an n x n grid, flat."""
     yy, xx = np.mgrid[0:n, 0:n]

@@ -23,7 +23,11 @@ per file and per array:
   one-sided weights (0.5 and 2), from the zero start and from an f0;
 * ``one-row/``: a 10,000-entry diagonal solve at p = 1.5, booked one
   iteration per block, which the step rule stops after 1,000 to 2,000
-  iterations.
+  iterations;
+* ``transforms/``: ``dwt_array`` of a seeded array and ``idwt_array`` of
+  a seeded coefficient vector for haar, db2, db3 and db4 at 1 to 3
+  levels, on the shapes (16,), (64,), (8, 8), (16, 32) and (64, 64),
+  which reach the coarse levels where a band is shorter than the filter.
 
 For each solve under ``dense/`` and ``one-row/``: the minimizer, the five
 trace arrays, the status, the iteration count and the fixed-point
@@ -56,6 +60,7 @@ sys.path.insert(0, str(SRC))
 
 import sparseland  # noqa: E402
 import sparseland.cli  # noqa: E402
+from sparseland.transforms import WaveletSpec, dwt_array, idwt_array  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -196,6 +201,21 @@ def one_row_solve():
     yield from _result_lines("one-row/p1.5-diagonal", res)
 
 
+def transform_arrays():
+    """(name, sha) of each family's analysis and synthesis at each depth and shape."""
+    for family in ("haar", "db2", "db3", "db4"):
+        for levels in (1, 2, 3):
+            spec = WaveletSpec(family, levels)
+            for shape in ((16,), (64,), (8, 8), (16, 32), (64, 64)):
+                if any(n % 2**levels for n in shape):
+                    continue
+                rng = np.random.default_rng(17)
+                x, v = rng.normal(size=shape), rng.normal(size=np.prod(shape))
+                name = f"transforms/{family}-{levels}-{'x'.join(map(str, shape))}"
+                yield f"{name}/dwt", _array_sha(dwt_array(x, spec))
+                yield f"{name}/idwt", _array_sha(idwt_array(v, spec, shape))
+
+
 def _result_lines(name, res):
     """(name, sha) of a solve's minimizer, trace arrays, status, count and residual."""
     yield f"{name}/minimizer", _array_sha(res.minimizer.values)
@@ -219,7 +239,7 @@ def main(argv) -> int:
         cli_solves(root)
         lines = [(str(path.relative_to(root)), _sha(path.read_bytes()))
                  for path in root.rglob("*") if path.is_file()]
-        lines += [*dense_solves(), *one_row_solve()]
+        lines += [*dense_solves(), *one_row_solve(), *transform_arrays()]
     for name, sha in sorted(lines):
         print(f"{sha}  {name}")
     return 0
